@@ -44,7 +44,18 @@ class LookupResult:
 
 
 class Zone:
-    """A single authoritative zone: an apex name, a SOA and a record set."""
+    """A single authoritative zone: an apex name, a SOA and a record set.
+
+    Besides the records themselves the zone keeps two indexes, both keyed
+    by a name's label tuple (hashed in C, and sliced to reach ancestors):
+
+    * ``_below`` maps every name that exists in the zone to the number of
+      records owned at or below it.  A name exists — answers NOERROR,
+      possibly with no data — exactly while it has an entry; the apex and
+      empty non-terminals exist because records below them are counted.
+    * ``_rrtypes`` lists the record types present at each owner, so a
+      mutation touches only the types at its one name.
+    """
 
     def __init__(self, origin, soa: Optional[SOA] = None) -> None:
         self.origin = DnsName(origin)
@@ -54,7 +65,8 @@ class Zone:
             serial=2024110100,
         )
         self._records: Dict[Tuple[DnsName, int], List[ResourceRecord]] = {}
-        self._names: set = {self.origin}
+        self._rrtypes: Dict[Tuple[str, ...], List[int]] = {}
+        self._below: Dict[Tuple[str, ...], int] = {}
         #: Bumped on every mutation; response caches key on it.
         self.version = 0
         self.add(self.origin, RRType.SOA, self.soa, ttl=3600)
@@ -66,20 +78,18 @@ class Zone:
         dname = DnsName(name)
         if not dname.is_subdomain_of(self.origin):
             raise ZoneError(f"{dname} is not within zone {self.origin}")
-        if rrtype == RRType.CNAME and (dname, RRType.CNAME) not in self._records:
-            others = [t for (n, t) in self._records if n == dname and t != RRType.CNAME]
-            if others and dname != self.origin:
+        rrtypes = self._rrtypes.get(dname.labels)
+        if rrtype == RRType.CNAME and rrtypes and RRType.CNAME not in rrtypes:
+            if dname != self.origin:
                 raise ZoneError(f"CNAME at {dname} conflicts with existing records")
-        self._records.setdefault((dname, rrtype), []).append(
-            ResourceRecord(dname, rrtype, ttl, rdata)
-        )
+        record = ResourceRecord(dname, rrtype, ttl, rdata)
+        if rrtypes is None:
+            self._rrtypes[dname.labels] = [rrtype]
+        elif rrtype not in rrtypes:
+            rrtypes.append(rrtype)
+        self._records.setdefault((dname, rrtype), []).append(record)
         self.version += 1
-        # Register the name and all ancestors up to the origin, so empty
-        # non-terminals answer NOERROR rather than NXDOMAIN.
-        node = dname
-        while node != self.origin and node.label_count >= self.origin.label_count:
-            self._names.add(node)
-            node = node.parent()
+        self._count(dname, 1)
         return self
 
     def add_a(self, name, address, ttl: int = 300) -> "Zone":
@@ -97,17 +107,32 @@ class Zone:
     def remove(self, name, rrtype: Optional[int] = None) -> int:
         """Remove records at ``name`` (optionally one type). Returns count."""
         dname = DnsName(name)
-        keys = [
-            k
-            for k in self._records
-            if k[0] == dname and (rrtype is None or k[1] == rrtype)
-        ]
-        removed = sum(len(self._records.pop(k)) for k in keys)
-        if not any(n == dname for (n, _t) in self._records):
-            self._names.discard(dname)
+        rrtypes = self._rrtypes.get(dname.labels)
+        if not rrtypes:
+            return 0
+        doomed = list(rrtypes) if rrtype is None else [t for t in rrtypes if t == rrtype]
+        removed = 0
+        for t in doomed:
+            removed += len(self._records.pop((dname, t)))
+            rrtypes.remove(t)
+        if not rrtypes:
+            del self._rrtypes[dname.labels]
         if removed:
             self.version += 1
+            self._count(dname, -removed)
         return removed
+
+    def _count(self, owner: DnsName, delta: int) -> None:
+        """Add ``delta`` records to ``owner`` and each ancestor up to the origin."""
+        below = self._below
+        labels = owner.labels
+        for start in range(len(labels) - len(self.origin.labels) + 1):
+            node = labels[start:]
+            count = below.get(node, 0) + delta
+            if count:
+                below[node] = count
+            else:
+                del below[node]
 
     # -- lookup ---------------------------------------------------------------
 
@@ -138,15 +163,9 @@ class Zone:
                     return LookupResult(RCode.NOERROR, [], chain)
                 dname = target
                 continue
-            if self._name_exists(dname):
+            if dname.labels in self._below:
                 return LookupResult(RCode.NOERROR, [], chain)
             return LookupResult(RCode.NXDOMAIN, [], chain)
-
-    def _name_exists(self, name: DnsName) -> bool:
-        if name in self._names:
-            return True
-        # A name "exists" if any registered name is below it (empty non-terminal).
-        return any(existing.is_subdomain_of(name) for existing in self._names)
 
     def negative_soa(self) -> ResourceRecord:
         """The SOA record placed in the authority section of negative answers."""

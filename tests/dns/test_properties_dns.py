@@ -86,6 +86,51 @@ def test_zone_nxdomain_iff_never_added(hosts):
             assert result.rcode == RCode.NXDOMAIN
 
 
+# Mutations draw labels from "abc"; probes also use "d", which is never added.
+_ORIGIN = DnsName("z.test")
+
+
+def _zone_names(alphabet):
+    return st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(
+        lambda ls: DnsName(tuple(ls)).concatenate(_ORIGIN)
+    )
+
+
+_ops = st.sampled_from(["add_a", "add_aaaa", "remove", "remove_a", "remove_aaaa"])
+_mutations = st.lists(st.tuples(_ops, _zone_names("abc")), min_size=1, max_size=25)
+
+
+def _with_ancestors(name):
+    chain = [name]
+    while chain[-1] != _ORIGIN:
+        chain.append(chain[-1].parent())
+    return chain
+
+
+@given(mutations=_mutations, probes=st.lists(_zone_names("abcd"), min_size=1, max_size=6))
+@settings(max_examples=150)
+def test_zone_existence_matches_brute_force_oracle(mutations, probes):
+    """A name answers NOERROR iff some record's owner is at or below it,
+    after every add/remove — checked against a scan of ``iter_records``."""
+    zone = Zone(_ORIGIN)
+    touched = set()
+    for op, name in mutations:
+        if op == "add_a":
+            zone.add_a(name, "192.0.2.1")
+        elif op == "add_aaaa":
+            zone.add_aaaa(name, "2001:db8::1")
+        elif op == "remove":
+            zone.remove(name)
+        else:
+            zone.remove(name, RRType.A if op == "remove_a" else RRType.AAAA)
+        touched.update(_with_ancestors(name))
+        owners = {rr.name for rr in zone.iter_records()}
+        for probe in sorted(touched.union(probes), key=str):
+            exists = any(owner.is_subdomain_of(probe) for owner in owners)
+            expected = RCode.NOERROR if exists else RCode.NXDOMAIN
+            assert zone.lookup(probe, RRType.A).rcode == expected, (op, name, probe)
+
+
 # --------------------------------------------------------------------------
 # Behavioural invariants of the intervention servers
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.name import DnsName
 from repro.dns.rdata import RCode, RRType
 from repro.dns.zone import Zone, ZoneError
 from repro.net.addresses import IPv4Address
@@ -87,6 +88,34 @@ class TestMutation:
     def test_remove_all_types(self, zone):
         assert zone.remove("www.anl.gov") == 2
 
+    def test_remove_prunes_empty_non_terminals(self, zone):
+        zone.add_a("deep.sub.anl.gov", "130.202.1.1")
+        assert zone.remove("deep.sub.anl.gov") == 1
+        # Nothing is left at or below sub.anl.gov, so it no longer exists.
+        assert zone.lookup("sub.anl.gov", RRType.A).rcode == RCode.NXDOMAIN
+        assert zone.lookup("deep.sub.anl.gov", RRType.A).rcode == RCode.NXDOMAIN
+        assert zone.lookup("anl.gov", RRType.SOA).rcode == RCode.NOERROR
+
+    def test_remove_keeps_name_with_descendants(self, zone):
+        zone.add_a("sub.anl.gov", "130.202.1.2")
+        zone.add_a("deep.sub.anl.gov", "130.202.1.1")
+        assert zone.remove("sub.anl.gov") == 1
+        # deep.sub.anl.gov still hangs below it: NODATA, not NXDOMAIN.
+        result = zone.lookup("sub.anl.gov", RRType.A)
+        assert result.rcode == RCode.NOERROR and not result.records
+
+    def test_remove_missing_type_is_a_no_op(self, zone):
+        version = zone.version
+        assert zone.remove("vpn.anl.gov", RRType.AAAA) == 0
+        assert zone.remove("absent.anl.gov") == 0
+        assert zone.version == version
+        assert zone.lookup("vpn.anl.gov", RRType.A).records
+
+    def test_cname_allowed_after_owner_emptied(self, zone):
+        zone.remove("vpn.anl.gov")
+        zone.add_cname("vpn.anl.gov", "www.anl.gov")
+        assert zone.lookup("vpn.anl.gov", RRType.A).cname_chain
+
     def test_covers(self, zone):
         assert zone.covers("deep.sub.anl.gov")
         assert not zone.covers("example.org")
@@ -98,3 +127,22 @@ class TestMutation:
     def test_negative_soa_uses_minimum_ttl(self, zone):
         soa_rr = zone.negative_soa()
         assert soa_rr.ttl == zone.soa.minimum
+
+
+class TestScaling:
+    def test_nxdomain_lookup_does_not_scan_the_zone(self, monkeypatch):
+        z = Zone("supercomputing.org")
+        for index in range(2000):
+            z.add_a(f"host{index}.supercomputing.org", f"198.18.{index >> 8}.{index & 255}")
+        calls = []
+        original = DnsName.is_subdomain_of
+
+        def counted(self, other):
+            calls.append(self)
+            return original(self, other)
+
+        monkeypatch.setattr(DnsName, "is_subdomain_of", counted)
+        result = z.lookup("nx.supercomputing.org", RRType.A)
+        assert result.rcode == RCode.NXDOMAIN
+        # Only covers() asks; existence is a single index probe.
+        assert calls == [DnsName("nx.supercomputing.org")]
