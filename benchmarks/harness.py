@@ -70,7 +70,6 @@ REPO = HERE.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
-from repro import _accel  # noqa: E402
 from repro.analysis.adoption import (  # noqa: E402
     FleetMix,
     run_adoption_sweep_stats,
@@ -529,22 +528,19 @@ def compare(
     baseline: Optional[dict],
     tolerance: float,
     quick: bool = False,
-    accel: str = "py",
 ) -> List[str]:
     """Regressions of current vs baseline; empty list means within tolerance.
 
-    Quick and full runs use differently-sized scenarios, and the
-    compiled kernel shifts every throughput, so none of those pairs are
-    comparable; each (mode, accel) combination gates only against its
-    own baseline section (``scenarios[_quick]`` for pure Python,
-    ``accel_scenarios[_quick]`` for the compiled kernel).  A missing
+    Quick and full runs use differently-sized scenarios, so their
+    numbers are not comparable; each mode gates only against its own
+    baseline section (``scenarios`` or ``scenarios_quick``).  A missing
     section means nothing to gate against — record one with
     ``--update-baseline`` in the matching mode.
     """
     problems: List[str] = []
     if baseline is None:
         return problems
-    section = baseline.get(_baseline_section(quick, accel), {})
+    section = baseline.get(_baseline_section(quick), {})
     for name, stats in current.items():
         base = section.get(name)
         if base is None:
@@ -570,11 +566,9 @@ def compare(
     return problems
 
 
-def _baseline_section(quick: bool, accel: str = "py") -> str:
-    """Baseline key for a (mode, accel) pair: quick runs never gate full
-    numbers and compiled-kernel runs never gate pure-Python ones."""
-    section = "scenarios_quick" if quick else "scenarios"
-    return f"accel_{section}" if accel == "compiled" else section
+def _baseline_section(quick: bool) -> str:
+    """Baseline key for a mode: quick runs never gate full numbers."""
+    return "scenarios_quick" if quick else "scenarios"
 
 
 def improvement_vs_seed(current: Dict[str, dict], seed: Optional[dict]) -> Dict[str, float]:
@@ -608,7 +602,6 @@ def _emit_gha(
     current: Dict[str, dict],
     problems: List[str],
     quick: bool,
-    accel: str,
     baseline: Optional[dict],
     section_name: str,
 ) -> None:
@@ -625,7 +618,7 @@ def _emit_gha(
     section = (baseline or {}).get(section_name, {})
     mode = "quick" if quick else "full"
     lines = [
-        f"### Bench {mode} (accel={accel})",
+        f"### Bench {mode}",
         "",
         "| scenario | events/s | queries/s | p50 wall (s) | baseline events/s |",
         "| --- | ---: | ---: | ---: | ---: |",
@@ -753,7 +746,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         jobs = executor.jobs
 
-    accel = _accel.active_mode()
     fingerprint = _fingerprint()
     baseline = _load_json(BASELINE_PATH)
     seed_baseline = _load_json(SEED_BASELINE_PATH)
@@ -763,7 +755,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "fingerprint": fingerprint,
-        "accel": accel,
         "quick": args.quick,
         "rounds": rounds,
         "jobs": jobs,
@@ -776,14 +767,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     out_path = args.output or (REPO / f"BENCH_{date.today().isoformat()}.json")
     out_path.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"[harness] wrote {out_path} (accel={accel})")
+    print(f"[harness] wrote {out_path}")
 
     if args.update_baseline:
-        # Merge into the section for this run's (mode, accel) pair; the
-        # other sections' numbers and any scenarios not run this time
+        # Merge into the section for this run's mode; the other
+        # section's numbers and any scenarios not run this time
         # are preserved, so `--scenario X --update-baseline` refreshes
         # only X.
-        section = _baseline_section(args.quick, accel)
+        section = _baseline_section(args.quick)
         refreshed = dict(baseline or {})
         refreshed.update(
             {
@@ -810,7 +801,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         problems: List[str] = []
     else:
-        problems = compare(current, baseline, args.tolerance, quick=args.quick, accel=accel)
+        problems = compare(current, baseline, args.tolerance, quick=args.quick)
     # The speedup gate needs no baseline — it compares against the pool
     # size itself (0.6 x jobs), skipping loudly where the number cannot
     # mean anything (quick mode, <4 cores, jobs<2, serial scenarios).
@@ -821,7 +812,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     for problem in problems:
         print(f"[harness] REGRESSION {problem}")
-    section_name = _baseline_section(args.quick, accel)
+    section_name = _baseline_section(args.quick)
     if baseline is not None and not baseline.get(section_name):
         print(
             f"[harness] baseline has no {section_name} section; "
@@ -830,7 +821,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif not problems and fingerprint_ok and baseline is not None:
         print(f"[harness] no regression vs baseline ({(baseline or {}).get('git_commit')})")
     if args.format == "gha":
-        _emit_gha(current, problems, args.quick, accel, baseline, section_name)
+        _emit_gha(current, problems, args.quick, baseline, section_name)
     if args.check and problems:
         return 1
     return 0

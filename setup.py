@@ -1,86 +1,8 @@
-"""Setup shim, plus the opt-in mypyc build of the hot kernel.
-
-``pip install -e .`` uses pyproject.toml metadata; this shim lets
-``python setup.py develop`` work where the ``wheel`` package is absent.
-
-Set ``REPRO_BUILD_ACCEL=1`` to additionally compile the hot kernel
-(``src/repro/_kernel``) with mypyc:
-
-    REPRO_BUILD_ACCEL=1 python setup.py build_ext --inplace
-
-The build stages a byte-identical copy of the kernel package at
-``src/repro/_kernel_c`` (the kernel's imports of its own siblings are
-relative, so the copy is self-contained) and compiles the copy as one
-mypyc group.  :mod:`repro._accel` then selects between the two trees at
-import time via ``REPRO_ACCEL=auto|py|compiled``.
-
-Degradation is graceful by design: a missing mypyc, a missing C
-compiler, or a compile error all print a warning and fall back to a
-pure-Python build — the package itself is never broken by a failed
-acceleration attempt.  CI pins the outcome instead: its accel job runs
-with ``REPRO_ACCEL=compiled``, which hard-fails at import time unless a
-complete compiled kernel actually materialized.
+"""Setup shim: ``pip install -e .`` uses pyproject.toml metadata; this
+file lets ``python setup.py develop`` work where the ``wheel`` package
+is absent.
 """
-
-import os
-import shutil
-import sys
-from pathlib import Path
 
 from setuptools import setup
 
-_ROOT = Path(__file__).resolve().parent
-_KERNEL_SRC = _ROOT / "src" / "repro" / "_kernel"
-_KERNEL_STAGE = _ROOT / "src" / "repro" / "_kernel_c"
-
-
-def _want_accel() -> bool:
-    return os.environ.get("REPRO_BUILD_ACCEL", "").strip().lower() in ("1", "true", "yes")
-
-
-def _warn(message: str) -> None:
-    print(f"setup.py: [accel] {message}", file=sys.stderr)
-
-
-def _stage_kernel_copy() -> list:
-    """Copy the kernel package to the staging tree, return staged paths."""
-    _KERNEL_STAGE.mkdir(exist_ok=True)
-    staged = []
-    for source in sorted(_KERNEL_SRC.glob("*.py")):
-        target = _KERNEL_STAGE / source.name
-        shutil.copyfile(source, target)
-        staged.append(str(target.relative_to(_ROOT)))
-    return staged
-
-
-def _accel_ext_modules() -> list:
-    if not _want_accel():
-        return []
-    try:
-        from mypyc.build import mypycify
-    except ImportError:
-        _warn("REPRO_BUILD_ACCEL=1 but mypyc is not installed (pip install mypy);")
-        _warn("building pure-Python only")
-        return []
-    staged = _stage_kernel_copy()
-    try:
-        # The kernel's imports of interpreted repro modules (address
-        # types, eager codecs) are deliberately left unfollowed: they
-        # cross the compiled/interpreted boundary as boxed objects
-        # either way, and following them would drag the whole tree into
-        # this type check (the real strict run lives in CI's lint job).
-        return mypycify(
-            [
-                "--ignore-missing-imports",
-                "--follow-imports=skip",
-                *staged,
-            ],
-            opt_level="3",
-        )
-    except Exception as exc:  # mypy type error, missing cc, ...
-        _warn(f"mypyc compilation failed: {exc}")
-        _warn("building pure-Python only")
-        return []
-
-
-setup(ext_modules=_accel_ext_modules())
+setup()

@@ -145,27 +145,9 @@ def cmd_experiments(args) -> int:
 def cmd_sanitize(args) -> int:
     from repro.lint.sanitize import main as sanitize_main
 
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.accel:
-        forwarded.append("--accel")
+    forwarded = ["--quick"] if args.quick else []
     forwarded += ["--jobs", str(args.jobs), "--timeout", str(args.timeout)]
     return sanitize_main(forwarded)
-
-
-def version_line() -> str:
-    """``repro <version> (accel=<mode>, compiled kernel <state>)``."""
-    from repro import __version__, _accel
-
-    info = _accel.build_info()
-    if info["active"] == "compiled":
-        detail = "accel=compiled"
-    elif info["compiled_available"] == "yes":
-        detail = f"accel={info['active']}, compiled kernel available"
-    else:
-        detail = f"accel={info['active']}, compiled kernel unavailable"
-    return f"repro {__version__} ({detail})"
 
 
 def main(argv=None) -> int:
@@ -179,7 +161,9 @@ def main(argv=None) -> int:
     # Same treatment for ``--version``: the subcommand is required, so
     # argparse would reject a bare ``--version`` unless short-circuited.
     if arguments and arguments[0] in ("--version", "-V"):
-        print(version_line())
+        from repro import __version__
+
+        print(f"repro {__version__}")
         return 0
 
     parser = argparse.ArgumentParser(
@@ -188,7 +172,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--version", "-V", action="store_true",
-        help="print version and accelerator mode (e.g. 'repro 1.0.0 (accel=py, ...)')",
+        help="print the version (e.g. 'repro 1.0.0')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -244,10 +228,6 @@ def main(argv=None) -> int:
         "sanitize", help="runtime determinism sanitizer (PYTHONHASHSEED + --jobs diff)"
     )
     p_sanitize.add_argument("--quick", action="store_true", help="CI smoke variant")
-    p_sanitize.add_argument(
-        "--accel", action="store_true",
-        help="also byte-diff REPRO_ACCEL=py vs compiled (requires a compiled kernel)",
-    )
     p_sanitize.add_argument("--jobs", type=int, default=4, help="workers for sharded probes")
     p_sanitize.add_argument("--timeout", type=float, default=600.0)
     p_sanitize.set_defaults(fn=cmd_sanitize)

@@ -23,7 +23,7 @@ is byte-identical at any ``jobs``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro._compat import slotted_dataclass
 from repro.clients.profiles import LEGACY_IOT, MACOS, OsProfile, WINDOWS_10, WINDOWS_11_RFC8925
@@ -36,7 +36,6 @@ __all__ = [
     "AdoptionPoint",
     "run_adoption_sweep",
     "run_adoption_sweep_stats",
-    "run_adoption_sweep_rows",
     "sweep_table",
     "windows_refresh_mixes",
 ]
@@ -103,9 +102,7 @@ def _measure_mix(spec: ShardSpec) -> ShardPayload:
     Aggregation is a streaming fold (:class:`AdoptionFold` +
     :class:`CensusFold`): each client contributes its counts and no
     census row or intermediate list is retained.  Flow-dependent flags
-    (census classification) fold after the whole stage has browsed,
-    exactly when the historical row path read them, so both paths
-    produce byte-identical tables (pinned by tests/analysis).
+    (census classification) fold after the whole stage has browsed.
     """
     mix, config = spec.payload
     testbed = Testbed(replace(config, seed=spec.seed))
@@ -152,57 +149,6 @@ def _measure_mix(spec: ShardSpec) -> ShardPayload:
     )
 
 
-def _measure_mix_rows(spec: ShardSpec) -> ShardPayload:
-    """The historical row-accumulating worker, kept verbatim as the
-    reference implementation the streaming fold is tested against
-    (full :class:`~repro.core.metrics.ClientCensus` row table, three
-    passes over the retained client list)."""
-    mix, config = spec.payload
-    testbed = Testbed(replace(config, seed=spec.seed))
-    intervened = 0
-    index = 0
-    for profile, count in mix.devices:
-        for _ in range(count):
-            client = testbed.add_client(profile, f"dev-{index}")
-            index += 1
-            outcome = client.fetch("sc24.supercomputing.org")
-            if outcome.landed_on == "ip6.me":
-                intervened += 1
-    census = testbed.census()
-    point = AdoptionPoint(
-        label=mix.label,
-        total=mix.total,
-        ipv4_leases=sum(1 for c in testbed.clients if c.host.ipv4_config is not None),
-        rfc8925_grants=sum(1 for c in testbed.clients if c.host.v6only_wait is not None),
-        intervened=intervened,
-        accurate_v6only=census.accurate_ipv6_only_count(),
-    )
-    return ShardPayload(
-        point,
-        events=testbed.engine.events_run,
-        sim_seconds=testbed.engine.now,
-        queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
-    )
-
-
-def _run_sweep(
-    worker: Callable[[ShardSpec], ShardPayload],
-    mixes: Sequence[FleetMix],
-    config: Optional[TestbedConfig],
-    jobs: Optional[int],
-    executor: Optional[SweepExecutor],
-) -> Tuple[List[AdoptionPoint], SweepStats]:
-    config = config or TestbedConfig()
-    specs = make_shards(
-        [(mix, config) for mix in mixes],
-        base_seed=config.seed,
-        costs=[float(mix.total) for mix in mixes],
-    )
-    with owned_executor(executor, jobs=jobs) as ex:
-        points = ex.map(worker, specs, label="adoption sweep")
-        return points, ex.last_stats
-
-
 def run_adoption_sweep_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
@@ -215,20 +161,15 @@ def run_adoption_sweep_stats(
     the serial loop; with more jobs the stages run concurrently and the
     merged points come back in mix order regardless of completion order.
     """
-    return _run_sweep(_measure_mix, mixes, config, jobs, executor)
-
-
-def run_adoption_sweep_rows(
-    mixes: Sequence[FleetMix],
-    config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> List[AdoptionPoint]:
-    """The legacy row-accumulating sweep, retained as the equivalence
-    reference for the streaming fold (and nothing else — new callers
-    should use :func:`run_adoption_sweep`)."""
-    points, _stats = _run_sweep(_measure_mix_rows, mixes, config, jobs, executor)
-    return points
+    config = config or TestbedConfig()
+    specs = make_shards(
+        [(mix, config) for mix in mixes],
+        base_seed=config.seed,
+        costs=[float(mix.total) for mix in mixes],
+    )
+    with owned_executor(executor, jobs=jobs) as ex:
+        points = ex.map(_measure_mix, specs, label="adoption sweep")
+        return points, ex.last_stats
 
 
 def run_adoption_sweep(

@@ -34,7 +34,6 @@ __all__ = [
     "DeviceOutcome",
     "run_device_matrix",
     "run_device_matrix_stats",
-    "run_device_matrix_table",
     "matrix_table",
 ]
 
@@ -88,7 +87,7 @@ def _measure_profiles(spec: ShardSpec) -> ShardPayload:
     because its callers (report rendering, tests) consume the structured
     rows.  The accumulation is bounded by the profile catalogue (a few
     dozen rows), never by fleet size; fleet-bounded aggregation goes
-    through :func:`_measure_profile_rows` or :mod:`repro.analysis.fleet`.
+    through :mod:`repro.analysis.fleet`.
     """
     config, profiles, start_index, target_site = spec.payload
     testbed = Testbed(replace(config, seed=spec.seed))
@@ -98,26 +97,6 @@ def _measure_profiles(spec: ShardSpec) -> ShardPayload:
         outcomes.append(outcome)  # repro: allow[RL303]
     return ShardPayload(
         outcomes,
-        events=testbed.engine.events_run,
-        sim_seconds=testbed.engine.now,
-        queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
-    )
-
-
-def _measure_profile_rows(spec: ShardSpec) -> ShardPayload:
-    """Worker: the streaming variant — each outcome is formatted into its
-    table row and immediately dropped, so the shard retains one device's
-    state at a time plus the output text it is anyway going to return.
-    Byte-identical to ``matrix_table`` over :func:`_measure_profiles`
-    because both format through :meth:`DeviceOutcome.row`."""
-    config, profiles, start_index, target_site = spec.payload
-    testbed = Testbed(replace(config, seed=spec.seed))
-    text = "\n".join(
-        _measure_one(testbed, start_index + offset, profile, target_site).row()
-        for offset, profile in enumerate(profiles)
-    )
-    return ShardPayload(
-        text,
         events=testbed.engine.events_run,
         sim_seconds=testbed.engine.now,
         queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
@@ -166,33 +145,6 @@ def run_device_matrix_stats(
         for rows in ex.map(_measure_profiles, specs, label="device matrix"):
             merged.extend(rows)
         return merged, ex.last_stats
-
-
-def run_device_matrix_table(
-    config: Optional[TestbedConfig] = None,
-    profiles: Sequence[OsProfile] = ALL_PROFILES,
-    target_site: str = "sc24.supercomputing.org",
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-) -> str:
-    """The rendered matrix table via the streaming worker.
-
-    Produces exactly ``matrix_table(run_device_matrix(...))`` (pinned by
-    tests/analysis) while retaining no outcome rows anywhere — chunks
-    return pre-formatted text and the parent concatenates in profile
-    order.
-    """
-    config = config or TestbedConfig()
-    profiles = list(profiles)
-    with owned_executor(executor, jobs=jobs) as ex:
-        chunks = _chunk_profiles(profiles, ex.jobs)
-        specs = make_shards(
-            [(config, chunk, start, target_site) for chunk, start in chunks],
-            base_seed=config.seed,
-            costs=[float(len(chunk)) for chunk, _start in chunks],
-        )
-        texts = ex.map(_measure_profile_rows, specs, label="device matrix")
-    return "\n".join(text for text in texts if text)
 
 
 def run_device_matrix(

@@ -123,7 +123,7 @@ class Testbed:
     __test__ = False  # not a pytest class, despite the name
 
     # Topology members, assigned once during _build(); declared here so
-    # the attribute set is closed at class creation (RL501).
+    # the attribute set is closed at class creation.
     inet: ManagedSwitch
     gateway: MobileGateway5G
     switch: ManagedSwitch

@@ -6,21 +6,28 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.dns.name import DnsName, NameCompressor
 from repro.dns.rdata import decode_rdata, RCode, RRClass, RRType
 
-if TYPE_CHECKING:
-    from repro._kernel.dnswire import pack_header, unpack_header
-else:
-    from repro import _accel
-
-    _dnswire = _accel.load("dnswire")
-    pack_header = _dnswire.pack_header
-    unpack_header = _dnswire.unpack_header
-
 __all__ = ["DnsHeader", "DnsQuestion", "ResourceRecord", "DnsMessage"]
+
+_HEADER = struct.Struct("!HHHHHH")
+
+
+def pack_header(
+    ident: int, flags: int, qdcount: int, ancount: int, nscount: int, arcount: int
+) -> bytes:
+    """The 12-byte DNS header (RFC 1035 §4.1.1), flags pre-assembled."""
+    return _HEADER.pack(ident, flags, qdcount, ancount, nscount, arcount)
+
+
+def unpack_header(data: bytes) -> Tuple[int, int, int, int, int, int]:
+    """``(ident, flags, qdcount, ancount, nscount, arcount)`` of a header."""
+    if len(data) < 12:
+        raise ValueError("truncated DNS header")
+    return _HEADER.unpack_from(data, 0)
 
 
 @dataclass(frozen=True)

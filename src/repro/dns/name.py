@@ -1,29 +1,15 @@
 """DNS domain names: normalization, wire encoding and compression
 pointers (RFC 1035 §3.1, §4.1.4).
 
-The label-level wire codec (length-prefixed rendering, pointer-chasing
-decode, the compression-offset state machine) lives in
-:mod:`repro._kernel.dnswire`, bound here from whichever kernel tree —
-pure Python or the mypyc-compiled twin — :mod:`repro._accel` selected
-at import time.  The :class:`DnsName` value type, its parse cache and
-the per-instance wire cache stay interpreted: they are dataclass and
-dict plumbing, not compute.
+The label-level wire codec (:func:`encode_labels`, :func:`decode_labels`)
+works on label *tuples* and raw ``bytes``; :class:`DnsName` adds the
+value type, its parse cache and the per-instance wire cache on top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:
-    from repro._kernel.dnswire import WireCompressor, decode_labels, encode_labels
-else:
-    from repro import _accel
-
-    _dnswire = _accel.load("dnswire")
-    WireCompressor = _dnswire.WireCompressor
-    decode_labels = _dnswire.decode_labels
-    encode_labels = _dnswire.encode_labels
+from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["DnsName", "NameCompressor"]
 
@@ -34,6 +20,57 @@ MAX_NAME = 255
 #: construct the same handful of names over and over.
 _LABELS_CACHE: Dict[str, Tuple[str, ...]] = {}
 _LABELS_CACHE_LIMIT = 4096
+
+
+def encode_labels(labels: Tuple[str, ...]) -> bytes:
+    """Uncompressed RFC 1035 §3.1 wire rendering of a label tuple."""
+    out = bytearray()
+    for label in labels:
+        raw = label.encode("ascii")
+        out.append(len(raw))
+        out += raw
+    out.append(0)
+    return bytes(out)
+
+
+def decode_labels(data: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
+    """Decode a (possibly compressed) name starting at ``offset``.
+
+    Returns the lowercased label tuple and the offset just past the
+    name's in-place encoding.  Handles pointer chains with loop
+    protection (RFC 1035 §4.1.4).
+    """
+    labels: List[str] = []
+    end = -1
+    seen: Set[int] = set()
+    pos = offset
+    while True:
+        if pos >= len(data):
+            raise ValueError("truncated DNS name")
+        length = data[pos]
+        if length & 0xC0 == 0xC0:  # compression pointer
+            if pos + 1 >= len(data):
+                raise ValueError("truncated compression pointer")
+            target = ((length & 0x3F) << 8) | data[pos + 1]
+            if end < 0:
+                end = pos + 2
+            if target in seen:
+                raise ValueError("compression pointer loop")
+            seen.add(target)
+            pos = target
+        elif length & 0xC0:
+            raise ValueError(f"reserved label type {length:#04x}")
+        elif length == 0:
+            if end < 0:
+                end = pos + 1
+            return tuple(labels), end
+        else:
+            if pos + 1 + length > len(data):
+                raise ValueError("truncated DNS label")
+            labels.append(data[pos + 1 : pos + 1 + length].decode("ascii").lower())
+            if len(labels) > 128:
+                raise ValueError("too many labels")
+            pos += 1 + length
 
 
 @dataclass(frozen=True)
@@ -146,18 +183,39 @@ class NameCompressor:  # repro: allow[RL201]
     One-sided by design (hence the RL201 pragma): compression state only
     exists while *writing* a message; the decode direction lives in
     :meth:`DnsName.decode`, which follows pointers statelessly.
-
-    A thin adapter: the offset table and suffix walk live in the kernel
-    :class:`~repro._kernel.dnswire.WireCompressor`, which speaks label
-    tuples; this class adapts the :class:`DnsName` API onto it.
     """
 
     def __init__(self) -> None:
-        self._kernel = WireCompressor()
+        self._offsets: Dict[Tuple[str, ...], int] = {}
+        self._written = 0
 
     def note_position(self, absolute_offset: int) -> None:
         """Tell the compressor where in the message the next write lands."""
-        self._kernel.note_position(absolute_offset)
+        self._written = absolute_offset
 
     def encode(self, name: DnsName) -> bytes:
-        return self._kernel.encode_labels(name.labels)
+        labels = name.labels
+        # Whole-name pointer reuse: a name written earlier in the message
+        # (the overwhelmingly common case — answer owner == question
+        # name) compresses to one 2-byte pointer without walking labels.
+        known = self._offsets.get(labels)
+        if known is not None and known < 0x4000:
+            self._written += 2
+            return (0xC000 | known).to_bytes(2, "big")
+        out = bytearray()
+        for i in range(len(labels)):
+            suffix = labels[i:]
+            known = self._offsets.get(suffix)
+            if known is not None and known < 0x4000:
+                out += (0xC000 | known).to_bytes(2, "big")
+                self._written += len(out)
+                return bytes(out)
+            offset_here = self._written + len(out)
+            if offset_here < 0x4000:
+                self._offsets[suffix] = offset_here
+            raw = labels[i].encode("ascii")
+            out.append(len(raw))
+            out += raw
+        out.append(0)
+        self._written += len(out)
+        return bytes(out)

@@ -37,15 +37,8 @@ ALLOWLIST: Dict[str, Tuple[str, ...]] = {
     "repro/net/arp.py": ("RL401",),
     "repro/net/icmpv6.py": ("RL401",),
     "repro/net/udp.py": ("RL401",),
-    "repro/_kernel/l2l3.py": ("RL401",),
+    "repro/net/lazy.py": ("RL401",),
     "repro/dns/name.py": ("RL401",),
-    # The accel shim caches its kernel-tree decision (and the loaded
-    # kernel modules) in module globals, once per process.  The decision
-    # is a pure function of the environment (REPRO_ACCEL + what the
-    # build installed), both of which are identical across parent and
-    # shard workers, so a fork-private copy cannot disagree; the CI
-    # accel job byte-diffs sharded output across both modes to prove it.
-    "repro/_accel.py": ("RL401",),
 }
 
 

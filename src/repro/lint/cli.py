@@ -71,7 +71,6 @@ _FAMILIES = {
     "RL2": "RL2xx — wire contracts",
     "RL3": "RL3xx — hot-path hygiene",
     "RL4": "RL4xx — shard safety (whole-program)",
-    "RL5": "RL5xx — compile readiness (whole-program)",
     "RL6": "RL6xx — determinism taint (dataflow)",
     "RL7": "RL7xx — exception flow (dataflow)",
 }
@@ -142,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--program",
         action="store_true",
-        help="run the whole-program RL4xx/RL5xx rules (call graph + reachability)",
+        help="run the whole-program RL4xx rules (call graph + reachability)",
     )
     parser.add_argument(
         "--flow",

@@ -4,7 +4,7 @@ The linter is a plain ``ast`` walker — no third-party dependencies —
 organised around small rule plugins (see :mod:`repro.lint.rules`).
 Each rule owns one error code, a scope (the dotted module prefixes it
 applies to) and either a per-file ``check(ctx)`` or — for the
-interprocedural RL4xx/RL5xx families — a ``check_program(program,
+interprocedural RL4xx family — a ``check_program(program,
 report)`` that runs once over the whole-tree call graph built by
 :mod:`repro.lint.program`.  Suppression happens in exactly two places:
 
@@ -158,7 +158,7 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for whole-program (RL4xx/RL5xx) rules.
+    #: True for whole-program (RL4xx) rules.
     program: bool = False
     #: True for dataflow (RL6xx/RL7xx) rules — they need the composed
     #: :class:`repro.lint.flow.interp.FlowProgram` and run only under
@@ -307,10 +307,7 @@ def iter_python_files(paths: Iterable[Path]) -> List[Path]:
                 sorted(
                     p
                     for p in path.rglob("*.py")
-                    # _kernel_c is the build-generated staging copy of the
-                    # kernel — byte-identical sources already linted at
-                    # their canonical repro/_kernel paths.
-                    if "__pycache__" not in p.parts and "_kernel_c" not in p.parts
+                    if "__pycache__" not in p.parts
                 )
             )
         elif path.suffix == ".py":
@@ -447,7 +444,7 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; deterministic order.
 
-    ``program=True`` additionally runs the whole-program RL4xx/RL5xx
+    ``program=True`` additionally runs the whole-program RL4xx
     rules over the assembled call graph; ``flow=True`` (which implies
     ``program``) also runs the dataflow RL6xx/RL7xx rules over the
     composed taint summaries.  ``cache`` is an optional

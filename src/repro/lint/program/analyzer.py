@@ -9,10 +9,10 @@ its ``fn`` — resolved through imports — as a shard worker root.  The
 call graph, dynamic-dispatch over-approximation included; RL4xx rules
 judge candidates against that cone.
 
-Dispatch roots for the compile-readiness rules are the public methods
-of ``EventEngine`` in ``repro.sim.engine`` — the timing-wheel loop and
-the schedule calls that feed it.  Every callback ever passed to the
-scheduler is reachable from there via the reference edges.
+Dispatch roots for RL701 are the public methods of ``EventEngine`` in
+``repro.sim.engine`` — the timing-wheel loop and the schedule calls
+that feed it.  Every callback ever passed to the scheduler is reachable
+from there via the reference edges.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ from repro.lint.program.summary import FunctionSummary, ModuleSummary
 
 __all__ = ["ProgramContext", "ProgramReporter", "build_program"]
 
-#: The modules and class owning the simulation dispatch loop.  The
-#: engine implementation lives in ``repro._kernel.wheel``; the facade at
-#: ``repro.sim.engine`` stays listed so corpus fixtures (and any future
-#: engine-side helpers) keep anchoring the reachability walk.
-_DISPATCH_MODULES = ("repro.sim.engine", "repro._kernel.wheel")
+#: The modules and class owning the simulation dispatch loop.
+_DISPATCH_MODULES = ("repro.sim.engine",)
 _DISPATCH_CLASS = "EventEngine"
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.program.summary import ClassSummary, FunctionSummary, ModuleSummary
+from repro.lint.program.summary import FunctionSummary, ModuleSummary
 
 __all__ = ["Entity", "ProgramIndex", "CallGraph", "func_id"]
 
@@ -83,10 +83,6 @@ class ProgramIndex:
             ms = self.modules[module]
             for qual in sorted(ms.functions):
                 yield ms, ms.functions[qual]
-
-    def class_summary(self, module: str, name: str) -> Optional[ClassSummary]:
-        ms = self.modules.get(module)
-        return ms.classes.get(name) if ms else None
 
     # -- name resolution -----------------------------------------------------
 

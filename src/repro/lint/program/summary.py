@@ -33,7 +33,7 @@ __all__ = [
 #: Bump when the extraction output changes shape — invalidates cached
 #: summaries (the lint-package content hash normally does this
 #: automatically; the constant documents the contract).
-SUMMARY_SCHEMA = 1
+SUMMARY_SCHEMA = 2
 
 #: Module-level value kinds treated as shared mutable state.
 _MUTABLE_CONSTRUCTORS = {
@@ -65,10 +65,6 @@ _MUTATING_METHODS = {
     "update",
 }
 
-_INIT_METHODS = ("__init__", "__post_init__", "__new__")
-
-_GETATTR_HOOKS = ("__getattr__", "__getattribute__", "__setattr__", "__delattr__")
-
 
 @dataclass
 class FunctionSummary:
@@ -80,11 +76,6 @@ class FunctionSummary:
     col: int
     cls: str = ""  # owning class name, "" for module-level functions
     nested: bool = False
-    is_public: bool = False
-    #: Parameter names lacking an annotation (``self``/``cls`` and
-    #: ``*args``/``**kwargs`` exempt) plus ``"return"`` when the return
-    #: annotation is missing.  Dunders other than ``__init__`` still count.
-    untyped: List[str] = field(default_factory=list)
     #: Raw dotted call targets (``"foo"``, ``"mod.foo"``, ``"self.x.f"``).
     calls: List[str] = field(default_factory=list)
     #: Bare method names of calls whose receiver could not be resolved —
@@ -110,28 +101,13 @@ class FunctionSummary:
     executor_calls: List[Dict[str, Any]] = field(default_factory=list)
     #: Lambdas passed into ``ShardSpec``/``make_shards`` payload flows.
     payload_hazards: List[Dict[str, Any]] = field(default_factory=list)
-    #: Attribute writes through a parameter: ``{"param", "ann", "attr",
-    #: "lineno", "col", "stmt_line"}`` (``ann`` is the raw annotation
-    #: source; for ``self`` it is the owning class name).
-    attr_writes: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``setattr``/``delattr`` with a non-literal attribute name.
-    dynamic_setattr: List[Dict[str, Any]] = field(default_factory=list)
-    #: Attribute assignments on imported modules / class objects:
-    #: ``{"base", "attr", "lineno", "col", "stmt_line"}``.
-    monkeypatches: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
 class ClassSummary:
     name: str
     lineno: int
-    bases: List[str] = field(default_factory=list)
-    #: Class-level annotations/assignments, ``__slots__`` entries and
-    #: ``self.x`` writes in ``__init__``-family methods.
-    declared_attrs: List[str] = field(default_factory=list)
     methods: List[str] = field(default_factory=list)
-    #: ``__getattr__``-family hooks: ``{"method", "lineno", "col", "stmt_line"}``.
-    getattr_hooks: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -337,12 +313,8 @@ class _Extractor:
         synthetic = FunctionSummary(
             qualname="<module>", name="<module>", lineno=1, col=0
         )
-        self._scan_body(self.tree.body, synthetic, bound=set(), top_level=True)
-        if (
-            synthetic.monkeypatches
-            or synthetic.dynamic_setattr
-            or synthetic.executor_calls
-        ):
+        self._scan_body(self.tree.body, synthetic, bound=set())
+        if synthetic.executor_calls:
             self.summary.functions["<module>"] = synthetic
         return self.summary
 
@@ -370,44 +342,11 @@ class _Extractor:
                 self._scan_class(node)
 
     def _scan_class(self, node: ast.ClassDef) -> None:
-        cs = ClassSummary(
-            name=node.name,
-            lineno=node.lineno,
-            bases=[b for b in (_dotted(base) for base in node.bases) if b],
-        )
-        declared: Set[str] = set()
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                declared.add(item.target.id)
-            elif isinstance(item, ast.Assign):
-                for t in item.targets:
-                    if isinstance(t, ast.Name):
-                        declared.add(t.id)
-                        if t.id == "__slots__":
-                            declared.update(_slot_names(item.value))
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                cs.methods.append(item.name)
-                if item.name in _GETATTR_HOOKS:
-                    cs.getattr_hooks.append(self._site(item, {"method": item.name}))
-                if item.name in _INIT_METHODS:
-                    for inner in ast.walk(item):
-                        if isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                            targets = (
-                                inner.targets
-                                if isinstance(inner, ast.Assign)
-                                else [inner.target]
-                            )
-                            for t in targets:
-                                if (
-                                    isinstance(t, ast.Attribute)
-                                    and isinstance(t.value, ast.Name)
-                                    and t.value.id == "self"
-                                ):
-                                    declared.add(t.attr)
-        cs.declared_attrs = sorted(declared)
+        cs = ClassSummary(name=node.name, lineno=node.lineno)
         self.summary.classes[node.name] = cs
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cs.methods.append(item.name)
                 self._scan_function(
                     item,
                     qual=f"{node.name}.{item.name}",
@@ -435,30 +374,12 @@ class _Extractor:
             col=node.col_offset,  # type: ignore[attr-defined]
             cls=cls or "",
             nested=nested,
-            is_public=(
-                not nested
-                and not name.startswith("_")
-                and (cls is None or not cls.startswith("_"))
-            ),
         )
-        positional = args.posonlyargs + args.args
-        for i, a in enumerate(positional):
-            if i == 0 and cls is not None and a.arg in ("self", "cls"):
-                continue
-            if a.annotation is None:
-                fs.untyped.append(a.arg)
-        for a in args.kwonlyargs:
-            if a.annotation is None:
-                fs.untyped.append(a.arg)
-        if node.returns is None and name != "__init__":  # type: ignore[attr-defined]
-            fs.untyped.append("return")
-
         bound = _local_bindings(node)
-        param_anns: Dict[str, str] = {}
-        for a in positional + args.kwonlyargs:
-            param_anns[a.arg] = _annotation_source(a.annotation)
-        if cls is not None and positional and positional[0].arg in ("self", "cls"):
-            param_anns[positional[0].arg] = cls
+        param_anns: Dict[str, str] = {
+            a.arg: _annotation_source(a.annotation)
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+        }
 
         globals_declared: Set[str] = set()
         for inner in _walk_own_scope(node):
@@ -500,7 +421,6 @@ class _Extractor:
         bound: Set[str],
         param_anns: Optional[Dict[str, str]] = None,
         globals_declared: Optional[Set[str]] = None,
-        top_level: bool = False,
     ) -> None:
         param_anns = param_anns or {}
         globals_declared = globals_declared or set()
@@ -510,8 +430,7 @@ class _Extractor:
             if isinstance(node, ast.Call):
                 self._scan_call(node, fs, bound, executor_names)
             elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                self._scan_assign(node, fs, bound, param_anns, globals_declared,
-                                  top_level)
+                self._scan_assign(node, fs, bound, globals_declared)
             elif isinstance(node, ast.Delete):
                 for t in node.targets:
                     if isinstance(t, ast.Subscript):
@@ -595,13 +514,6 @@ class _Extractor:
                 for a in list(node.args) + [kw.value for kw in node.keywords]
             )
             fs.rng_sites.append(self._site(node, {"seeded": seeded, "callee": raw or ""}))
-        # setattr/delattr with a computed attribute name.
-        if tail in ("setattr", "delattr") and raw in ("setattr", "delattr"):
-            if len(node.args) >= 2 and not (
-                isinstance(node.args[1], ast.Constant)
-                and isinstance(node.args[1].value, str)
-            ):
-                fs.dynamic_setattr.append(self._site(node, {"builtin": tail}))
         # SweepExecutor.run/map dispatch sites.
         if isinstance(node.func, ast.Attribute) and node.func.attr in ("run", "map"):
             recv = _dotted(node.func.value)
@@ -636,9 +548,7 @@ class _Extractor:
         node: ast.stmt,
         fs: FunctionSummary,
         bound: Set[str],
-        param_anns: Dict[str, str],
         globals_declared: Set[str],
-        top_level: bool,
     ) -> None:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -663,32 +573,6 @@ class _Extractor:
                             },
                         )
                     )
-            elif isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name):
-                base = t.value.id
-                if base in param_anns:
-                    fs.attr_writes.append(
-                        self._site(
-                            node,
-                            {"param": base, "ann": param_anns[base], "attr": t.attr},
-                        )
-                    )
-                elif base not in bound or top_level:
-                    # Receiver is not a local: an imported module, a
-                    # class object, or a module-level singleton.
-                    fs.monkeypatches.append(
-                        self._site(node, {"base": base, "attr": t.attr})
-                    )
-
-
-def _slot_names(value: ast.expr) -> Set[str]:
-    out: Set[str] = set()
-    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-        for element in value.elts:
-            if isinstance(element, ast.Constant) and isinstance(element.value, str):
-                out.add(element.value)
-    elif isinstance(value, ast.Constant) and isinstance(value.value, str):
-        out.add(value.value)
-    return out
 
 
 def extract_summary(

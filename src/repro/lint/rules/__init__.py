@@ -9,7 +9,6 @@ its own RL103 standard).
 from __future__ import annotations
 
 from repro.lint.rules import (
-    compile_ready,
     determinism,
     flow_determinism,
     flow_exceptions,
@@ -20,7 +19,6 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "compile_ready",
     "determinism",
     "flow_determinism",
     "flow_exceptions",

@@ -41,7 +41,6 @@ DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro.core",
     "repro.analysis",
     "repro.services",
-    "repro._kernel",
 )
 
 _BANNED_TIME = {
@@ -297,19 +296,16 @@ class IdBasedOrdering(Rule):
                     )
 
 
-#: The modules allowed to touch :mod:`heapq` directly — the timing-wheel
-#: kernel owns the ``(time, sequence)`` tie-break contract.  Two names
-#: for one implementation: :mod:`repro._kernel.wheel` is the engine
-#: itself, :mod:`repro.sim.engine` the facade that re-exports it (the
-#: facade no longer imports heapq, but it remains the contract's home).
-_SCHEDULER_MODULES = ("repro.sim.engine", "repro._kernel.wheel")
+#: The modules allowed to touch :mod:`heapq` directly — the timing wheel
+#: owns the ``(time, sequence)`` tie-break contract.
+_SCHEDULER_MODULES = ("repro.sim.engine",)
 
 
 @register_rule
 class DirectHeapqUse(Rule):
     code = "RL106"
     name = "direct-heapq-use"
-    summary = "heapq used outside the timing-wheel kernel (repro._kernel.wheel)"
+    summary = "heapq used outside the timing-wheel engine (repro.sim.engine)"
     scope = DETERMINISTIC_PACKAGES
 
     def check(self, ctx: LintContext) -> None:

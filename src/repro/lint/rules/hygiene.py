@@ -23,11 +23,16 @@ __all__ = [
     "ShardWorkerAccumulation",
 ]
 
-HOT_PATH_PACKAGES: Tuple[str, ...] = ("repro.sim", "repro.parallel", "repro.core", "repro._kernel")
+HOT_PATH_PACKAGES: Tuple[str, ...] = ("repro.sim", "repro.parallel", "repro.core")
 
 #: Engine/codec modules where the attribute set of every class must be
 #: closed at construction time.
-ATTR_STRICT_MODULES: Tuple[str, ...] = ("repro.sim.engine", "repro.net", "repro._kernel")
+ATTR_STRICT_MODULES: Tuple[str, ...] = (
+    "repro.sim.engine",
+    "repro.net",
+    "repro.dns.name",
+    "repro.dns.message",
+)
 
 #: Packages whose shard workers must aggregate via streaming folds —
 #: a worker that accumulates per-item rows holds its whole shard in

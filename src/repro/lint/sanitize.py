@@ -9,14 +9,13 @@ matrix — see :mod:`repro.lint._probe`) in fresh interpreters under:
   classic way set/dict iteration order leaks into output),
 - serial vs sharded execution (``--jobs 1`` vs ``--jobs 4``), covering
   the parallel engine's "byte-identical tables at any jobs" guarantee
-  from the sweep-engine PR, and
-- with ``--accel``, pure-Python vs mypyc-compiled kernel
-  (``REPRO_ACCEL=py`` vs ``REPRO_ACCEL=compiled``), proving the
-  compiled hot kernel is a byte-identical drop-in.
+  from the sweep-engine PR.
 
 All dumps must be byte-for-byte identical.  On divergence the first
 differing record is reported and a full unified diff is written to
-``sanitize-diff.txt`` (uploaded as a CI artifact).
+``sanitize-diff.txt`` (uploaded as a CI artifact).  A probe that hangs
+past ``--timeout`` or exits non-zero fails the run with a one-line
+report instead of a traceback.
 """
 
 from __future__ import annotations
@@ -36,6 +35,10 @@ HASH_SEEDS = ("1", "31337")
 DIFF_ARTIFACT = "sanitize-diff.txt"
 
 
+#: Lines of a crashed probe's stderr quoted in the failure report.
+STDERR_TAIL_LINES = 20
+
+
 class ProbeRun(NamedTuple):
     label: str
     hash_seed: str
@@ -43,17 +46,13 @@ class ProbeRun(NamedTuple):
     output: bytes
 
 
-def _run_probe(
-    hash_seed: str,
-    jobs: int,
-    quick: bool,
-    timeout: float,
-    accel: Optional[str] = None,
-) -> ProbeRun:
+class ProbeFailed(Exception):
+    """A probe interpreter hung past its timeout or exited non-zero."""
+
+
+def _run_probe(hash_seed: str, jobs: int, quick: bool, timeout: float) -> ProbeRun:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
-    if accel is not None:
-        env["REPRO_ACCEL"] = accel
     src_dir = str(Path(__file__).resolve().parent.parent.parent)
     env["PYTHONPATH"] = src_dir + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -61,19 +60,21 @@ def _run_probe(
     command = [sys.executable, "-m", "repro.lint._probe", "--jobs", str(jobs)]
     if quick:
         command.append("--quick")
-    result = subprocess.run(
-        command,
-        env=env,
-        capture_output=True,
-        timeout=timeout,
-    )
     label = f"PYTHONHASHSEED={hash_seed} --jobs={jobs}"
-    if accel is not None:
-        label += f" REPRO_ACCEL={accel}"
+    try:
+        result = subprocess.run(
+            command,
+            env=env,
+            capture_output=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        raise ProbeFailed(f"probe [{label}] timed out after {timeout:g}s") from None
     if result.returncode != 0:
-        raise RuntimeError(
-            f"probe [{label}] exited {result.returncode}:\n"
-            f"{result.stderr.decode(errors='replace')}"
+        tail = result.stderr.decode(errors="replace").splitlines()[-STDERR_TAIL_LINES:]
+        raise ProbeFailed(
+            f"probe [{label}] exited {result.returncode}"
+            + "".join(f"\n    {line}" for line in tail)
         )
     return ProbeRun(label, hash_seed, jobs, result.stdout)
 
@@ -98,41 +99,22 @@ def run_sanitizer(
     jobs: int = 4,
     timeout: float = 600.0,
     artifact_dir: Optional[Path] = None,
-    accel: bool = False,
 ) -> int:
     """Run all probe combinations and byte-compare.  Returns exit code."""
-    combos: List[Tuple[str, int, Optional[str]]]
-    if accel:
-        # Cross-mode axis: the compiled kernel must reproduce the
-        # interpreted reference byte for byte, serial and sharded,
-        # under both hash salts.  Pin REPRO_ACCEL explicitly so an
-        # inherited environment cannot collapse the two sides.
-        from repro import _accel
-
-        if not _accel.compiled_available():
-            print("sanitize: FAIL — --accel requested but no compiled kernel is importable")
-            print("  build one with: REPRO_BUILD_ACCEL=1 python setup.py build_ext --inplace")
-            return 2
-        combos = [
-            (HASH_SEEDS[0], 1, "py"),  # reference (interpreted)
-            (HASH_SEEDS[0], 1, "compiled"),  # compiled vs interpreted
-            (HASH_SEEDS[0], jobs, "compiled"),  # compiled, sharded
-            (HASH_SEEDS[1], jobs, "compiled"),  # compiled, salted + sharded
-        ]
-    else:
-        combos = [
-            (HASH_SEEDS[0], 1, None),  # reference
-            (HASH_SEEDS[1], 1, None),  # hash-salt sensitivity, serial
-            (HASH_SEEDS[0], jobs, None),  # sharding sensitivity
-            (HASH_SEEDS[1], jobs, None),  # both at once
-        ]
+    combos = [
+        (HASH_SEEDS[0], 1),  # reference
+        (HASH_SEEDS[1], 1),  # hash-salt sensitivity, serial
+        (HASH_SEEDS[0], jobs),  # sharding sensitivity
+        (HASH_SEEDS[1], jobs),  # both at once
+    ]
     runs: List[ProbeRun] = []
-    for hash_seed, job_count, accel_mode in combos:
-        banner = f"PYTHONHASHSEED={hash_seed} --jobs={job_count}"
-        if accel_mode is not None:
-            banner += f" REPRO_ACCEL={accel_mode}"
-        print(f"sanitize: probing {banner} ...", flush=True)
-        runs.append(_run_probe(hash_seed, job_count, quick, timeout, accel=accel_mode))
+    for hash_seed, job_count in combos:
+        print(f"sanitize: probing PYTHONHASHSEED={hash_seed} --jobs={job_count} ...", flush=True)
+        try:
+            runs.append(_run_probe(hash_seed, job_count, quick, timeout))
+        except ProbeFailed as exc:
+            print(f"sanitize: FAIL — {exc}")
+            return 1
 
     reference = runs[0]
     failures = 0
@@ -162,8 +144,6 @@ def run_sanitizer(
         print(f"sanitize: FAIL — {failures}/{len(runs) - 1} probe(s) diverged")
         return 1
     axes = f"PYTHONHASHSEED {{{', '.join(HASH_SEEDS)}}} and --jobs {{1, {jobs}}}"
-    if accel:
-        axes += " and REPRO_ACCEL {py, compiled}"
     print(f"sanitize: OK — {len(runs)} probes byte-identical across {axes}")
     return 0
 
@@ -177,11 +157,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quick",
         action="store_true",
         help="smaller scenario/fleet and no matrix (CI smoke)",
-    )
-    parser.add_argument(
-        "--accel",
-        action="store_true",
-        help="byte-diff REPRO_ACCEL=py vs compiled (fails if no compiled kernel)",
     )
     parser.add_argument(
         "--jobs",
@@ -199,9 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     stale = Path(DIFF_ARTIFACT)
     if stale.exists():
         stale.unlink()
-    return run_sanitizer(
-        quick=args.quick, jobs=args.jobs, timeout=args.timeout, accel=args.accel
-    )
+    return run_sanitizer(quick=args.quick, jobs=args.jobs, timeout=args.timeout)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,33 +4,48 @@ Every simulated packet carries a real checksum; NAT64/SIIT translation
 (:mod:`repro.xlat.siit`) recomputes them exactly as RFC 7915 requires, so
 corruption anywhere in the pipeline is caught the same way a real network
 stack would catch it.
-
-The byte-level arithmetic (:func:`ones_complement_sum`,
-:func:`internet_checksum`, :func:`verify_checksum`) lives in
-:mod:`repro._kernel.checksum` and is bound here from whichever kernel
-tree — pure Python or the mypyc-compiled twin — :mod:`repro._accel`
-selected at import time.  The address-object API (pseudo-header
-builders, the per-flow base-sum caches) stays interpreted: it is
-``lru_cache``-dominated, not compute-dominated.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from repro.net.addresses import IPv4Address, IPv6Address
 
-if TYPE_CHECKING:
-    from repro._kernel.checksum import internet_checksum, ones_complement_sum, verify_checksum
-else:
-    from repro import _accel
 
-    _checksum = _accel.load("checksum")
-    internet_checksum = _checksum.internet_checksum
-    ones_complement_sum = _checksum.ones_complement_sum
-    verify_checksum = _checksum.verify_checksum
+def ones_complement_sum(data: bytes, initial: int = 0) -> int:
+    """16-bit ones-complement sum of ``data`` (not yet complemented).
+
+    Odd-length input is padded with a zero byte, per RFC 1071.  The
+    buffer is read as one big-endian integer: 2**16 ≡ 1 (mod 65535), so
+    ``N % 0xFFFF`` *is* the folded big-endian word sum — one C-level
+    conversion and one modulo instead of a Python-side word loop.  The
+    only representational gap is a positive word sum that is ≡ 0
+    (mod 65535): repeated end-around-carry folding yields 0xFFFF there
+    (folding a positive total can never reach 0), while the modulo
+    yields 0, hence the explicit fix-up.
+    """
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    n = int.from_bytes(data, "big")
+    total = n % 0xFFFF
+    if total == 0 and n:
+        total = 0xFFFF
+    total += initial
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def internet_checksum(data: bytes, initial: int = 0) -> int:
+    """RFC 1071 Internet checksum: the complement of the ones-complement sum."""
+    return (~ones_complement_sum(data, initial)) & 0xFFFF
+
+
+def verify_checksum(data: bytes, initial: int = 0) -> bool:
+    """True when a buffer that *includes* its checksum field sums to 0xFFFF."""
+    return ones_complement_sum(data, initial) == 0xFFFF
 
 
 def pseudo_header_v4(src: IPv4Address, dst: IPv4Address, proto: int, length: int) -> bytes:

@@ -249,11 +249,15 @@ class SweepExecutor:
         Every registered arena's generation bumps at the same moment, so
         a window half-written by the dead pool — or late-written by an
         orphaned worker that survived a timeout — can never pass stamp
-        verification against a result the retry pool produced.
+        verification against a result the retry pool produced.  With no
+        live pool (the futures a recycle cancelled call back in here)
+        there is nothing to drop and the generation stays put: one pool
+        loss is one bump.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        if self._pool is None:
+            return
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = None
         for arena in self._arenas:
             arena.bump_generation()
 

@@ -20,8 +20,7 @@ Layout invariants (see DESIGN.md "Fleet-scale state"):
   256-byte tables built from per-profile calibration, so evaluation
   cost is a C-speed memcpy-with-lookup, not a Python loop;
 - column codes are small ints (``< 256``), defined here as module
-  constants so the layer stays free of enum boxing and is eligible for
-  the ``repro._kernel`` compiled tree;
+  constants so the layer stays free of enum boxing;
 - aggregation never iterates devices in Python: counts come from
   ``bytearray.count`` and fold into the streaming accumulators of
   :mod:`repro.core.metrics`.

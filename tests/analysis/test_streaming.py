@@ -1,57 +1,12 @@
-"""Streaming folds vs batch row accumulation: byte-identical tables.
+"""Streaming-fold arithmetic: the accumulators behind the sweep and
+census tables merge and bulk-add exactly like per-device folding.
 
-The ISSUE contract for the metrics refactor: converting the adoption
-and matrix aggregators from retained-row accumulation to incremental
-folds must not change a single output byte, serial or sharded.  The
-legacy row workers are kept in-tree (``run_adoption_sweep_rows``,
-``_measure_profiles``) precisely so these tests can keep comparing the
-two pipelines end to end.
+The tables the folds produce are pinned byte for byte by
+``tests/test_golden.py``.
 """
 
-import pytest
-
-from repro.analysis.adoption import (
-    run_adoption_sweep,
-    run_adoption_sweep_rows,
-    sweep_table,
-    windows_refresh_mixes,
-)
-from repro.analysis.matrix import matrix_table, run_device_matrix, run_device_matrix_table
 from repro.core.metrics import AdoptionFold, CensusFold, ClientCensus
-from repro.core.testbed import TestbedConfig
 from repro.net.addresses import MacAddress
-
-
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_adoption_streaming_fold_matches_row_path(jobs):
-    mixes = windows_refresh_mixes(fleet_size=10)
-    config = TestbedConfig()
-    streaming = sweep_table(run_adoption_sweep(mixes, config, jobs=jobs))
-    rows = sweep_table(run_adoption_sweep_rows(mixes, config, jobs=jobs))
-    assert streaming == rows
-
-
-def test_adoption_streaming_fold_matches_row_path_intervention_off():
-    mixes = windows_refresh_mixes(fleet_size=8)
-    config = TestbedConfig(poisoned_dns=False)
-    assert sweep_table(run_adoption_sweep(mixes, config)) == sweep_table(
-        run_adoption_sweep_rows(mixes, config)
-    )
-
-
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_matrix_streaming_table_matches_row_path(jobs):
-    config = TestbedConfig()
-    streamed = run_device_matrix_table(config, jobs=jobs)
-    batch = matrix_table(run_device_matrix(config, jobs=jobs))
-    assert streamed == batch
-
-
-def test_matrix_streaming_table_serial_vs_sharded():
-    config = TestbedConfig()
-    assert run_device_matrix_table(config, jobs=1) == run_device_matrix_table(
-        config, jobs=4
-    )
 
 
 def test_census_fold_merge_is_addition():

@@ -2,7 +2,7 @@
 negative snippet in ``tests/lint/corpus`` (one pair per shipped rule).
 
 Fixtures are linted through :func:`lint_paths` with ``flow=True`` so
-the whole-program RL4xx/RL5xx rules, the dataflow RL6xx/RL7xx rules,
+the whole-program RL4xx rules, the dataflow RL6xx/RL7xx rules,
 and the RL001 stale-suppression check all see the same pipeline the
 CLI runs under ``--flow``.
 """
@@ -45,11 +45,11 @@ def test_negative_fixture_clean(code):
 
 def test_rule_codes_follow_families():
     """Codes stay within the documented families: RL0xx meta, RL1xx
-    determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL5xx
-    compile-readiness, RL6xx determinism-taint, RL7xx exception-flow."""
+    determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL6xx
+    determinism-taint, RL7xx exception-flow."""
     for code in ALL_CODES:
         assert code.startswith("RL") and len(code) == 5, code
-        assert code[2] in "01234567", f"unknown family for {code}"
+        assert code[2] in "0123467", f"unknown family for {code}"
 
 
 def test_findings_report_location_and_hint():

@@ -1,12 +1,15 @@
-"""Runtime sanitizer: divergence detection logic plus an in-process
-serial-vs-sharded byte-identity check (the PYTHONHASHSEED axis needs a
-fresh interpreter and is covered by the CI ``sanitize`` job).
+"""Runtime sanitizer: divergence detection logic, hung/crashed probe
+reporting, plus an in-process serial-vs-sharded byte-identity check
+(the PYTHONHASHSEED axis needs a fresh interpreter and is covered by
+the CI ``sanitize`` job).
 """
 
 from __future__ import annotations
 
+import subprocess
+
 from repro.lint._probe import deterministic_dump
-from repro.lint.sanitize import _first_divergence
+from repro.lint.sanitize import _first_divergence, run_sanitizer
 
 
 def test_first_divergence_reports_line_and_records():
@@ -41,3 +44,27 @@ def test_probe_dump_serial_vs_sharded_identical():
 
 def test_probe_dump_is_repeatable_in_process():
     assert deterministic_dump(jobs=1, quick=True) == deterministic_dump(jobs=1, quick=True)
+
+
+def test_hung_probe_reported_not_raised(monkeypatch, capsys):
+    def hang(command, **kwargs):
+        raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert run_sanitizer(quick=True, jobs=2, timeout=0.05) == 1
+    out = capsys.readouterr().out
+    assert "sanitize: FAIL — probe [PYTHONHASHSEED=1 --jobs=1] timed out after 0.05s" in out
+
+
+def test_crashed_probe_reports_exit_code_and_stderr_tail(monkeypatch, capsys):
+    stderr = "".join(f"noise {i}\n" for i in range(50)) + "ValueError: boom\n"
+
+    def crash(command, **kwargs):
+        return subprocess.CompletedProcess(command, 3, stdout=b"", stderr=stderr.encode())
+
+    monkeypatch.setattr(subprocess, "run", crash)
+    assert run_sanitizer(quick=True, jobs=2) == 1
+    out = capsys.readouterr().out
+    assert "sanitize: FAIL — probe [PYTHONHASHSEED=1 --jobs=1] exited 3" in out
+    assert "ValueError: boom" in out
+    assert "noise 0\n" not in out  # only the tail is quoted

@@ -223,6 +223,18 @@ class TestExecutorArenaLifecycle:
         executor.close()
         assert scan_segments() == before
 
+    def test_one_pool_loss_bumps_generation_once(self):
+        """After a worker dies, the futures the first recycle cancelled
+        each call ``_recycle_pool`` again; only the call that dropped a
+        live pool may bump the arena generation."""
+        with SweepExecutor(jobs=2, transport="shm") as executor:
+            arena = executor.open_arena(("col",), 4, [(0, 4)])
+            assert arena.generation == 1
+            executor._ensure_pool()
+            executor._recycle_pool()
+            executor._recycle_pool()
+            assert arena.generation == 2
+
     def test_worker_killed_mid_write_retries_byte_identical(self, tmp_path):
         """Satellite: SIGKILL a worker after its column bytes land but
         before the commit stamp.  The retry (under a recycled pool and a

@@ -55,6 +55,11 @@ class TestCli:
         # The erroneous 10/10 for the v6-disabled client appears.
         assert "Windows 10 (IPv6 disabled)        10/10" in out.replace("  10/10", "        10/10") or "10/10" in out
 
+    @pytest.mark.parametrize("flag", ["--version", "-V"])
+    def test_version(self, capsys, flag):
+        assert main([flag]) == 0
+        assert capsys.readouterr().out == "repro 1.0.0\n"
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

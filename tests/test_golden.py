@@ -1,0 +1,63 @@
+"""Golden tables: every user-facing table byte-diffed against a committed file.
+
+Each file under ``tests/golden/`` is the stdout of one command, recorded
+with ``PYTHONPATH=src`` from the repository root:
+
+- ``sweep.txt`` — ``python -m repro sweep --jobs 1``
+- ``sweep_no_intervention.txt`` — ``sweep_table(run_adoption_sweep(
+  windows_refresh_mixes(8), TestbedConfig(poisoned_dns=False)))``
+  (no trailing newline: the table string itself)
+- ``matrix.txt`` — ``python -m repro matrix --jobs 1``
+- ``matrix_no_intervention.txt`` — ``python -m repro matrix
+  --no-intervention --jobs 1``
+- ``scores.txt`` — ``python -m repro scores``
+- ``scores_test_ipv6.txt`` — ``python -m repro scores --poison-target
+  test-ipv6.com``
+- ``fleet_100k.txt`` — ``python -m repro fleet --devices 100000 --jobs 1``
+  (stdout only; the timing summary goes to stderr)
+
+A refactor is accepted against these bytes, not against a retained
+second implementation.  A change that is meant to move a table updates
+its file in the same commit, with the reason in the commit message.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+from repro.analysis.adoption import run_adoption_sweep, sweep_table, windows_refresh_mixes
+from repro.core.testbed import TestbedConfig
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _cli(*argv):
+    def run(capsys):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+def _sweep_no_intervention(capsys):
+    mixes = windows_refresh_mixes(8)
+    return sweep_table(run_adoption_sweep(mixes, TestbedConfig(poisoned_dns=False)))
+
+
+OUTPUTS = {
+    "sweep.txt": _cli("sweep", "--jobs", "1"),
+    "sweep_no_intervention.txt": _sweep_no_intervention,
+    "matrix.txt": _cli("matrix", "--jobs", "1"),
+    "matrix_no_intervention.txt": _cli("matrix", "--no-intervention", "--jobs", "1"),
+    "scores.txt": _cli("scores"),
+    "scores_test_ipv6.txt": _cli("scores", "--poison-target", "test-ipv6.com"),
+    "fleet_100k.txt": _cli("fleet", "--devices", "100000", "--jobs", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_output_matches_golden(name, capsys):
+    assert OUTPUTS[name](capsys) == (GOLDEN / name).read_bytes().decode("utf-8")

@@ -105,52 +105,13 @@ class TestModeAwareSections:
         current = {"s": {"events_per_sec": 10.0, "queries_per_sec": 1.0}}
         assert compare(current, baseline, tolerance=0.25, quick=True) == []
 
-    def test_default_mode_is_full(self):
-        current = {"s": {"events_per_sec": 6_000.0, "queries_per_sec": 100.0}}
-        assert len(compare(current, self.BASELINE, tolerance=0.25)) == 1
-
-
-class TestAccelAwareSections:
-    """Compiled-kernel runs gate only against the ``accel_*`` sections;
-    pure-Python runs never see compiled numbers and vice versa."""
-
-    BASELINE = {
-        "git_commit": "abc1234",
-        "scenarios": {"s": {"events_per_sec": 10_000.0, "queries_per_sec": 100.0}},
-        "scenarios_quick": {"s": {"events_per_sec": 5_000.0, "queries_per_sec": 60.0}},
-        "accel_scenarios": {"s": {"events_per_sec": 25_000.0, "queries_per_sec": 100.0}},
-        "accel_scenarios_quick": {"s": {"events_per_sec": 12_000.0, "queries_per_sec": 60.0}},
-    }
-
     def test_section_names(self):
         assert _baseline_section(quick=False) == "scenarios"
         assert _baseline_section(quick=True) == "scenarios_quick"
-        assert _baseline_section(quick=False, accel="compiled") == "accel_scenarios"
-        assert _baseline_section(quick=True, accel="compiled") == "accel_scenarios_quick"
 
-    def test_compiled_run_gates_against_accel_section(self):
-        # 12k would sail past the 10k pure-py floor but regresses the
-        # 25k compiled one — the accel section must be the one applied.
-        current = {"s": {"events_per_sec": 12_000.0, "queries_per_sec": 100.0}}
-        problems = compare(current, self.BASELINE, tolerance=0.25, accel="compiled")
-        assert len(problems) == 1 and "s.events_per_sec" in problems[0]
-        assert compare(current, self.BASELINE, tolerance=0.25, accel="py") == []
-
-    def test_compiled_quick_run_uses_accel_quick_section(self):
-        current = {"s": {"events_per_sec": 11_000.0, "queries_per_sec": 70.0}}
-        assert compare(current, self.BASELINE, tolerance=0.25, quick=True,
-                       accel="compiled") == []
-        regression = {"s": {"events_per_sec": 4_000.0, "queries_per_sec": 70.0}}
-        assert len(compare(regression, self.BASELINE, tolerance=0.25, quick=True,
-                           accel="compiled")) == 1
-
-    def test_missing_accel_section_gates_nothing(self):
-        baseline = {
-            "git_commit": "abc1234",
-            "scenarios": {"s": {"events_per_sec": 10_000.0, "queries_per_sec": 100.0}},
-        }
-        current = {"s": {"events_per_sec": 10.0, "queries_per_sec": 1.0}}
-        assert compare(current, baseline, tolerance=0.25, accel="compiled") == []
+    def test_default_mode_is_full(self):
+        current = {"s": {"events_per_sec": 6_000.0, "queries_per_sec": 100.0}}
+        assert len(compare(current, self.BASELINE, tolerance=0.25)) == 1
 
 
 class TestFingerprint:
