@@ -101,7 +101,7 @@ def run_option108_ablation():
         pool_used = sum(
             1
             for lease in testbed.dhcp_server.leases.values()
-            if not lease.granted_v6only and lease.expires_at > now
+            if lease.expires_at > now
         )
         rows.append((option_108, census.accurate_ipv6_only_count(), pool_used))
     return rows

@@ -21,7 +21,7 @@ from repro._compat import slotted_dataclass
 from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
 from repro.dns.name import DnsName
 from repro.dns.rdata import A, RCode, RRType
-from repro.dns.server import DnsServer
+from repro.dns.server import ForwardingDnsServer
 from repro.net.addresses import IPv4Address
 
 __all__ = ["InterventionConfig", "PoisonedDNSServer"]
@@ -97,7 +97,7 @@ class ParsedDnsmasqConfig:
     upstream: str
 
 
-class PoisonedDNSServer(DnsServer):
+class PoisonedDNSServer(ForwardingDnsServer):
     """dnsmasq with ``address=/#/<poison>`` + ``server=<healthy DNS64>``.
 
     - Every **A** query is answered immediately with the poison address —
@@ -108,56 +108,39 @@ class PoisonedDNSServer(DnsServer):
       that's what keeps Windows XP working in figure 7.
     """
 
+    _CACHE_COUNTERS = ("poison_answers", "forwarded")
+
     def __init__(
         self,
         config: InterventionConfig,
         upstream: Callable[[bytes], Optional[bytes]],
         name: str = "poisoned-dns",
     ) -> None:
-        super().__init__((), name)
+        super().__init__(upstream, (), name)
         self.config = config
-        self._upstream = upstream
         self.poison_answers = 0
-        self.forwarded = 0
 
-    _CACHE_COUNTERS = ("poison_answers",)
-
-    def _cacheable(self, question: DnsQuestion) -> bool:
-        # The poison answer is identical for every A query under the
-        # same config; forwarded types depend on the upstream.
-        return question.rrtype == RRType.A and not self._exempt(question.name)
+    def _forwards(self, question: DnsQuestion) -> bool:
+        # The address= line answers A queries outside the exemptions;
+        # the server= line forwards everything else.
+        return question.rrtype != RRType.A or self._exempt(question.name)
 
     def _cache_epoch(self) -> object:
         return (super()._cache_epoch(), self.config)
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question
-        if question.rrtype == RRType.A and not self._exempt(question.name):
-            self.poison_answers += 1
-            record = ResourceRecord(
-                question.name,
-                RRType.A,
-                self.config.poison_ttl,
-                A(self.config.poison_address),
-            )
-            self._log(question, RCode.NOERROR, "poison", client)
-            return query.response(answers=(record,), rcode=RCode.NOERROR)
-        raw = self._upstream(query.encode())
-        self.forwarded += 1
-        if raw is None:
-            self._log(question, RCode.SERVFAIL, "forwarded", client)
-            return query.response(rcode=RCode.SERVFAIL)
-        try:
-            upstream_response = DnsMessage.decode(raw)
-        except ValueError:
-            self._log(question, RCode.SERVFAIL, "forwarded", client)
-            return query.response(rcode=RCode.SERVFAIL)
-        self._log(question, upstream_response.rcode, "forwarded", client)
-        return query.response(
-            answers=upstream_response.answers,
-            rcode=upstream_response.rcode,
-            authorities=upstream_response.authorities,
+        if self._forwards(question):
+            return super().respond(query, client)
+        self.poison_answers += 1
+        record = ResourceRecord(
+            question.name,
+            RRType.A,
+            self.config.poison_ttl,
+            A(self.config.poison_address),
         )
+        self._log(question, RCode.NOERROR, "poison", client)
+        return query.response(answers=(record,), rcode=RCode.NOERROR)
 
     def _exempt(self, name: DnsName) -> bool:
         return any(

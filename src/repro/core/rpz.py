@@ -20,7 +20,7 @@ from repro._compat import slotted_dataclass
 from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
 from repro.dns.name import DnsName
 from repro.dns.rdata import A, RCode, RRType
-from repro.dns.server import DnsServer
+from repro.dns.server import ForwardingDnsServer
 from repro.net.addresses import IPv4Address
 
 __all__ = ["RpzConfig", "RPZPolicyServer"]
@@ -53,8 +53,10 @@ class RpzConfig:
         return "\n".join(lines)
 
 
-class RPZPolicyServer(DnsServer):
+class RPZPolicyServer(ForwardingDnsServer):
     """Resolve upstream first; rewrite only *existing* A answers."""
+
+    _CACHE_COUNTERS = ("forwarded", "rewritten", "passed_negative")
 
     def __init__(
         self,
@@ -62,34 +64,28 @@ class RPZPolicyServer(DnsServer):
         upstream: Callable[[bytes], Optional[bytes]],
         name: str = "rpz-dns",
     ) -> None:
-        super().__init__((), name)
+        super().__init__(upstream, (), name)
         self.config = config
-        self._upstream = upstream
         self.rewritten = 0
         self.passed_negative = 0
-        self.forwarded = 0
 
-    def _cacheable(self, question: DnsQuestion) -> bool:
+    def _forwards(self, question: DnsQuestion) -> bool:
         # Every answer is derived from a live upstream exchange — the
-        # whole point of RPZ over dnsmasq — so nothing is cacheable.
-        return False
+        # whole point of RPZ over dnsmasq — so a cached answer replays
+        # only while the upstream repeats the reply it was built from.
+        return True
 
-    def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
-        raw = self._upstream(query.encode())
-        self.forwarded += 1
-        if raw is None:
-            self._log(query.question, RCode.SERVFAIL, "forwarded", client)
-            return query.response(rcode=RCode.SERVFAIL)
-        try:
-            upstream_response = DnsMessage.decode(raw)
-        except ValueError:
-            self._log(query.question, RCode.SERVFAIL, "forwarded", client)
-            return query.response(rcode=RCode.SERVFAIL)
+    def _cache_epoch(self) -> object:
+        return (super()._cache_epoch(), self.config)
+
+    def _from_reply(
+        self, query: DnsMessage, reply: DnsMessage, client: Optional[object]
+    ) -> DnsMessage:
         question = query.question
         if (
             question.rrtype == RRType.A
-            and upstream_response.rcode == RCode.NOERROR
-            and any(rr.rrtype == RRType.A for rr in upstream_response.answers)
+            and reply.rcode == RCode.NOERROR
+            and any(rr.rrtype == RRType.A for rr in reply.answers)
             and not self._exempt(question.name)
         ):
             self.rewritten += 1
@@ -98,15 +94,10 @@ class RPZPolicyServer(DnsServer):
             )
             self._log(question, RCode.NOERROR, "rpz", client)
             return query.response(answers=(record,), rcode=RCode.NOERROR)
-        if question.rrtype == RRType.A and upstream_response.rcode == RCode.NXDOMAIN:
+        if question.rrtype == RRType.A and reply.rcode == RCode.NXDOMAIN:
             # The fix: nonexistent names stay nonexistent.
             self.passed_negative += 1
-        self._log(question, upstream_response.rcode, "forwarded", client)
-        return query.response(
-            answers=upstream_response.answers,
-            rcode=upstream_response.rcode,
-            authorities=upstream_response.authorities,
-        )
+        return super()._from_reply(query, reply, client)
 
     def _exempt(self, name: DnsName) -> bool:
         return any(

@@ -24,10 +24,11 @@ __all__ = ["DhcpPool", "Lease", "DhcpServer"]
 
 @dataclass
 class Lease:
+    """A pool address held by one client until ``expires_at``."""
+
     address: IPv4Address
     mac: MacAddress
     expires_at: float
-    granted_v6only: bool = False
 
 
 @dataclass
@@ -155,13 +156,10 @@ class DhcpServer:
         if self._grants_v6only(message):
             self.acks_sent += 1
             self.option_108_grants += 1
-            lease = Lease(
-                IPv4Address("0.0.0.0"),
-                message.chaddr,
-                self._clock() + self.lease_time,
-                granted_v6only=True,
-            )
-            self.leases[message.chaddr] = lease
+            # The grant holds no address, so there is no lease to keep
+            # (and the client, with no IPv4 config, never RELEASEs one);
+            # an address this client held before goes back to the pool.
+            self.leases.pop(message.chaddr, None)
             return message.reply(
                 DhcpMessageType.ACK,
                 IPv4Address("0.0.0.0"),
@@ -207,13 +205,9 @@ class DhcpServer:
     ) -> Optional[IPv4Address]:
         now = self._clock()
         existing = self.leases.get(mac)
-        if existing is not None and not existing.granted_v6only and existing.expires_at > now:
+        if existing is not None and existing.expires_at > now:
             return existing.address
-        in_use = {
-            lease.address
-            for lease in self.leases.values()
-            if lease.expires_at > now and not lease.granted_v6only
-        }
+        in_use = {lease.address for lease in self.leases.values() if lease.expires_at > now}
         if (
             preferred is not None
             and preferred != IPv4Address("0.0.0.0")

@@ -13,9 +13,10 @@ UDP port 53 on a simulated host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dns.message import DnsMessage, ResourceRecord
+from repro._compat import slotted_dataclass
+from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
 from repro.dns.name import DnsName
 from repro.dns.rdata import RCode, RRClass
 from repro.dns.zone import Zone
@@ -34,15 +35,22 @@ class QueryLogEntry:
     client: Optional[object] = None
 
 
-@dataclass
+@slotted_dataclass()
 class _CachedResponse:
     """One response template: the wire bytes plus the side effects the
-    original ``respond()`` produced, replayed on every hit."""
+    original ``respond()`` produced, replayed on every hit.
+
+    A record built from an upstream exchange also keeps the query sent
+    upstream and the reply that came back, both without their 2-byte
+    ident (``forwarded`` and ``reply``); records of zone answers keep
+    ``None`` in both."""
 
     epoch: object
     wire: bytes
     log_entries: List[QueryLogEntry]
-    counter_deltas: List[tuple]
+    counter_deltas: List[Tuple[str, int]]
+    forwarded: Optional[bytes] = None
+    reply: Optional[bytes] = None
 
 
 class DnsServer:
@@ -55,14 +63,24 @@ class DnsServer:
 
     Responses are cached as wire templates keyed by the query wire
     *minus its 2-byte ident* (``wire[2:]`` — flags, counts and question
-    included) and validated against a cache epoch (zone versions +
-    :attr:`policy_epoch`): an answer is built once per policy change,
-    not once per query, and a cache hit skips query *decoding* entirely.
-    Only the ident differs between equivalent queries, and it is patched
-    into the template on each hit.  Query-log entries and subclass
-    counters (declared in ``_CACHE_COUNTERS``) recorded during the
-    original miss are replayed so observable bookkeeping is identical
-    with and without the cache.
+    included), so a hit skips query *decoding* entirely; the ident is
+    patched into the template on each hit.  Every record carries a
+    cache epoch (zone versions + :attr:`policy_epoch`, plus a
+    subclass's config), and one of two validity rules applies:
+
+    - the *zone* rule: an answer built from this server's own data holds
+      while the epoch does — it is built once per policy change, not
+      once per query;
+    - the *upstream* rule (:class:`ForwardingDnsServer`): an answer
+      built from an upstream exchange also depends on the upstream's
+      reply, so a hit still sends the upstream the same query and
+      replays only when the reply matches the recorded one byte for
+      byte.
+
+    Query-log entries and subclass counters (declared in
+    ``_CACHE_COUNTERS``) recorded with the answer are replayed, so
+    observable bookkeeping is identical with and without the cache.
+    :attr:`cache_hits` and :attr:`cache_misses` count the zone rule only.
     """
 
     #: Counter attribute names whose increments must replay on cache hits.
@@ -74,7 +92,7 @@ class DnsServer:
         self.name = name
         self._zones: List[Zone] = list(zones)
         self.query_log: List[QueryLogEntry] = []
-        self._response_cache: Dict[tuple, _CachedResponse] = {}
+        self._response_cache: Dict[bytes, _CachedResponse] = {}
         #: Bump (via :meth:`bump_policy_epoch`) whenever out-of-band
         #: policy affecting responses changes.
         self.policy_epoch = 0
@@ -108,60 +126,80 @@ class DnsServer:
         key = bytes(wire[2:])
         cached = self._response_cache.get(key)
         if cached is not None and cached.epoch == self._cache_epoch():
-            return self._replay(cached, int.from_bytes(wire[:2], "big"), client)
+            return self._hit(cached, wire, client)
         try:
             query = DnsMessage.decode(wire)
         except ValueError:
             return None
         if query.header.is_response or not query.questions:
             return None
-        epoch = None
-        if len(query.questions) == 1 and self._cacheable(query.questions[0]):
-            epoch = self._cache_epoch()
-        if epoch is None:
+        if len(query.questions) > 1:
             return self.respond(query, client).encode()
+        return self._record(key, query, client)
+
+    def _hit(self, cached: _CachedResponse, wire: bytes, client: Optional[object]) -> bytes:
+        """Answer ``wire`` from ``cached``, a record whose epoch holds."""
+        self.cache_hits += 1
+        return self._replay(cached, wire, client)
+
+    def _record(self, key: bytes, query: DnsMessage, client: Optional[object]) -> bytes:
+        """Answer a one-question ``query`` that missed the cache, and
+        record the answer under ``key`` by the zone rule."""
+        epoch = self._cache_epoch()
         self.cache_misses += 1
-        log_mark = len(self.query_log)
-        counters_before = [
-            (counter, getattr(self, counter)) for counter in self._CACHE_COUNTERS
-        ]
-        encoded = self.respond(query, client).encode()
+        mark = self._mark()
+        answer = self.respond(query, client).encode()
+        self._store(key, epoch, answer, mark)
+        return answer
+
+    def _mark(self) -> Tuple[int, List[int]]:
+        """Where the query log and the cached counters stand now."""
+        return len(self.query_log), [getattr(self, counter) for counter in self._CACHE_COUNTERS]
+
+    def _store(
+        self,
+        key: bytes,
+        epoch: object,
+        answer: bytes,
+        mark: Tuple[int, List[int]],
+        forwarded: Optional[bytes] = None,
+        reply: Optional[bytes] = None,
+    ) -> None:
+        """Record ``answer`` with the log entries and counter increments
+        made since ``mark``."""
+        log_mark, before = mark
+        deltas: List[Tuple[str, int]] = []
+        for counter, value in zip(self._CACHE_COUNTERS, before):
+            delta = getattr(self, counter) - value
+            if delta:
+                deltas.append((counter, delta))
         if len(self._response_cache) >= self._CACHE_LIMIT:
             self._response_cache.clear()
         self._response_cache[key] = _CachedResponse(
             epoch=epoch,
-            wire=encoded,
+            wire=answer,
             log_entries=[
                 QueryLogEntry(e.name, e.rrtype, e.rcode, e.answered_from, None)
                 for e in self.query_log[log_mark:]
             ],
-            counter_deltas=[
-                (counter, getattr(self, counter) - before)
-                for counter, before in counters_before
-            ],
+            counter_deltas=deltas,
+            forwarded=forwarded,
+            reply=reply,
         )
-        return encoded
 
-    def _replay(
-        self, cached: _CachedResponse, ident: int, client: Optional[object]
-    ) -> bytes:
-        self.cache_hits += 1
+    def _replay(self, cached: _CachedResponse, wire: bytes, client: Optional[object]) -> bytes:
+        """The recorded answer with ``wire``'s ident, after replaying the
+        recorded log entries (for ``client``) and counter increments."""
         for entry in cached.log_entries:
             self.query_log.append(
                 QueryLogEntry(entry.name, entry.rrtype, entry.rcode, entry.answered_from, client)
             )
         for counter, delta in cached.counter_deltas:
-            if delta:
-                setattr(self, counter, getattr(self, counter) + delta)
-        wire = cached.wire
-        if int.from_bytes(wire[:2], "big") == ident:
-            return wire
-        return ident.to_bytes(2, "big") + wire[2:]
-
-    def _cacheable(self, question) -> bool:
-        """Whether responses for ``question`` are safe to cache.  Base
-        servers answer purely from zone data, so everything is."""
-        return True
+            setattr(self, counter, getattr(self, counter) + delta)
+        answer = cached.wire
+        if answer[:2] == wire[:2]:
+            return answer
+        return bytes(wire[:2]) + answer[2:]
 
     def _cache_epoch(self) -> object:
         """Validity token compared on every hit; any change to zone data
@@ -196,6 +234,17 @@ class DnsServer:
         )
 
 
+def _decode_reply(raw: Optional[bytes]) -> Optional[DnsMessage]:
+    """The upstream's reply, or ``None`` when there was none or it does
+    not decode."""
+    if raw is None:
+        return None
+    try:
+        return DnsMessage.decode(raw)
+    except ValueError:
+        return None
+
+
 class ForwardingDnsServer(DnsServer):
     """A server that forwards queries it is not authoritative for.
 
@@ -203,7 +252,17 @@ class ForwardingDnsServer(DnsServer):
     another server's :meth:`DnsServer.handle_query` or a simulated
     network exchange.  This is dnsmasq's ``server=...`` behaviour, the
     second of the paper's two configuration lines.
+
+    The upstream is asked exactly once per forwarded query, cache hit
+    or not, with the bytes ``query.encode()`` gives.  A forwarded
+    answer is recorded by the upstream rule (see :class:`DnsServer`):
+    it replays only when the upstream's reply matches the recorded one;
+    otherwise the answer is built from the reply just received.
+    Subclasses choose what is forwarded (:meth:`_forwards`) and what is
+    made of a reply (:meth:`_from_reply`).
     """
+
+    _CACHE_COUNTERS = ("forwarded",)
 
     def __init__(
         self,
@@ -215,28 +274,76 @@ class ForwardingDnsServer(DnsServer):
         self._upstream = upstream
         self.forwarded = 0
 
-    def _cacheable(self, question) -> bool:
-        # Only the authoritative path is cacheable; forwarded answers
-        # depend on upstream state this server cannot version.
-        return self.zone_for(question.name) is not None
+    def _forwards(self, question: DnsQuestion) -> bool:
+        """Whether ``question`` goes upstream.  Names in this server's own
+        zones are answered, and cached by the zone rule, here."""
+        return self.zone_for(question.name) is None
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
-        question = query.question
-        if self.zone_for(question.name) is not None:
+        if not self._forwards(query.question):
             return super().respond(query, client)
-        raw = self._upstream(query.encode())
+        return self._relay(query, _decode_reply(self._upstream(query.encode())), client)
+
+    def _record(self, key: bytes, query: DnsMessage, client: Optional[object]) -> bytes:
+        if not self._forwards(query.question):
+            return super()._record(key, query, client)
+        epoch = self._cache_epoch()
+        sent = query.encode()
+        return self._record_exchange(key, query, sent, self._upstream(sent), epoch, client)
+
+    def _hit(self, cached: _CachedResponse, wire: bytes, client: Optional[object]) -> bytes:
+        if cached.forwarded is None:
+            return super()._hit(cached, wire, client)
+        # The bytes query.encode() would give: the recorded query with this ident.
+        sent = bytes(wire[:2]) + cached.forwarded
+        raw = self._upstream(sent)
+        if raw is not None and raw[2:] == cached.reply and cached.epoch == self._cache_epoch():
+            return self._replay(cached, wire, client)
+        # A new reply (or a policy change mid-exchange): build the answer
+        # from the reply in hand rather than asking the upstream again.
+        query = DnsMessage.decode(wire)
+        return self._record_exchange(bytes(wire[2:]), query, sent, raw, cached.epoch, client)
+
+    def _record_exchange(
+        self,
+        key: bytes,
+        query: DnsMessage,
+        sent: bytes,
+        raw: Optional[bytes],
+        epoch: object,
+        client: Optional[object],
+    ) -> bytes:
+        """The answer to ``query`` from the upstream's reply ``raw`` to
+        ``sent``.  It is recorded under ``key`` when the reply decoded
+        and ``epoch``, under which the query was forwarded, still holds.
+
+        The upstream may have called back into this server, so the log
+        and counters are marked only now, after the exchange returned."""
+        reply = _decode_reply(raw)
+        mark = self._mark()
+        answer = self._relay(query, reply, client).encode()
+        if raw is not None and reply is not None and epoch == self._cache_epoch():
+            self._store(key, epoch, answer, mark, sent[2:], bytes(raw[2:]))
+        return answer
+
+    def _relay(
+        self, query: DnsMessage, reply: Optional[DnsMessage], client: Optional[object]
+    ) -> DnsMessage:
+        """The answer to forwarded ``query``: SERVFAIL without a reply."""
         self.forwarded += 1
-        if raw is None:
-            self._log(question, RCode.SERVFAIL, "forwarded", client)
+        if reply is None:
+            self._log(query.question, RCode.SERVFAIL, "forwarded", client)
             return query.response(rcode=RCode.SERVFAIL)
-        try:
-            upstream_response = DnsMessage.decode(raw)
-        except ValueError:
-            self._log(question, RCode.SERVFAIL, "forwarded", client)
-            return query.response(rcode=RCode.SERVFAIL)
-        self._log(question, upstream_response.rcode, "forwarded", client)
+        return self._from_reply(query, reply, client)
+
+    def _from_reply(
+        self, query: DnsMessage, reply: DnsMessage, client: Optional[object]
+    ) -> DnsMessage:
+        """What is made of the upstream's decoded ``reply``: here, its
+        rcode, answers and authorities, passed through."""
+        self._log(query.question, reply.rcode, "forwarded", client)
         return query.response(
-            answers=upstream_response.answers,
-            rcode=upstream_response.rcode,
-            authorities=upstream_response.authorities,
+            answers=reply.answers,
+            rcode=reply.rcode,
+            authorities=reply.authorities,
         )

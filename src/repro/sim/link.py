@@ -58,6 +58,7 @@ class Link:
         else:
             raise RuntimeError(f"link {self.name} already has two endpoints")
         port._link = self
+        port.node.on_link_change(port)
 
     def transmit(self, sender, frame: bytes) -> None:
         """Called by a port; schedules delivery at the far end."""
@@ -127,6 +128,14 @@ class Link:
     def disconnect(self) -> None:
         """Administratively down the link (cable pull)."""
         self.up = False
+        self._notify()
 
     def reconnect(self) -> None:
         self.up = True
+        self._notify()
+
+    def _notify(self) -> None:
+        """Tell the nodes at both ends that the link went up or down."""
+        for port in (self._a, self._b):
+            if port is not None:
+                port.node.on_link_change(port)

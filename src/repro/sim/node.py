@@ -116,6 +116,10 @@ class Node:
     def on_frame(self, port: Port, frame: bytes) -> None:  # pragma: no cover
         raise NotImplementedError
 
+    def on_link_change(self, port: Port) -> None:
+        """Called when ``port`` is cabled, or its link goes down or back
+        up (``port.connected`` tells which).  Nothing by default."""
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 

@@ -5,7 +5,7 @@ against the 5G gateway's limitations (§IV.A).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.dhcp.snooping import DhcpSnooper, SnoopAction
 from repro.nd.ra import RaDaemon, RaDaemonConfig
@@ -48,6 +48,9 @@ class ManagedSwitch(Node):
         #: value is the :class:`Port` itself so forwarding needs no second
         #: name lookup and ingress filtering is an identity compare.
         self.mac_table: Dict[bytes, Port] = {}
+        #: Ports whose link is up, in port-creation order: where floods
+        #: and RAs go.  Unplugged attendees' ports leave it.
+        self._live_ports: List[Port] = []
         self.snooper = DhcpSnooper(enabled=False)
         self.mac = mac or MacAddress(0x02_00_00_00_00_01)
         self._mac_bytes = self.mac.to_bytes()
@@ -93,17 +96,25 @@ class ManagedSwitch(Node):
                 return
         # Flood: broadcast, multicast and unknown unicast.
         self.flooded += 1
-        for out in self.ports.values():
+        for out in self._live_ports:
             if out is not port:
                 out.transmit(frame_bytes)
+
+    def on_link_change(self, port: Port) -> None:
+        """Keep the flood set to live ports, and forget the MACs learned
+        on a port whose link went down, as a real switch does."""
+        self._live_ports = [candidate for candidate in self.ports.values() if candidate.connected]
+        if not port.connected:
+            for mac in [mac for mac, learned in self.mac_table.items() if learned is port]:
+                del self.mac_table[mac]
 
     # -- the RA workaround ----------------------------------------------------
 
     def enable_ra_daemon(self, config: RaDaemonConfig) -> RaDaemon:
         """Start advertising ``config`` from the switch's own MAC.
 
-        RAs are flooded to all ports immediately and then every
-        ``config.interval`` seconds.
+        RAs are flooded to every port whose link is up, immediately and
+        then every ``config.interval`` seconds.
         """
         self.disable_ra_daemon()
         self._ra_daemon = RaDaemon(config, self.mac)
@@ -137,7 +148,7 @@ class ManagedSwitch(Node):
             payload=packet.encode(),
         )
         raw = frame.encode()
-        for port in self.ports.values():
+        for port in self._live_ports:
             port.transmit(raw)
 
     @staticmethod

@@ -158,6 +158,33 @@ class TestServer:
         assert ack.v6only_wait == 300
         assert server.option_108_grants == 1
 
+    def test_option_108_grants_keep_no_lease(self):
+        # A v6-only client holds no address and never RELEASEs, so a
+        # record per grant would only pile up.
+        server = make_server(v6only_wait=300)
+        for number in range(25):
+            mac = MacAddress(0x020000000200 + number)
+            offer = server.respond(DhcpMessage.discover(number, mac, request_option_108=True))
+            request = DhcpMessage.request(
+                number, mac, offer.yiaddr, SERVER_ID, request_option_108=True
+            )
+            assert server.respond(request).v6only_wait == 300
+        assert server.leases == {}
+        assert server.option_108_grants == 25
+        assert server.active_lease_count == 0
+
+    def test_option_108_grant_frees_an_earlier_pool_lease(self):
+        server = make_server(v6only_wait=300)
+        offer = server.respond(DhcpMessage.discover(1, MAC))
+        server.respond(DhcpMessage.request(1, MAC, offer.yiaddr, SERVER_ID))
+        assert server.active_lease_count == 1
+        server.respond(
+            DhcpMessage.request(2, MAC, IPv4Address("0.0.0.0"), SERVER_ID, request_option_108=True)
+        )
+        assert server.leases == {}
+        other = server.respond(DhcpMessage.discover(3, MacAddress(0x02BB)))
+        assert other.yiaddr == offer.yiaddr
+
     def test_option_108_not_granted_to_non_requesters(self):
         # RFC 8925 §3.3: only clients that listed 108 in their PRL get it.
         server = make_server(v6only_wait=300)

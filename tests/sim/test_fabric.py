@@ -10,6 +10,7 @@ from repro.sim.host import Host, ServerHost
 from repro.sim.node import connect
 from repro.sim.stack import StackConfig
 from repro.sim.switch import ManagedSwitch
+from repro.sim.trace import PacketTrace
 
 LAN = IPv4Network("192.168.12.0/24")
 
@@ -158,6 +159,66 @@ class TestLinkFailure:
         assert a.ping(IPv4Address("192.168.12.11"), timeout=0.5) is None
         link.reconnect()
         assert a.ping(IPv4Address("192.168.12.11")) is not None
+
+
+class TestLiveFloodSet:
+    """Unplugged ports leave the switch's flood set.  Counted, not timed."""
+
+    @staticmethod
+    def broadcast_ports(engine, switch, trace, sender):
+        """The switch ports one broadcast from ``sender`` left by, in
+        order.  Its ethertype is one no host handles, so nothing answers."""
+        first = len(trace)
+        before = sum(port.tx_frames for port in switch.ports.values())
+        sender.port("eth0").transmit(b"\xff" * 6 + sender.mac.to_bytes() + b"\x88\xb5" + bytes(46))
+        engine.run_for(0.01)
+        ports = [entry.port for entry in trace.entries[first:] if entry.direction == "tx"]
+        assert sum(port.tx_frames for port in switch.ports.values()) - before == len(ports)
+        return ports
+
+    def test_broadcast_after_churn_makes_one_transmit_per_other_live_port(self, engine):
+        switch = ManagedSwitch(engine, "sw")
+        hosts = [lan_host(engine, f"host-{number}", 10 + number) for number in range(10)]
+        for number, host in enumerate(hosts):
+            connect(engine, host.port("eth0"), switch.add_port(f"p{number}"))
+        for number in range(1, 10):
+            assert hosts[0].ping(IPv4Address(f"192.168.12.{10 + number}")) is not None
+        unplugged = hosts[2::3]
+        for host in unplugged:
+            host.port("eth0")._link.disconnect()
+        live = [port for port in switch.ports.values() if port.connected]
+        assert len(live) == 7
+        # The MACs learned on unplugged ports are forgotten.
+        assert not any(not port.connected for port in switch.mac_table.values())
+        trace = PacketTrace(engine.clock)
+        switch.attach_trace(trace)
+        assert self.broadcast_ports(engine, switch, trace, hosts[0]) == [
+            "p1", "p3", "p4", "p6", "p7", "p9"
+        ]
+        # Re-plugged, a port floods again in its creation-order place.
+        hosts[5].port("eth0")._link.reconnect()
+        assert self.broadcast_ports(engine, switch, trace, hosts[0]) == [
+            "p1", "p3", "p4", "p5", "p6", "p7", "p9"
+        ]
+
+    def test_ras_go_to_live_ports_only(self, engine):
+        switch = ManagedSwitch(engine, "sw")
+        hosts = [lan_host(engine, f"host-{number}", 10 + number) for number in range(4)]
+        for number, host in enumerate(hosts):
+            connect(engine, host.port("eth0"), switch.add_port(f"p{number}"))
+        hosts[1].port("eth0")._link.disconnect()
+        trace = PacketTrace(engine.clock)
+        switch.attach_trace(trace)
+        switch.enable_ra_daemon(
+            RaDaemonConfig(prefixes=(IPv6Network("fd00:976a::/64"),), interval=1000.0)
+        )
+        engine.run_for(0.01)
+        ras = [
+            entry.port
+            for entry in trace.filter(direction="tx")
+            if entry.frame[6:12] == switch.mac.to_bytes()
+        ]
+        assert ras == ["p0", "p2", "p3"]
 
 
 class TestStackConfigFlags:
