@@ -29,7 +29,7 @@ from repro._compat import slotted_dataclass
 from repro.clients.profiles import LEGACY_IOT, MACOS, OsProfile, WINDOWS_10, WINDOWS_11_RFC8925
 from repro.core.metrics import AdoptionFold, CensusFold, SweepStats
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.parallel import make_shards, owned_executor, ShardPayload, ShardSpec, SweepExecutor
+from repro.parallel import make_shards, owned_executor, ShardSpec, SweepExecutor
 
 __all__ = [
     "FleetMix",
@@ -96,7 +96,7 @@ def windows_refresh_mixes(
     return mixes
 
 
-def _measure_mix(spec: ShardSpec) -> ShardPayload:
+def _measure_mix(spec: ShardSpec) -> AdoptionPoint:
     """Worker: one refresh stage on one fresh testbed (runs in-pool).
 
     Aggregation is a streaming fold (:class:`AdoptionFold` +
@@ -133,19 +133,13 @@ def _measure_mix(spec: ShardSpec) -> ShardPayload:
             intervened=False,  # folded per-fetch above
             counts_v6only=cls.counts_as_ipv6_only,
         )
-    point = AdoptionPoint(
+    return AdoptionPoint(
         label=mix.label,
         total=mix.total,
         ipv4_leases=fold.ipv4_leases,
         rfc8925_grants=fold.rfc8925_grants,
         intervened=fold.intervened,
         accurate_v6only=census.accurate_ipv6_only_count(),
-    )
-    return ShardPayload(
-        point,
-        events=testbed.engine.events_run,
-        sim_seconds=testbed.engine.now,
-        queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
     )
 
 

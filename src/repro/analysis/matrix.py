@@ -27,7 +27,7 @@ from repro._compat import slotted_dataclass
 from repro.clients.profiles import ALL_PROFILES, OsProfile
 from repro.core.metrics import SweepStats
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.parallel import make_shards, owned_executor, ShardPayload, ShardSpec, SweepExecutor
+from repro.parallel import make_shards, owned_executor, ShardSpec, SweepExecutor
 from repro.services.captive import connectivity_probe, ProbeOutcome
 
 __all__ = [
@@ -80,7 +80,7 @@ def _measure_one(
     )
 
 
-def _measure_profiles(spec: ShardSpec) -> ShardPayload:
+def _measure_profiles(spec: ShardSpec) -> List[DeviceOutcome]:
     """Worker: a fresh testbed, one client per profile in the chunk.
 
     This is the *object* worker — it retains every ``DeviceOutcome``
@@ -95,12 +95,7 @@ def _measure_profiles(spec: ShardSpec) -> ShardPayload:
     for offset, profile in enumerate(profiles):
         outcome = _measure_one(testbed, start_index + offset, profile, target_site)
         outcomes.append(outcome)  # repro: allow[RL303]
-    return ShardPayload(
-        outcomes,
-        events=testbed.engine.events_run,
-        sim_seconds=testbed.engine.now,
-        queries=len(testbed.dns64.query_log) + len(testbed.poisoner.query_log),
-    )
+    return outcomes
 
 
 def _chunk_profiles(

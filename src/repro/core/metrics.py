@@ -291,22 +291,15 @@ class AdoptionFold:
 class ShardStats:
     """Per-shard execution statistics from one sweep run.
 
-    ``wall_s`` is the worker-measured wall clock for the shard;
-    ``events``/``sim_seconds``/``queries`` come from the shard's
-    simulation engine when the worker reported them.  ``ipc_bytes``
-    counts bulk payload bytes that crossed (or, on the serial backend,
-    would have crossed) the transport boundary — the shared-memory
-    transport reports ~0 here because columns travel through the arena.
-    A non-``None`` ``error`` marks the shard's structured failure row
-    (it exhausted its one retry).
+    ``ipc_bytes`` counts bulk payload bytes that crossed (or, on the
+    serial backend, would have crossed) the transport boundary — the
+    shared-memory transport reports ~0 here because columns travel
+    through the arena.  A non-``None`` ``error`` marks the shard's
+    structured failure row (it exhausted its one retry).
     """
 
     index: int
     seed: int
-    wall_s: float
-    events: int = 0
-    sim_seconds: float = 0.0
-    queries: int = 0
     ipc_bytes: int = 0
     attempts: int = 1
     error: Optional[str] = None
@@ -318,11 +311,8 @@ class ShardStats:
 
 @slotted_dataclass()
 class SweepStats:
-    """Merged statistics for one sweep: shard rows plus pool-level view.
+    """Merged statistics for one sweep: how it ran, plus one row per shard.
 
-    ``wall_s`` is the parent-observed elapsed time for the whole sweep;
-    the shards' summed wall clock divided by it is the *effective
-    parallelism* the pool achieved (≈1.0 serial, →``jobs`` ideally).
     ``transport`` records how bulk shard data travelled: ``"pickle"``
     through the pool's pipe, ``"shm"`` through a shared-memory column
     arena (fold-only sweeps always report ``"pickle"`` — they have no
@@ -331,25 +321,8 @@ class SweepStats:
 
     jobs: int
     backend: str
-    wall_s: float
     transport: str = "pickle"
     shards: List[ShardStats] = field(default_factory=list)
-
-    @property
-    def shard_wall_s(self) -> float:
-        return sum(s.wall_s for s in self.shards)
-
-    @property
-    def total_events(self) -> int:
-        return sum(s.events for s in self.shards)
-
-    @property
-    def total_sim_seconds(self) -> float:
-        return sum(s.sim_seconds for s in self.shards)
-
-    @property
-    def total_queries(self) -> int:
-        return sum(s.queries for s in self.shards)
 
     @property
     def total_ipc_bytes(self) -> int:
@@ -359,27 +332,3 @@ class SweepStats:
     @property
     def failures(self) -> List[ShardStats]:
         return [s for s in self.shards if s.error is not None]
-
-    @property
-    def speedup(self) -> float:
-        """Effective parallelism: shard CPU-seconds per elapsed second."""
-        return self.shard_wall_s / self.wall_s if self.wall_s > 0 else 0.0
-
-    def table(self) -> str:
-        lines = [
-            f"{'shard':>5s} {'seed':>20s} {'wall s':>8s} {'events':>9s} "
-            f"{'queries':>8s} {'tries':>5s} status"
-        ]
-        for s in self.shards:
-            status = "ok" if s.ok else f"FAILED: {s.error.strip().splitlines()[-1]}"
-            lines.append(
-                f"{s.index:>5d} {s.seed:>20d} {s.wall_s:>8.3f} {s.events:>9d} "
-                f"{s.queries:>8d} {s.attempts:>5d} {status}"
-            )
-        lines.append(
-            f"jobs={self.jobs} backend={self.backend} transport={self.transport} "
-            f"wall={self.wall_s:.3f}s shard-wall={self.shard_wall_s:.3f}s "
-            f"speedup={self.speedup:.2f}x ipc={self.total_ipc_bytes}B "
-            f"failures={len(self.failures)}"
-        )
-        return "\n".join(lines)

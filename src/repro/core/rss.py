@@ -1,27 +1,21 @@
-"""Cross-platform resident-set-size observation for the bench harness.
+"""Peak resident set size, in bytes, for the ``fleet`` command's summary.
 
 ``getrusage`` reports the peak RSS a process (or its reaped children)
 ever reached, but in platform-dependent units: Linux counts kibibytes,
-macOS counts bytes (and some BSDs count pages).  Every consumer in this
-repository wants plain bytes, so the normalization lives here once.
+macOS counts bytes (and some BSDs count pages).  Every consumer in
+this repository wants plain bytes, so the normalization lives here once.
 
-``ru_maxrss`` is a high-water mark — it only ever grows, so a
-per-scenario reading records "the largest this process has been up to
-and including this scenario", not the scenario's isolated footprint.
-:func:`current_rss_bytes` (``/proc/self/statm``) gives the instantaneous
-figure where the platform exposes one, which is what delta-based
-per-device accounting uses.
+``ru_maxrss`` is a high-water mark — it only ever grows, so a reading
+records "the largest this process has been up to now", not the
+footprint of the last piece of work.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Optional
 
-__all__ = ["peak_rss_bytes", "current_rss_bytes"]
-
-_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
+__all__ = ["peak_rss_bytes"]
 
 
 def _normalize_ru_maxrss(ru_maxrss: int) -> int:
@@ -31,36 +25,19 @@ def _normalize_ru_maxrss(ru_maxrss: int) -> int:
     return int(ru_maxrss) * 1024
 
 
-def peak_rss_bytes(include_children: bool = True) -> int:
-    """Peak resident set size of this process, in bytes (0 if unknown).
+def peak_rss_bytes() -> Optional[int]:
+    """Peak resident set size in bytes, or ``None`` where it is unknown.
 
-    With ``include_children`` the high-water mark of reaped child
-    processes (sweep pool workers) is folded in via ``RUSAGE_CHILDREN``,
-    so a sharded run reports the largest worker alongside the parent.
+    The high-water mark of reaped child processes (sweep pool workers)
+    is folded in via ``RUSAGE_CHILDREN``, so a sharded run reports the
+    largest worker alongside the parent.  Without the ``resource``
+    module (non-POSIX platforms) there is no figure to report.
     """
     try:
         import resource
-    except ImportError:  # non-POSIX platform
-        return 0
-    peak = _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    if include_children:
-        children = _normalize_ru_maxrss(
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-        )
-        peak = max(peak, children)
-    return peak
-
-
-def current_rss_bytes() -> Optional[int]:
-    """Instantaneous resident set size in bytes, or ``None`` off-Linux.
-
-    Reads ``/proc/self/statm`` (second field, pages); used by the
-    fleet-state memory tests to measure before/after deltas, which the
-    monotonic ``ru_maxrss`` cannot provide.
-    """
-    try:
-        with open("/proc/self/statm") as fh:
-            fields = fh.read().split()
-        return int(fields[1]) * _PAGE_SIZE
-    except (OSError, IndexError, ValueError):
+    except ImportError:
         return None
+    return max(
+        _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss),
+    )

@@ -39,7 +39,6 @@ import contextlib
 import multiprocessing
 import os
 import sys
-import time
 import traceback
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -68,8 +67,8 @@ TRANSPORTS = ("auto", "pickle", "shm")
 #: Environment variable consulted when no explicit ``jobs`` is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: (value, wall_s, error) — the raw wire entry a worker produces per shard.
-_Entry = Tuple[Any, float, Optional[str]]
+#: (value, error) — the raw wire entry a worker produces per shard.
+_Entry = Tuple[Any, Optional[str]]
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -172,24 +171,20 @@ def plan_chunks(
 
 
 def _run_shard(fn: Callable[[ShardSpec], Any], spec: ShardSpec) -> _Entry:
-    """Run one shard, timing it and trapping exceptions into the entry.
+    """Run one shard, trapping exceptions into the entry.
 
     Executes inside the worker process (or inline on the serial path);
     catching here means an ordinary worker exception comes back as data
     instead of poisoning the pool.
     """
-    start = time.perf_counter()
     try:
-        value: Any = fn(spec)
-        error: Optional[str] = None
+        return fn(spec), None
     except Exception:
-        value = None
-        error = traceback.format_exc(limit=16)
-    return value, time.perf_counter() - start, error
+        return None, traceback.format_exc(limit=16)
 
 
 def _run_chunk(fn: Callable[[ShardSpec], Any], specs: Sequence[ShardSpec]) -> List[_Entry]:
-    """Worker entry point: run a chunk of shards, one timed entry each."""
+    """Worker entry point: run a chunk of shards, one entry each."""
     return [_run_shard(fn, spec) for spec in specs]
 
 
@@ -320,7 +315,6 @@ class SweepExecutor:
         # bulk data through shared memory; fold-only sweeps are plain
         # pickle regardless of what the executor *could* do.
         used_transport = self.transport if self._arenas else "pickle"
-        start = time.perf_counter()
         if not spec_list:
             results: List[ShardResult] = []
             used = self.backend
@@ -330,20 +324,14 @@ class SweepExecutor:
         else:
             results = self._run_process(fn, spec_list)
             used = "process"
-        wall = time.perf_counter() - start
         self.last_stats = SweepStats(
             jobs=self.jobs,
             backend=used,
-            wall_s=wall,
             transport=used_transport,
             shards=[
                 ShardStats(
                     index=r.index,
                     seed=r.seed,
-                    wall_s=r.wall_s,
-                    events=r.events,
-                    sim_seconds=r.sim_seconds,
-                    queries=r.queries,
                     ipc_bytes=r.ipc_bytes,
                     attempts=r.attempts,
                     error=r.error,
@@ -368,13 +356,12 @@ class SweepExecutor:
     ) -> List[ShardResult]:
         results = []
         for spec in specs:
-            value, wall, error = _run_shard(fn, spec)
+            value, error = _run_shard(fn, spec)
             attempts = 1
             if error is not None:
-                value, retry_wall, error = _run_shard(fn, spec)
-                wall += retry_wall
+                value, error = _run_shard(fn, spec)
                 attempts = 2
-            results.append(self._to_result(spec, value, wall, error, attempts))
+            results.append(self._to_result(spec, value, error, attempts))
         return results
 
     def _run_process(
@@ -392,7 +379,7 @@ class SweepExecutor:
             try:
                 for spec, entry in zip(chunk, future.result(timeout=budget)):
                     first[spec.index] = entry
-                    if entry[2] is not None:  # in-worker exception → one retry
+                    if entry[1] is not None:  # in-worker exception → one retry
                         retry.append(spec)
             except FutureTimeout:
                 # The worker is still grinding on the shard and cannot be
@@ -400,11 +387,7 @@ class SweepExecutor:
                 # retry: a shard that hangs once will hang again.
                 self._recycle_pool()
                 for spec in chunk:
-                    final[spec.index] = (
-                        None,
-                        budget or 0.0,
-                        f"shard timed out after {budget:.3g}s",
-                    )
+                    final[spec.index] = (None, f"shard timed out after {budget:.3g}s")
             except (BrokenProcessPool, CancelledError):
                 # A worker died mid-chunk, or recycling cancelled the
                 # future under us; either way each shard gets its retry.
@@ -412,7 +395,7 @@ class SweepExecutor:
                 retry.extend(chunk)
             except Exception as exc:  # e.g. an unpicklable payload
                 for spec in chunk:
-                    final[spec.index] = (None, 0.0, f"dispatch failed: {exc!r}")
+                    final[spec.index] = (None, f"dispatch failed: {exc!r}")
 
         retried: Dict[int, _Entry] = {}
         if retry:
@@ -425,41 +408,33 @@ class SweepExecutor:
                     self._recycle_pool()
                     retried[spec.index] = (
                         None,
-                        self.timeout or 0.0,
                         f"shard timed out after {self.timeout:.3g}s on retry",
                     )
                 except (BrokenProcessPool, CancelledError) as exc:
                     self._recycle_pool()
-                    retried[spec.index] = (None, 0.0, f"worker crashed twice: {exc!r}")
+                    retried[spec.index] = (None, f"worker crashed twice: {exc!r}")
                 except Exception as exc:
-                    retried[spec.index] = (None, 0.0, f"dispatch failed on retry: {exc!r}")
+                    retried[spec.index] = (None, f"dispatch failed on retry: {exc!r}")
 
         results = []
         for spec in specs:
             if spec.index in retried:
-                value, wall, error = retried[spec.index]
+                value, error = retried[spec.index]
                 attempts = 2
             elif spec.index in final:
-                value, wall, error = final[spec.index]
+                value, error = final[spec.index]
                 attempts = 1
             else:
-                value, wall, error = first[spec.index]
+                value, error = first[spec.index]
                 attempts = 1
-            results.append(self._to_result(spec, value, wall, error, attempts))
+            results.append(self._to_result(spec, value, error, attempts))
         return results
 
     @staticmethod
-    def _to_result(
-        spec: ShardSpec, value: Any, wall: float, error: Optional[str], attempts: int
-    ) -> ShardResult:
-        result = ShardResult(
-            index=spec.index, seed=spec.seed, wall_s=wall, attempts=attempts, error=error
-        )
+    def _to_result(spec: ShardSpec, value: Any, error: Optional[str], attempts: int) -> ShardResult:
+        result = ShardResult(index=spec.index, seed=spec.seed, attempts=attempts, error=error)
         if isinstance(value, ShardPayload):
             result.value = value.value
-            result.events = value.events
-            result.sim_seconds = value.sim_seconds
-            result.queries = value.queries
             result.ipc_bytes = value.ipc_bytes
         else:
             result.value = value

@@ -2,14 +2,14 @@
 
 A *shard* is one independent unit of a sweep — one fleet mix of the
 §VII adoption trajectory, one slice of the §V device matrix, one
-benchmark round.  Shards share no simulated events, which makes the
+device range of a fleet stage.  Shards share no simulated events, which makes the
 sweep embarrassingly parallel: the classic PADS observation that
 replication-style parallelism needs no rollback machinery at all.
 
 Everything that crosses a process boundary lives here and must stay
 picklable: :class:`ShardSpec` travels parent → worker, and the worker
 answers with either a bare value or a :class:`ShardPayload` wrapping
-the value with engine statistics.  The executor folds both into
+the value with the bulk bytes it shipped.  The executor folds both into
 :class:`ShardResult` rows, ordered like the input specs.
 
 Seeds follow one rule — :func:`derive_seed` — applied identically by
@@ -89,17 +89,16 @@ class ShardSpec:
 
 @slotted_dataclass()
 class ShardPayload:
-    """What a worker returns when it wants its engine stats merged.
+    """What a worker returns when it reports the bulk bytes it shipped.
 
-    Workers may also return any bare picklable value; wrapping it in a
-    payload lets the executor fold per-shard event/query counts into
-    :class:`repro.core.metrics.SweepStats` without re-deriving them.
+    Workers may also return any bare picklable value.  Wrapping it in a
+    payload carries ``ipc_bytes`` into the shard's
+    :class:`repro.core.metrics.ShardStats` row, which
+    :attr:`repro.core.metrics.SweepStats.total_ipc_bytes` sums into the
+    fleet sweep's IPC bill.
     """
 
     value: Any
-    events: int = 0
-    sim_seconds: float = 0.0
-    queries: int = 0
     #: Payload bytes that crossed (or would cross) the transport
     #: boundary for bulk data — the fleet's per-device columns.  The
     #: pickle transport counts its shipped column bytes here; the shm
@@ -120,10 +119,6 @@ class ShardResult:
     index: int
     seed: int
     value: Any = None
-    wall_s: float = 0.0
-    events: int = 0
-    sim_seconds: float = 0.0
-    queries: int = 0
     ipc_bytes: int = 0
     attempts: int = 1
     error: Optional[str] = None

@@ -225,11 +225,11 @@ def test_cli_max_seconds_gate(tmp_path):
     assert result.returncode == 0
 
 
-def test_cli_cache_round_trip(tmp_path):
-    """Second CLI run over src parses nothing and stays clean."""
-    cache_path = tmp_path / "cache.json"
-    cold = _run_cli("src", "--program", "--cache", str(cache_path))
-    assert cold.returncode == 0, cold.stdout
-    warm = _run_cli("src", "--program", "--cache", str(cache_path))
+def test_cli_cache_round_trip(src_lint):
+    """A CLI run over the cache the cold analysis of src left parses
+    nothing and stays clean."""
+    warm = _run_cli(
+        str(REPO_ROOT / "src"), "--program", "--cache", str(src_lint.cache_path)
+    )
     assert warm.returncode == 0, warm.stdout
     assert ", 0 parsed" in warm.stdout

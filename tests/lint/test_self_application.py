@@ -1,6 +1,10 @@
 """The linter applied to its own repository: the committed tree must be
 clean (whole-program rules included), and the CLI must fail loudly on
 the deliberately-broken corpus.
+
+The tree is analysed cold once, in process, by the ``src_lint`` fixture;
+the CLI tests read that analysis back from its cache, so both entry
+points are checked for the price of one whole-tree analysis.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import all_rules, lint_paths
+from repro.lint import all_rules
 
 REPO_ROOT = Path(__file__).parents[2]
 CORPUS = Path(__file__).parent / "corpus"
@@ -22,9 +26,11 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
+    # Tests must not leave a cache file in the checkout: without an
+    # explicit --cache (under tmp_path), run uncached.
+    cache = [] if "--cache" in args else ["--no-cache"]
     return subprocess.run(
-        # --no-cache: tests must not leave a cache file in the checkout.
-        [sys.executable, "-m", "repro.lint", "--no-cache", *args],
+        [sys.executable, "-m", "repro.lint", *cache, *args],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -33,14 +39,17 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_src_tree_lints_clean_via_cli():
-    result = _run_cli("src", "--flow")
+def test_src_tree_lints_clean_via_cli(src_lint):
+    result = _run_cli(
+        str(REPO_ROOT / "src"), "--flow", "--cache", str(src_lint.cache_path)
+    )
     assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
     assert "repro.lint: clean" in result.stdout
+    assert ", 0 parsed" in result.stdout, result.stdout
 
 
-def test_src_tree_lints_clean_in_process():
-    assert lint_paths([REPO_ROOT / "src"], flow=True) == []
+def test_src_tree_lints_clean_in_process(src_lint):
+    assert src_lint.findings == []
 
 
 def test_broken_corpus_fails_with_every_code():

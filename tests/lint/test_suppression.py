@@ -70,8 +70,8 @@ def test_module_name_derivation():
 
 
 def test_allowlist_matches_anchored_suffix():
-    codes = allowed_codes_for(Path("/anywhere/checkout/src/repro/parallel/executor.py"))
-    assert "RL101" in codes
+    codes = allowed_codes_for(Path("/anywhere/checkout/src/repro/net/lazy.py"))
+    assert "RL401" in codes
     assert allowed_codes_for(Path("src/repro/sim/engine.py")) == set()
 
 
@@ -80,11 +80,3 @@ def test_allowlist_entries_documented():
     for pattern, codes in ALLOWLIST.items():
         assert pattern.startswith("repro/"), pattern
         assert codes, f"empty code tuple for {pattern}"
-
-
-def test_executor_wall_timing_is_allowlisted_not_rewritten():
-    """The real executor keeps perf_counter for shard stats — covered by
-    the allowlist, so the tree lints clean without touching the timing."""
-    executor = Path(__file__).parents[2] / "src" / "repro" / "parallel" / "executor.py"
-    assert "perf_counter" in executor.read_text()
-    assert not [f for f in lint_file(executor) if f.code == "RL101"]

@@ -66,11 +66,8 @@ class TestSweepDeterminism:
                 derive_seed(base, i) for i in range(len(MIXES))
             ]
 
-    def test_stats_report_engine_work(self):
+    def test_stats_report_one_row_per_mix(self):
         _points, stats = run_adoption_sweep_stats(MIXES, jobs=1)
-        assert stats.total_events > 0
-        assert stats.total_queries > 0
-        assert stats.total_sim_seconds > 0
         assert len(stats.shards) == len(MIXES)
         assert not stats.failures
 

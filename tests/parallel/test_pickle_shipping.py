@@ -82,9 +82,9 @@ class TestPickleRoundTrip:
     def test_shard_protocol_types(self):
         spec = ShardSpec(index=3, seed=12345, payload=(TestbedConfig(), "x"), label="mix-3")
         assert roundtrip(spec) == spec
-        payload = ShardPayload("value", events=7, sim_seconds=1.5, queries=2)
+        payload = ShardPayload("value", ipc_bytes=7)
         assert roundtrip(payload) == payload
-        result = ShardResult(index=3, seed=12345, value=[1, 2], wall_s=0.25, error=None)
+        result = ShardResult(index=3, seed=12345, value=[1, 2], ipc_bytes=7, error=None)
         assert roundtrip(result) == result
 
 

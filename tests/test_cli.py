@@ -1,8 +1,11 @@
 """The ``python -m repro`` command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.__main__ import main
+from repro.core.rss import peak_rss_bytes
 
 
 class TestCli:
@@ -30,6 +33,14 @@ class TestCli:
         assert main(["sweep", "--fleet", "6"]) == 0
         out = capsys.readouterr().out
         assert "100% refreshed" in out
+
+    def test_fleet_summary_leaves_out_an_unknown_peak_rss(self, capsys, monkeypatch):
+        assert peak_rss_bytes() > 2**20
+        monkeypatch.setitem(sys.modules, "resource", None)  # a platform without it
+        assert peak_rss_bytes() is None
+        assert main(["fleet", "--devices", "1000", "--jobs", "1"]) == 0
+        summary = capsys.readouterr().err
+        assert summary.startswith("fleet: 5000 devices") and "peak RSS" not in summary
 
     def test_sweep_jobs_matches_serial(self, capsys):
         assert main(["sweep", "--fleet", "6", "--jobs", "1"]) == 0
