@@ -4,7 +4,7 @@ Commands:
 
 - ``matrix``      — run the §V device-outcome matrix (intervention on/off)
 - ``sweep``       — the §VII Windows-refresh adoption trajectory
-- ``fleet``       — the same trajectory at fleet scale (columnar engine)
+- ``fleet``       — the same trajectory at fleet scale, in closed form
 - ``scores``      — mirror scores per device class, stock vs fixed
 - ``demo``        — the quickstart walk-through
 - ``experiments`` — one-line status for every paper experiment (E1-E16)
@@ -17,11 +17,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.adoption import run_adoption_sweep, sweep_table, windows_refresh_mixes
+from repro.analysis.adoption import (
+    FIXED_DEVICES,
+    run_adoption_sweep,
+    sweep_table,
+    windows_refresh_mixes,
+)
 from repro.analysis.matrix import matrix_table, run_device_matrix
 from repro.core.testbed import build_testbed, TestbedConfig
 
 __all__ = ["main"]
+
+
+def fleet_size(text: str) -> int:
+    """``--fleet``/``--devices``: a refresh-stage size that holds the
+    devices every stage keeps (:data:`FIXED_DEVICES`)."""
+    size = int(text)
+    if size < FIXED_DEVICES:
+        raise argparse.ArgumentTypeError(f"must be at least {FIXED_DEVICES}, got {size}")
+    return size
 
 
 def cmd_matrix(args) -> int:
@@ -38,30 +52,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fleet(args) -> int:
-    """The §VII trajectory through the million-device columnar engine.
+    """The §VII trajectory at fleet scale, in closed form.
 
-    The table goes to stdout and the execution summary to stderr, so
-    ``fleet --jobs 1`` and ``fleet --jobs N`` stdout can be diffed
-    byte-for-byte (the CI fleet smoke does exactly that).
+    Each distinct profile is calibrated once with a live client and
+    every stage folds as ``count × calibrated outcome`` in this process
+    (:func:`repro.analysis.fleet.run_fleet_adoption_sweep_stats`), so
+    ``--jobs`` has nothing to fan out.  The table goes to stdout and the
+    summary to stderr, so ``fleet --jobs 1`` and ``fleet --jobs N``
+    stdout can be diffed byte-for-byte (the CI fleet smoke does).
     """
     import time
 
-    from repro.analysis.fleet import run_fleet_population_stats
+    from repro.analysis.fleet import run_fleet_adoption_sweep_stats
     from repro.core.rss import peak_rss_bytes
 
     mixes = windows_refresh_mixes(fleet_size=args.devices)
     start = time.perf_counter()
-    points, _stats, info, _states = run_fleet_population_stats(
-        mixes, jobs=args.jobs, min_shard=args.min_shard, transport=args.transport
-    )
+    points, info = run_fleet_adoption_sweep_stats(mixes)
     elapsed = time.perf_counter() - start
     print(sweep_table(points))
     rate = info.devices / elapsed if elapsed > 0 else 0.0
     rss = peak_rss_bytes()
     summary = (
         f"fleet: {info.devices} devices / {info.stages} stages / "
-        f"{info.distinct_profiles} profiles / {info.shard_count} shards, "
-        f"transport {info.transport} ({info.ipc_bytes} ipc bytes), "
+        f"{info.distinct_profiles} profiles, "
         f"{elapsed:.2f}s, {rate:,.0f} devices/sec"
     )
     if rss is not None:
@@ -177,6 +191,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     jobs_help = "worker processes for the sweep (default: $REPRO_JOBS or 1; 0 = all cores)"
+    fleet_size_help = f"devices per refresh stage, at least {FIXED_DEVICES} (2 Macs + 1 IoT box)"
 
     p_matrix = sub.add_parser("matrix", help="device outcome matrix (§V)")
     p_matrix.add_argument("--no-intervention", action="store_true")
@@ -185,27 +200,21 @@ def main(argv=None) -> int:
     p_matrix.set_defaults(fn=cmd_matrix)
 
     p_sweep = sub.add_parser("sweep", help="Windows-refresh adoption sweep (§VII)")
-    p_sweep.add_argument("--fleet", type=int, default=15)
+    p_sweep.add_argument("--fleet", type=fleet_size, default=15, help=fleet_size_help)
     p_sweep.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_fleet = sub.add_parser(
-        "fleet", help="adoption sweep at fleet scale via the columnar engine"
+        "fleet", help="adoption sweep at fleet scale, in closed form (count x calibrated outcome)"
     )
     p_fleet.add_argument(
-        "--devices", type=int, default=1_000_000,
-        help="fleet size per refresh stage (default: 1,000,000)",
+        "--devices", type=fleet_size, default=1_000_000,
+        help=f"{fleet_size_help} (default: 1,000,000)",
     )
     p_fleet.add_argument(
-        "--min-shard", type=int, default=65_536,
-        help="smallest device range worth dispatching to a worker",
-    )
-    p_fleet.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p_fleet.add_argument(
-        "--transport", default="auto", choices=["auto", "pickle", "shm"],
-        help="how worker columns reach the parent: pickle over the pool pipe "
-             "or zero-copy shared-memory arena windows (auto prefers shm when "
-             "the platform offers it; tables are byte-identical either way)",
+        "--jobs", type=int, default=None,
+        help="accepted for compatibility with the other sweeps; has no effect here "
+             "(the closed form runs in this process)",
     )
     p_fleet.set_defaults(fn=cmd_fleet)
 

@@ -32,6 +32,7 @@ from repro.core.testbed import Testbed, TestbedConfig
 from repro.parallel import make_shards, owned_executor, ShardSpec, SweepExecutor
 
 __all__ = [
+    "FIXED_DEVICES",
     "FleetMix",
     "AdoptionPoint",
     "run_adoption_sweep",
@@ -48,6 +49,11 @@ class FleetMix:
     #: (profile, count) pairs.
     devices: Tuple[Tuple[OsProfile, int], ...]
     label: str = ""
+
+    def __post_init__(self) -> None:
+        for profile, count in self.devices:
+            if count < 0:
+                raise ValueError(f"{profile.name}: device count must be non-negative, got {count}")
 
     @property
     def total(self) -> int:
@@ -72,14 +78,24 @@ class AdoptionPoint:
         return self.ipv4_leases / self.total if self.total else 0.0
 
 
+#: Devices every refresh stage keeps whatever the fleet size: the two
+#: Macs and the legacy IoT box of :func:`windows_refresh_mixes`.
+FIXED_DEVICES = 3
+
+
 def windows_refresh_mixes(
     fleet_size: int = 20, stages: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0)
 ) -> List[FleetMix]:
     """The §VII scenario: a fixed fleet whose Windows 10 machines are
     progressively replaced by the RFC 8925 Windows 11 build.  A couple
-    of Macs and one legacy IoT box ride along, as on any real campus."""
+    of Macs and one legacy IoT box ride along, as on any real campus,
+    so ``fleet_size`` must be at least :data:`FIXED_DEVICES`."""
+    if fleet_size < FIXED_DEVICES:
+        raise ValueError(
+            f"fleet size must be at least {FIXED_DEVICES} (2 Macs + 1 IoT box), got {fleet_size}"
+        )
     mixes = []
-    windows_count = fleet_size - 3  # 2 Macs + 1 IoT stay constant
+    windows_count = fleet_size - FIXED_DEVICES
     for fraction in stages:
         upgraded = round(windows_count * fraction)
         mixes.append(

@@ -1,28 +1,30 @@
-"""Million-device adoption sweeps over the columnar fleet engine.
+"""Million-device adoption sweeps in closed form.
 
 The object path (:func:`repro.analysis.adoption.run_adoption_sweep`)
 simulates every device as a live packet-level client — the right tool
-up to a few hundred devices.  This module is the fleet-scale execution
-path the ROADMAP's "Million-host fleet scale" item asks for:
+up to a few hundred devices.  At fleet scale the simulation is not
+needed per device: every device of one OS profile on one testbed
+configuration has the identical observable outcome
+(:mod:`repro.clients.fleet`), so a stage's :class:`AdoptionPoint` is
+the sum over distinct profiles of ``count × outcome``:
 
 1. **calibrate once** — each *distinct* OS profile in the sweep is
    measured with one live client on a real testbed
    (:func:`repro.clients.fleet.calibrate_profiles`);
-2. **shard ranges** — each stage's device population is cut into
-   contiguous ranges via :func:`repro.parallel.chunk_ranges` and
-   fanned out over the :class:`~repro.parallel.SweepExecutor` pool;
-3. **columnar per shard** — each worker materializes only its range as
-   a :class:`repro.sim.fleet.FleetState` (≈7 B/device), evaluates
-   outcomes with ``bytes.translate`` and folds counts with
-   ``bytearray.count`` into :class:`~repro.core.metrics.AdoptionFold` /
-   :class:`~repro.core.metrics.CensusFold` partials;
-4. **merge additively** — partial folds merge by plain addition, so
-   the final table is byte-identical at any ``--jobs`` and any shard
-   geometry.
+2. **fold in closed form** — each stage's ``(profile, count)`` pairs
+   fold into an :class:`~repro.core.metrics.AdoptionFold` through
+   :meth:`~repro.core.metrics.AdoptionFold.add_bulk`, with the same
+   flags the object path folds for one live client.
 
-Peak memory per shard is the shard's columns plus one calibration
-testbed in the parent — constant in the number of stages and linear
-only in the *largest shard's* device count, never the fleet's.
+That is O(stages × profiles) integer arithmetic in the calling
+process, exact at any device count: no shards, no worker pool and no
+per-device state, so the table cannot depend on ``--jobs``.
+
+:func:`run_fleet_population_stats` is the older columnar path, kept
+until the benchmark's tracer stops naming it: shard workers evaluate
+per-device columns (:class:`repro.sim.fleet.FleetState`, ≈7 B/device)
+and ship them to the parent over the executor's pickle or
+shared-memory transport.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.parallel.shm import ArenaWindow, SharedColumnArena
 from repro.sim import fleet as fl
 
 __all__ = [
+    "FleetPopulationInfo",
     "FleetSweepInfo",
     "distinct_profiles",
     "run_fleet_adoption_sweep",
@@ -67,7 +70,17 @@ DEFAULT_MIN_SHARD = 65_536
 
 @slotted_dataclass()
 class FleetSweepInfo:
-    """Execution accounting for one fleet sweep (for BENCH json rows).
+    """What one closed-form fleet sweep covered: the devices folded
+    over all stages, the stages, and the distinct profiles calibrated."""
+
+    devices: int
+    stages: int
+    distinct_profiles: int
+
+
+@slotted_dataclass()
+class FleetPopulationInfo(FleetSweepInfo):
+    """Execution accounting for one population sweep.
 
     ``transport`` and ``ipc_bytes`` record how the sweep's bulk data
     travelled: the pickle transport ships ~``bytes_per_device`` bytes
@@ -75,9 +88,6 @@ class FleetSweepInfo:
     ships none (columns land in the arena; only O(1) folds pickle).
     """
 
-    devices: int
-    stages: int
-    distinct_profiles: int
     shard_count: int
     bytes_per_device: float
     transport: str = "pickle"
@@ -85,20 +95,18 @@ class FleetSweepInfo:
 
 
 def distinct_profiles(mixes: Sequence[FleetMix]) -> List[OsProfile]:
-    """Distinct profiles in first-appearance order across all stages."""
-    profiles: List[OsProfile] = []
-    seen: Dict[str, int] = {}
-    for mix in mixes:
-        for profile, _count in mix.devices:
-            if profile.name not in seen:
-                seen[profile.name] = len(profiles)
-                profiles.append(profile)
-    return profiles
+    """Distinct profiles in first-appearance order across all stages.
+
+    Profiles are told apart by value, not by name: two profiles that
+    share a name but differ in a field behave differently, so each is
+    calibrated on its own.
+    """
+    return list(dict.fromkeys(profile for mix in mixes for profile, _count in mix.devices))
 
 
-def _runs_for_mix(mix: FleetMix, profile_index: Dict[str, int]) -> List[Tuple[int, int]]:
+def _runs_for_mix(mix: FleetMix, profile_index: Dict[OsProfile, int]) -> List[Tuple[int, int]]:
     """``(profile_code, count)`` runs in the mix's declared device order."""
-    return [(profile_index[profile.name], count) for profile, count in mix.devices]
+    return [(profile_index[profile], count) for profile, count in mix.devices]
 
 
 def _slice_runs(
@@ -119,13 +127,11 @@ def _slice_runs(
 
 
 def _fold_state(state: fl.FleetState) -> Tuple[AdoptionFold, CensusFold]:
-    """Fold one columnar population into its additive accumulators.
+    """Fold one shard worker's columnar range into its additive accumulators.
 
     ``naive_v6only`` is an addressing fact (device holds a global v6
     address), not a class fact, so it folds from the addressing column
-    while the per-class counts fold from the census column.  Used both
-    by shard workers (their range) and by the population path's parent
-    (the merged state) — the folds agree by additivity.
+    while the per-class counts fold from the census column.
     """
     census = CensusFold()
     for code, count in state.code_counts("census").items():
@@ -157,29 +163,16 @@ def _build_range_state(
     return state
 
 
-def _fold_fleet_range(spec: ShardSpec) -> ShardPayload:
-    """Worker: one contiguous device range, columnar evaluation + fold.
-
-    The payload carries everything the fold needs — the range's profile
-    runs and the pre-built translate tables — so the worker touches no
-    testbed, no engine and no RNG: it is a pure function of its spec,
-    which is what makes the merged table shard-geometry-independent.
-    """
-    mix_index, start, stop, runs, tables = spec.payload
-    state = _build_range_state(runs, start, stop, tables)
-    fold, census = _fold_state(state)
-    return ShardPayload((mix_index, fold, census))
-
-
 def _export_fleet_range(spec: ShardSpec) -> ShardPayload:
     """Worker for the population path: evaluate a range, export columns.
 
-    Same pure columnar evaluation as :func:`_fold_fleet_range`, but the
-    parent wants the *columns* back, not just the folds.  With a
-    ``window`` in the payload the columns land directly in the shared
-    arena (only the fold struct and the committed generation pickle
-    home — O(1) per shard); without one they ship as pickled bytes and
-    the shard's ``ipc_bytes`` bills ~7 B/device for the trip.
+    The payload carries everything the worker needs — the range's
+    profile runs and the pre-built translate tables — so it touches no
+    testbed, no engine and no RNG.  With a ``window`` in the payload the
+    columns land directly in the shared arena (only the fold struct and
+    the committed generation pickle home — O(1) per shard); without one
+    they ship as pickled bytes and the shard's ``ipc_bytes`` bills
+    ~7 B/device for the trip.
     """
     mix_index, start, stop, runs, tables, window = spec.payload
     state = _build_range_state(runs, start, stop, tables)
@@ -197,62 +190,61 @@ def _export_fleet_range(spec: ShardSpec) -> ShardPayload:
 def run_fleet_adoption_sweep_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    min_shard: int = DEFAULT_MIN_SHARD,
     target_site: str = "sc24.supercomputing.org",
     calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
-) -> Tuple[List[AdoptionPoint], SweepStats, FleetSweepInfo]:
-    """The columnar adoption sweep: calibrate, shard, fold, merge.
+) -> Tuple[List[AdoptionPoint], FleetSweepInfo]:
+    """The closed-form adoption sweep: calibrate once, fold each stage.
 
-    Produces one :class:`AdoptionPoint` per mix, in mix order, with
-    counts that are byte-identical at any ``jobs`` (additive merges
-    over disjoint device ranges).  ``calibration`` lets a caller reuse
-    a previously-measured profile table across repeated sweeps of the
-    same config instead of paying the (small) calibration testbed again.
+    Produces one :class:`AdoptionPoint` per mix, in mix order, equal to
+    the object path's counts at any device count.  ``calibration`` lets
+    a caller reuse a previously-measured profile table (one outcome per
+    :func:`distinct_profiles` entry, in that order) across repeated
+    sweeps of the same config instead of paying the calibration testbed
+    again.
     """
     config = config or TestbedConfig()
     profiles = distinct_profiles(mixes)
-    index_of = {profile.name: i for i, profile in enumerate(profiles)}
+    outcomes = _calibrate(profiles, config, target_site, calibration)
+    # The flags _measure_mix folds for one live client, per profile.
+    flags = {
+        profile: (
+            outcome.has_v4_lease,
+            outcome.granted_v6only,
+            outcome.intervened,
+            outcome.census_class.counts_as_ipv6_only,
+        )
+        for profile, outcome in zip(profiles, outcomes)
+    }
 
-    with owned_executor(executor, jobs=jobs) as ex:
-        tables = _calibration_tables(profiles, config, target_site, calibration)
+    folds = []
+    for mix in mixes:
+        fold = AdoptionFold()
+        for profile, count in mix.devices:
+            fold.add_bulk(count, *flags[profile])
+        folds.append(fold)
 
-        payloads = []
-        costs: List[float] = []
-        for mix_index, mix in enumerate(mixes):
-            runs = _runs_for_mix(mix, index_of)
-            for start, stop in chunk_ranges(mix.total, ex.jobs, min_shard):
-                payloads.append((mix_index, start, stop, runs, tables))
-                costs.append(float(stop - start))
-        specs = make_shards(payloads, base_seed=config.seed, costs=costs)
-
-        folds = [AdoptionFold() for _ in mixes]
-        censuses = [CensusFold() for _ in mixes]
-        for mix_index, fold, census in ex.map(_fold_fleet_range, specs, label="fleet sweep"):
-            folds[mix_index].merge(fold)
-            censuses[mix_index].merge(census)
-        stats = ex.last_stats
-
-    points = _points_from_folds(mixes, folds)
-    info = _sweep_info(mixes, profiles, len(specs), stats)
-    return points, stats, info
+    info = FleetSweepInfo(
+        devices=sum(fold.total for fold in folds),
+        stages=len(mixes),
+        distinct_profiles=len(profiles),
+    )
+    return _points_from_folds(mixes, folds), info
 
 
-def _calibration_tables(
+def _calibrate(
     profiles: Sequence[OsProfile],
     config: TestbedConfig,
     target_site: str,
     calibration: Optional[Tuple[ProfileOutcome, ...]],
-) -> Dict[str, bytes]:
-    """Measure (or validate a reused) calibration; build translate tables."""
+) -> Tuple[ProfileOutcome, ...]:
+    """Measure a calibration, or validate a reused one, for ``profiles``."""
     if calibration is None:
-        calibration = calibrate_profiles(list(profiles), config, target_site=target_site)
-    elif len(calibration) != len(profiles):
+        return calibrate_profiles(list(profiles), config, target_site=target_site)
+    if len(calibration) != len(profiles):
         raise ValueError(
             f"calibration covers {len(calibration)} profiles, sweep needs {len(profiles)}"
         )
-    return outcome_tables(calibration)
+    return calibration
 
 
 def _points_from_folds(
@@ -271,23 +263,6 @@ def _points_from_folds(
     ]
 
 
-def _sweep_info(
-    mixes: Sequence[FleetMix],
-    profiles: Sequence[OsProfile],
-    shard_count: int,
-    stats: SweepStats,
-) -> FleetSweepInfo:
-    return FleetSweepInfo(
-        devices=sum(mix.total for mix in mixes),
-        stages=len(mixes),
-        distinct_profiles=len(profiles),
-        shard_count=shard_count,
-        bytes_per_device=float(len(fl.ALL_COLUMNS)),
-        transport=stats.transport,
-        ipc_bytes=stats.total_ipc_bytes,
-    )
-
-
 def run_fleet_population_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
@@ -298,7 +273,7 @@ def run_fleet_population_stats(
     calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
     transport: str = "auto",
     keep_states: bool = False,
-) -> Tuple[List[AdoptionPoint], SweepStats, FleetSweepInfo, List[Optional[fl.FleetState]]]:
+) -> Tuple[List[AdoptionPoint], SweepStats, FleetPopulationInfo, List[Optional[fl.FleetState]]]:
     """The population sweep: like the adoption sweep, but the parent ends
     up holding every stage's evaluated *columns*, not just the counts.
 
@@ -322,10 +297,10 @@ def run_fleet_population_stats(
     """
     config = config or TestbedConfig()
     profiles = distinct_profiles(mixes)
-    index_of = {profile.name: i for i, profile in enumerate(profiles)}
+    index_of = {profile: i for i, profile in enumerate(profiles)}
 
     with owned_executor(executor, jobs=jobs, transport=transport) as ex:
-        tables = _calibration_tables(profiles, config, target_site, calibration)
+        tables = outcome_tables(_calibrate(profiles, config, target_site, calibration))
 
         payloads = []
         costs: List[float] = []
@@ -390,7 +365,15 @@ def run_fleet_population_stats(
                 ex.release_arena(arena)
 
     points = _points_from_folds(mixes, folds)
-    info = _sweep_info(mixes, profiles, len(specs), stats)
+    info = FleetPopulationInfo(
+        devices=sum(mix.total for mix in mixes),
+        stages=len(mixes),
+        distinct_profiles=len(profiles),
+        shard_count=len(specs),
+        bytes_per_device=float(len(fl.ALL_COLUMNS)),
+        transport=stats.transport,
+        ipc_bytes=stats.total_ipc_bytes,
+    )
     return points, stats, info, states
 
 
@@ -416,12 +399,7 @@ def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
 def run_fleet_adoption_sweep(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
-    min_shard: int = DEFAULT_MIN_SHARD,
 ) -> List[AdoptionPoint]:
-    """Fleet-scale adoption trajectory (columnar fast path)."""
-    points, _stats, _info = run_fleet_adoption_sweep_stats(
-        mixes, config, jobs=jobs, executor=executor, min_shard=min_shard
-    )
+    """Fleet-scale adoption trajectory, in closed form."""
+    points, _info = run_fleet_adoption_sweep_stats(mixes, config)
     return points

@@ -1,6 +1,6 @@
-"""Per-profile outcome calibration for the columnar fleet path.
+"""Per-profile outcome calibration for fleet-scale sweeps.
 
-The key observation behind the million-host engine: in an adoption
+The key observation behind the million-host sweep: in an adoption
 sweep every device of one OS profile, brought onto the same testbed
 configuration, exhibits the same observable outcome — the simulation is
 deterministic and clients only talk to the infrastructure, never to
@@ -10,15 +10,18 @@ relies on).  So the per-device cost of a fleet sweep collapses to:
 1. **calibrate** — run ONE live packet-level client per *distinct*
    profile on a real :class:`repro.core.testbed.Testbed` and record its
    outcome as a compact :class:`ProfileOutcome` (this module);
-2. **broadcast** — translate the per-profile outcomes across the whole
-   population's profile column with ``bytes.translate``
-   (:meth:`repro.sim.fleet.FleetState.apply_outcomes`);
-3. **fold** — aggregate columns into the streaming accumulators of
-   :mod:`repro.core.metrics` with C-speed ``bytearray.count``.
+2. **fold** — add each stage's ``count`` devices of a profile to the
+   streaming :class:`repro.core.metrics.AdoptionFold` in one step
+   (:meth:`~repro.core.metrics.AdoptionFold.add_bulk`, driven by
+   :func:`repro.analysis.fleet.run_fleet_adoption_sweep_stats`).
 
 Step 1 keeps full protocol fidelity (DHCP option 108, RA/RDNSS, DNS64,
-the poisoned resolver, NAT64 — all real simulated frames); steps 2-3
-amortize it over arbitrarily many devices.
+the poisoned resolver, NAT64 — all real simulated frames); step 2 is
+integer arithmetic, exact at any device count.  :func:`outcome_tables`
+serves the older columnar population path instead
+(:func:`repro.analysis.fleet.run_fleet_population_stats`), which
+broadcasts the outcomes over per-device columns with ``bytes.translate``
+(:meth:`repro.sim.fleet.FleetState.apply_outcomes`).
 """
 
 from __future__ import annotations

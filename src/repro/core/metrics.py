@@ -225,8 +225,8 @@ class AdoptionFold:
     Replaces the three full passes over a retained client list with one
     constant-memory fold: each device contributes its flags once (via
     :meth:`add_device`), or a whole block of identically-behaving
-    devices contributes at once (via :meth:`add_bulk`, the columnar
-    fleet path).  Disjoint folds merge by addition, so a stage sharded
+    devices contributes at once (via :meth:`add_bulk`, the closed-form
+    fleet sweep).  Disjoint folds merge by addition, so a stage sharded
     across workers produces exactly the serial counts.
     """
 
@@ -262,7 +262,13 @@ class AdoptionFold:
         intervened: bool,
         counts_v6only: bool,
     ) -> None:
-        """Fold ``count`` devices sharing one evaluated outcome."""
+        """Fold ``count`` devices sharing one calibrated outcome.
+
+        The flags are the ones :meth:`add_device` takes for one live
+        client, so folding a profile's calibrated outcome with its
+        device count equals folding that many clients one by one
+        (:func:`repro.analysis.fleet.run_fleet_adoption_sweep_stats`).
+        """
         self.total += count
         if has_v4_lease:
             self.ipv4_leases += count

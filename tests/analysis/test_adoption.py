@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.analysis.adoption import FleetMix, run_adoption_sweep, sweep_table, windows_refresh_mixes
-from repro.clients.profiles import NINTENDO_SWITCH, WINDOWS_11_RFC8925
+from repro.analysis.adoption import (
+    FIXED_DEVICES,
+    FleetMix,
+    run_adoption_sweep,
+    sweep_table,
+    windows_refresh_mixes,
+)
+from repro.clients.profiles import NINTENDO_SWITCH, WINDOWS_10, WINDOWS_11_RFC8925
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +57,15 @@ class TestAdoptionSweep:
         assert point.total == 5
         assert point.intervened == 2
         assert point.rfc8925_grants == 3
+
+
+class TestFleetSizes:
+    @pytest.mark.parametrize("fleet_size", [FIXED_DEVICES - 1, 1, 0, -2])
+    def test_refresh_mixes_reject_fleets_smaller_than_the_fixed_devices(self, fleet_size):
+        with pytest.raises(ValueError, match="at least 3"):
+            windows_refresh_mixes(fleet_size=fleet_size)
+
+    def test_fleet_mix_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="Windows 10: device count must be non-negative"):
+            FleetMix(devices=((WINDOWS_11_RFC8925, 3), (WINDOWS_10, -1)))
+        assert FleetMix(devices=((WINDOWS_10, 0),)).total == 0

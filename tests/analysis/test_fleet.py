@@ -1,18 +1,18 @@
-"""The columnar fleet sweep: equivalence, determinism and memory scaling."""
+"""The closed-form fleet sweep: equivalence with the object path, and
+the columnar state the population path still uses."""
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.adoption import (
-    run_adoption_sweep,
-    sweep_table,
-    windows_refresh_mixes,
-)
+from repro.analysis.adoption import FleetMix, run_adoption_sweep, windows_refresh_mixes
 from repro.analysis.fleet import (
     _slice_runs,
+    FleetSweepInfo,
     run_fleet_adoption_sweep,
     run_fleet_adoption_sweep_stats,
+    run_fleet_population_stats,
 )
 from repro.clients.fleet import calibrate_profiles, outcome_tables
 from repro.clients.profiles import (
@@ -34,34 +34,53 @@ def as_tuples(points):
 
 
 def test_fleet_sweep_matches_object_path():
-    """The tentpole equivalence: per-profile calibration broadcast over
-    columns must reproduce the live-client sweep's counts exactly."""
+    """The tentpole equivalence: per-profile calibration folded as
+    count × outcome must reproduce the live-client sweep's counts exactly."""
     mixes = windows_refresh_mixes(fleet_size=12)
-    assert as_tuples(run_fleet_adoption_sweep(mixes, min_shard=4)) == as_tuples(
-        run_adoption_sweep(mixes)
-    )
+    assert as_tuples(run_fleet_adoption_sweep(mixes)) == as_tuples(run_adoption_sweep(mixes))
 
 
 def test_fleet_sweep_equivalence_with_intervention_off():
     config = TestbedConfig(poisoned_dns=False)
     mixes = windows_refresh_mixes(fleet_size=10)
-    assert as_tuples(run_fleet_adoption_sweep(mixes, config, min_shard=4)) == as_tuples(
+    assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
         run_adoption_sweep(mixes, config)
     )
 
 
-def test_fleet_sweep_byte_identical_at_any_jobs():
-    mixes = windows_refresh_mixes(fleet_size=1000)
-    serial = sweep_table(run_fleet_adoption_sweep(mixes, jobs=1, min_shard=64))
-    sharded = sweep_table(run_fleet_adoption_sweep(mixes, jobs=4, min_shard=64))
-    assert serial == sharded
+@pytest.mark.parametrize(
+    "config",
+    [TestbedConfig(), TestbedConfig(poisoned_dns=False), TestbedConfig(use_rpz=True)],
+    ids=["poisoner", "no-intervention", "rpz"],
+)
+def test_closed_form_matches_object_path_for_every_profile(config):
+    """Every profile, with counts of 1 and 2 in both orders: at most 17
+    live clients per stage testbed, inside its 50-address IPv4 pool."""
+    mixes = [
+        FleetMix(tuple((p, 1 + i % 2) for i, p in enumerate(ALL_PROFILES)), label="odd"),
+        FleetMix(tuple((p, 2 - i % 2) for i, p in enumerate(ALL_PROFILES)), label="even"),
+    ]
+    assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
+        run_adoption_sweep(mixes, config)
+    )
 
 
-def test_fleet_sweep_independent_of_shard_geometry():
-    mixes = windows_refresh_mixes(fleet_size=997)  # prime: awkward chunking
-    coarse = run_fleet_adoption_sweep(mixes, min_shard=100_000)
-    fine = run_fleet_adoption_sweep(mixes, min_shard=7)
-    assert as_tuples(coarse) == as_tuples(fine)
+@pytest.mark.parametrize(
+    "twin",
+    [
+        replace(WINDOWS_10, ipv6_enabled=False),
+        replace(WINDOWS_11_RFC8925, supports_option_108=False),
+    ],
+    ids=["v6-disabled", "no-option-108"],
+)
+def test_profiles_sharing_a_name_calibrate_separately(twin):
+    """A profile is its value, not its name: a same-named twin with one
+    field changed gets its own calibrated outcome on both fleet paths."""
+    original = next(p for p in ALL_PROFILES if p.name == twin.name)
+    mixes = [FleetMix(((original, 2), (twin, 2)))]
+    expected = as_tuples(run_adoption_sweep(mixes))
+    assert as_tuples(run_fleet_adoption_sweep(mixes)) == expected
+    assert as_tuples(run_fleet_population_stats(mixes, jobs=1)[0]) == expected
 
 
 def test_fleet_sweep_scales_without_v4_pool_exhaustion():
@@ -78,14 +97,9 @@ def test_fleet_sweep_scales_without_v4_pool_exhaustion():
 
 def test_fleet_info_accounting():
     mixes = windows_refresh_mixes(fleet_size=100)
-    _points, stats, info = run_fleet_adoption_sweep_stats(mixes, jobs=2, min_shard=10)
-    assert info.devices == 5 * 100
-    assert info.stages == 5
-    assert info.distinct_profiles == 4
-    assert info.shard_count >= 5
-    assert info.bytes_per_device == 7.0
-    assert stats.jobs == 2
-    assert not stats.failures
+    points, info = run_fleet_adoption_sweep_stats(mixes)
+    assert info == FleetSweepInfo(devices=5 * 100, stages=5, distinct_profiles=4)
+    assert [p.total for p in points] == [100] * 5
 
 
 def test_calibration_reuse_and_mismatch():

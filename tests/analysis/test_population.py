@@ -44,9 +44,7 @@ def _state_bytes(state):
 
 def test_population_matches_fold_only_sweep():
     mixes = windows_refresh_mixes(fleet_size=FLEET)
-    fold_points, _stats, _info = run_fleet_adoption_sweep_stats(
-        mixes, jobs=2, min_shard=MIN_SHARD
-    )
+    fold_points, _info = run_fleet_adoption_sweep_stats(mixes)
     points, _stats, _info, states = _run("pickle")
     assert sweep_table(points) == sweep_table(fold_points)
     assert len(states) == len(mixes)

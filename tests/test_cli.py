@@ -42,6 +42,26 @@ class TestCli:
         summary = capsys.readouterr().err
         assert summary.startswith("fleet: 5000 devices") and "peak RSS" not in summary
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--fleet", "2"], ["sweep", "--fleet", "-2"],
+         ["fleet", "--devices", "1"], ["fleet", "--devices", "-3"]],
+    )
+    def test_fleets_smaller_than_the_fixed_devices_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: repro {argv[0]}") and "must be at least 3" in err
+
+    def test_smallest_fleet_prints_one_table_on_both_paths(self, capsys):
+        assert main(["sweep", "--fleet", "3"]) == 0
+        sweep = capsys.readouterr().out
+        assert main(["fleet", "--devices", "3"]) == 0
+        assert capsys.readouterr().out == sweep
+        assert "100% refreshed       3         1       2          1          67%" in sweep
+
     def test_sweep_jobs_matches_serial(self, capsys):
         assert main(["sweep", "--fleet", "6", "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
