@@ -15,6 +15,12 @@ with ``PYTHONPATH=src`` from the repository root:
   test-ipv6.com``
 - ``fleet_100k.txt`` — ``python -m repro fleet --devices 100000 --jobs 1``
   (stdout only; the timing summary goes to stderr)
+- ``probe_trace.txt`` — ``repro.lint._probe.deterministic_dump(jobs=1)``
+  (the sanitizer's dump) with the frame hex cut from each packet-trace
+  line: the trace summaries in capture order, then the sweep and matrix
+  tables
+- ``probe_dump.sha256`` — the sha256 of that whole dump, frame hex
+  included, so every captured byte is pinned too
 
 A refactor is accepted against these bytes, not against a retained
 second implementation.  A change that is meant to move a table updates
@@ -23,6 +29,8 @@ its file in the same commit, with the reason in the commit message.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -30,6 +38,7 @@ import pytest
 from repro.__main__ import main
 from repro.analysis.adoption import run_adoption_sweep, sweep_table, windows_refresh_mixes
 from repro.core.testbed import TestbedConfig
+from repro.lint._probe import deterministic_dump
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -47,6 +56,19 @@ def _sweep_no_intervention(capsys):
     return sweep_table(run_adoption_sweep(mixes, TestbedConfig(poisoned_dns=False)))
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_dump():
+    return deterministic_dump(jobs=1)
+
+
+def _probe_trace(capsys):
+    return "".join(line.partition(" | ")[0] + "\n" for line in _probe_dump().splitlines())
+
+
+def _probe_sha256(capsys):
+    return hashlib.sha256(_probe_dump().encode("utf-8")).hexdigest() + "\n"
+
+
 OUTPUTS = {
     "sweep.txt": _cli("sweep", "--jobs", "1"),
     "sweep_no_intervention.txt": _sweep_no_intervention,
@@ -55,6 +77,8 @@ OUTPUTS = {
     "scores.txt": _cli("scores"),
     "scores_test_ipv6.txt": _cli("scores", "--poison-target", "test-ipv6.com"),
     "fleet_100k.txt": _cli("fleet", "--devices", "100000", "--jobs", "1"),
+    "probe_trace.txt": _probe_trace,
+    "probe_dump.sha256": _probe_sha256,
 }
 
 
