@@ -89,7 +89,6 @@ class EventEngine:
         self._overflow: List[Entry] = []  # heapq beyond the tier-1 block
         self._cursor = 0  # next absolute tier-0 slot to collect
         self._pool: List[Entry] = []  # entry freelist (the slab)
-        self.list_pool: List[List[Any]] = []  # scratch lists for frame batches
         self._sequence = 0
         self._now = 0.0
         self.rng = random.Random(seed)

@@ -146,7 +146,7 @@ class MobileGateway5G(Node):
         """Power-cycle: new GUA /64 from the operator, all state lost."""
         old_gua = self._gateway_gua()
         self.reboots += 1
-        self.lan_iface.ipv6_addresses.discard(old_gua)
+        self.lan_iface.remove_ipv6(old_gua)
         self.lan_iface.add_ipv6(self._gateway_gua())
         self.wan_iface.proxy_nd_prefixes.clear()
         self.wan_iface.proxy_nd_prefixes.append(self.gua_prefix)

@@ -36,7 +36,7 @@ from repro.net.icmpv6 import (
 )
 from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
-from repro.net.lazy import decode_ipv4_cached, decode_ipv6_cached, LazyEthernetFrame, LazyIPv6Packet
+from repro.net.lazy import decode_ipv4_cached, decode_ipv6_cached, LazyIPv6Packet
 from repro.sim.engine import EventEngine
 from repro.sim.node import Port
 
@@ -68,6 +68,18 @@ def _mac_wire(mac: MacAddress) -> bytes:
     """``mac.to_bytes()``, memoized — the destination-MAC population of
     a simulation is bounded by its host count."""
     return mac.to_bytes()
+
+
+def _solicited_wire(address: IPv6Address) -> bytes:
+    """The destination MAC of ``address``'s solicited-node group."""
+    return _mac_wire(multicast_mac_for_ipv6(solicited_node_multicast(address)))
+
+
+_BROADCAST_WIRE = MAC_BROADCAST.to_bytes()
+_ALL_NODES_WIRE = multicast_mac_for_ipv6(ALL_NODES_V6).to_bytes()
+_ALL_ROUTERS_WIRE = multicast_mac_for_ipv6(ALL_ROUTERS_V6).to_bytes()
+#: 33:33:ff, the first three bytes of every solicited-node group MAC.
+_SOLICITED_WIRE_PREFIX = b"\x33\x33\xff"
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +125,20 @@ class L2Interface:
         #: behind it (the 5G gateway proxies its LAN prefix on the WAN).
         self.proxy_nd_prefixes: List[IPv6Network] = []
         self.proxy_arp_networks: List[IPv4Network] = []
+        #: The NIC's receive filter: the destination MACs it keeps —
+        #: its own, broadcast, all-nodes, all-routers on a router, and
+        #: the solicited-node group of each own IPv6 address (kept in
+        #: step by :meth:`add_ipv6`/:meth:`remove_ipv6`).  An interface
+        #: with :attr:`proxy_nd_prefixes` also keeps every solicited-node
+        #: group, since it answers for addresses it does not own.
+        self._accept: Set[bytes] = {
+            self._mac_bytes,
+            _BROADCAST_WIRE,
+            _ALL_NODES_WIRE,
+            _solicited_wire(self.link_local),
+        }
+        if is_router:
+            self._accept.add(_ALL_ROUTERS_WIRE)
         self.v4_neighbors: Dict[IPv4Address, MacAddress] = {}
         self.v6_neighbors: Dict[IPv6Address, MacAddress] = {}
         self._pending_v4: Dict[IPv4Address, List[bytes]] = {}
@@ -147,27 +173,36 @@ class L2Interface:
 
     def add_ipv6(self, address: IPv6Address, prefix: Optional[IPv6Network] = None) -> None:
         self.ipv6_addresses.add(address)
+        self._accept.add(_solicited_wire(address))
         if prefix is not None and prefix not in self.ipv6_prefixes:
             self.ipv6_prefixes.append(prefix)
+
+    def remove_ipv6(self, address: IPv6Address) -> None:
+        self.ipv6_addresses.discard(address)
+        group = _solicited_wire(address)
+        # Leave the group only if no remaining address shares it.
+        if not any(_solicited_wire(other) == group for other in self.ipv6_addresses):
+            self._accept.discard(group)
 
     def primary_ipv4(self) -> Optional[IPv4Address]:
         return next(iter(sorted(self.ipv4_addresses, key=int)), None)
 
     # -- frame intake -------------------------------------------------------------
 
-    def accepts(self, frame: LazyEthernetFrame) -> bool:
-        dst = frame.dst_bytes
-        # The multicast I/G bit also covers broadcast (all-ones MAC).
-        return dst == self._mac_bytes or bool(dst[0] & 1)
-
     def handle_frame(self, raw: bytes) -> None:
-        # Accept filter straight off the wire — the multicast I/G bit
-        # (which also covers broadcast) or our own MAC — then dispatch on
-        # the ethertype bytes.  The whole receive path works from the raw
-        # frame: no frame object is ever built (the L3 decode caches key
-        # by payload value, and the source MAC is only materialized when
-        # a neighbor entry is actually learned).
-        if len(raw) < 14 or not (raw[0] & 1 or raw.startswith(self._mac_bytes)):
+        # The NIC filter straight off the wire: a frame whose destination
+        # MAC the interface has not joined (another host's unicast or
+        # solicited-node group, or an RS on a host) is dropped before
+        # anything is decoded.  Then dispatch on the ethertype bytes.
+        # The whole receive path works from the raw frame: no frame
+        # object is ever built (the L3 decode caches key by payload
+        # value, and the source MAC is only materialized when a neighbor
+        # entry is actually learned).
+        if len(raw) < 14:
+            return
+        if raw[:6] not in self._accept and not (
+            self.proxy_nd_prefixes and raw.startswith(_SOLICITED_WIRE_PREFIX)
+        ):
             return
         ethertype = (raw[12] << 8) | raw[13]
         if ethertype == _ETHERTYPE_IPV4:

@@ -745,33 +745,26 @@ class HostStack(Node):
         )
         if not local:
             return
-        # UDP dominates this path (DNS + DHCP); inline its demux branch
-        # and fall through to the full demux for everything else.
-        if packet.proto == _IPPROTO_UDP:
-            src = packet.src
-            try:
-                datagram = UdpDatagram.decode(packet.payload, src, dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(src, datagram.src_port, datagram.payload)
-            return
         self._demux_ipv4(packet)
+
+    def _deliver_udp(self, src: AnyAddress, dst: AnyAddress, data: bytes) -> None:
+        # The destination port comes straight off the header, so a
+        # datagram to a port nothing is bound to (every other host's
+        # DHCP broadcast) is dropped before it is decoded or its
+        # checksum summed.  A header too short to hold a port can only
+        # name an unbound one, or fail the decode below.
+        sock = self._udp_sockets.get(int.from_bytes(data[2:4], "big"))
+        if sock is None:
+            return
+        try:
+            datagram = UdpDatagram.decode(data, src, dst)
+        except ValueError:
+            return
+        sock._deliver(src, datagram.src_port, datagram.payload)
 
     def _demux_ipv4(self, packet: IPv4Packet) -> None:
         if packet.proto == _IPPROTO_UDP:
-            try:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(packet.src, datagram.src_port, datagram.payload)
+            self._deliver_udp(packet.src, packet.dst, packet.payload)
             return
         if packet.proto == _IPPROTO_TCP:
             self._handle_tcp(packet.src, packet.dst, packet.payload)
@@ -817,15 +810,7 @@ class HostStack(Node):
             self._demux_ipv4(translated)
             return
         if packet.next_header == _IPPROTO_UDP:
-            try:
-                datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            except ValueError:
-                return
-            try:
-                sock = self._udp_sockets[datagram.dst_port]
-            except KeyError:
-                return
-            sock._deliver(packet.src, datagram.src_port, datagram.payload)
+            self._deliver_udp(packet.src, dst, packet.payload)
             return
         if packet.next_header == _IPPROTO_TCP:
             self._handle_tcp(packet.src, packet.dst, packet.payload)

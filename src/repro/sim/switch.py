@@ -19,6 +19,7 @@ from repro.net.lazy import LazyEthernetFrame
 # Plain int for the raw-bytes ethertype test on the forwarding path.
 _ETHERTYPE_IPV6 = int(EtherType.IPV6)
 from repro.sim.engine import EventEngine
+from repro.sim.link import flood
 from repro.sim.node import Node, Port
 
 __all__ = ["ManagedSwitch"]
@@ -96,9 +97,7 @@ class ManagedSwitch(Node):
                 return
         # Flood: broadcast, multicast and unknown unicast.
         self.flooded += 1
-        for out in self._live_ports:
-            if out is not port:
-                out.transmit(frame_bytes)
+        flood(self.engine, self._live_ports, frame_bytes, port)
 
     def on_link_change(self, port: Port) -> None:
         """Keep the flood set to live ports, and forget the MACs learned
@@ -147,29 +146,17 @@ class ManagedSwitch(Node):
             ethertype=EtherType.IPV6,
             payload=packet.encode(),
         )
-        raw = frame.encode()
-        for port in self._live_ports:
-            port.transmit(raw)
+        flood(self.engine, self._live_ports, frame.encode())
 
     @staticmethod
     def _is_router_solicitation_raw(frame_bytes: bytes) -> bool:
-        """Byte-level RS check on the whole wire frame, no slicing."""
+        """Byte-level RS check on the whole wire frame; equivalent to
+        decoding the IPv6 packet and testing ``next_header == ICMPv6 and
+        payload[0] == 133``, with the same validation the full decoder
+        applies first."""
         if (frame_bytes[12] << 8) | frame_bytes[13] != _ETHERTYPE_IPV6:
             return False
         data = frame_bytes[LazyEthernetFrame.HEADER_LEN :]
-        return ManagedSwitch._is_router_solicitation_payload(data)
-
-    @staticmethod
-    def _is_router_solicitation(frame: LazyEthernetFrame) -> bool:
-        """Cheap byte-level check; equivalent to decoding the IPv6 packet
-        and testing ``next_header == ICMPv6 and payload[0] == 133``, with
-        the same validation the full decoder applies first."""
-        if frame.ethertype != EtherType.IPV6:
-            return False
-        return ManagedSwitch._is_router_solicitation_payload(frame.payload)
-
-    @staticmethod
-    def _is_router_solicitation_payload(data: bytes) -> bool:
         # next_header first: TCP/UDP frames (the bulk of switch traffic)
         # exit on one byte compare before any length arithmetic.
         if (

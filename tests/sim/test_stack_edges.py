@@ -1,13 +1,18 @@
 """Host-stack edge cases: socket management, CLAT data paths, interface
-pending-queue expiry, proxy ARP/ND."""
+pending-queue expiry, proxy ARP/ND, the NIC receive filter and the UDP
+port demux."""
 
 import pytest
 
 from repro.clients.profiles import MACOS
 from repro.core.testbed import build_testbed, TestbedConfig
+from repro.nd.ra import RaDaemonConfig
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from repro.net.ipv4 import IPProto, IPv4Packet
+from repro.net.udp import UdpDatagram
 from repro.sim.host import Host, ServerHost
 from repro.sim.node import connect
+from repro.sim.router import Router
 from repro.sim.switch import ManagedSwitch
 
 
@@ -107,6 +112,115 @@ class TestNeighborQueues:
         asker.send_udp(50000, IPv6Address("2001:db8:9::7"), 53, b"x")
         engine.run_for(0.5)
         assert asker.iface.v6_neighbors.get(IPv6Address("2001:db8:9::7")) == proxy.mac
+
+
+def _spy_ipv6(iface):
+    """Record every IPv6 frame ``iface`` passes its NIC filter (and so
+    goes on to decode)."""
+    seen = []
+    handle = iface._handle_ipv6
+
+    def spy(raw):
+        seen.append(raw)
+        handle(raw)
+
+    iface._handle_ipv6 = spy
+    return seen
+
+
+class TestNicFilter:
+    PREFIX = IPv6Network("2001:db8::/64")
+
+    @pytest.fixture
+    def v6lan(self, engine):
+        """A router and three hosts, 2001:db8::1-3, on one switch."""
+        switch = ManagedSwitch(engine, "sw")
+        router = Router(engine, "rtr")
+        lan = router.add_interface("lan", ipv6=(IPv6Address("2001:db8::ff"), self.PREFIX))
+        solicitations = []
+        lan.on_rs = lambda rs, src: solicitations.append(src)
+        connect(engine, router.port("lan"), switch.add_port("p0"))
+        hosts = []
+        for number in (1, 2, 3):
+            host = ServerHost(engine, f"h{number}", ipv6=IPv6Address(f"2001:db8::{number}"),
+                              ipv6_network=self.PREFIX)
+            connect(engine, host.port("eth0"), switch.add_port(f"p{number}"))
+            hosts.append(host)
+        return engine, router, solicitations, hosts
+
+    def test_host_drops_rs_and_foreign_ns_before_decoding(self, v6lan):
+        engine, router, solicitations, (a, b, c) = v6lan
+        decoded = _spy_ipv6(b.iface)
+        neighbors = dict(b.iface.v6_neighbors)
+        a.solicit_routers()
+        # Resolving h3 multicasts an NS to h3's solicited-node group.
+        a.send_udp(50000, IPv6Address("2001:db8::3"), 9, b"x")
+        engine.run_for(0.1)
+        assert decoded == []
+        assert b.iface.v6_neighbors == neighbors  # it learned neither sender
+
+    def test_own_ns_all_nodes_ra_and_router_rs_still_get_through(self, v6lan):
+        engine, router, solicitations, (a, b, c) = v6lan
+        a.solicit_routers()
+        a.send_udp(50000, IPv6Address("2001:db8::3"), 9, b"x")
+        engine.run_for(0.1)
+        assert solicitations == [a.iface.link_local]
+        assert a.iface.v6_neighbors[IPv6Address("2001:db8::3")] == c.mac
+        decoded = _spy_ipv6(b.iface)
+        router.enable_ra("lan", RaDaemonConfig(prefixes=(IPv6Network("2001:db8:1::/64"),)))
+        engine.run_for(0.1)
+        assert [raw[6:12] for raw in decoded] == [router.ifaces["lan"].mac.to_bytes()]
+
+    def test_removed_address_leaves_its_group_unless_another_shares_it(self, v6lan):
+        engine, router, solicitations, (a, b, c) = v6lan
+        # fd00::3 has the same low 24 bits, so the same group, as 2001:db8::3.
+        c.iface.add_ipv6(IPv6Address("fd00::3"))
+        c.iface.remove_ipv6(IPv6Address("fd00::3"))
+        a.send_udp(50000, IPv6Address("2001:db8::3"), 9, b"x")
+        engine.run_for(0.1)
+        assert a.iface.v6_neighbors[IPv6Address("2001:db8::3")] == c.mac
+        decoded = _spy_ipv6(c.iface)
+        c.iface.remove_ipv6(IPv6Address("2001:db8::3"))
+        a.send_udp(50000, IPv6Address("2001:db8::103"), 9, b"x")
+        engine.run_for(0.1)
+        assert decoded == []
+
+
+class TestUdpDemux:
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """Destination addresses of every UdpDatagram.decode call."""
+        calls = []
+        decode = UdpDatagram.decode
+
+        def counting(data, src, dst, verify=True):
+            calls.append(dst)
+            return decode(data, src, dst, verify)
+
+        monkeypatch.setattr(UdpDatagram, "decode", staticmethod(counting))
+        return calls
+
+    def test_broadcast_to_unbound_port_is_never_decoded(self, lan, decodes):
+        engine, a, b = lan
+        a.send_udp(50000, IPv4Address("255.255.255.255"), 6000, b"x")
+        engine.run_for(0.1)
+        assert decodes == []
+        sock = b.udp_open(6000)
+        a.send_udp(50000, IPv4Address("255.255.255.255"), 6000, b"y")
+        engine.run_for(0.1)
+        assert decodes == [IPv4Address("255.255.255.255")]
+        assert [payload for _, _, payload in sock.inbox] == [b"y"]
+
+    def test_bad_checksum_to_bound_port_is_dropped(self, lan):
+        engine, a, b = lan
+        sock = b.udp_open(7000)
+        src, dst = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+        good = UdpDatagram(50000, 7000, b"hello").encode(src, dst)
+        bad = good[:6] + bytes([good[6] ^ 0xFF]) + good[7:]
+        for payload in (bad, good):
+            a.send_ipv4_packet(IPv4Packet(src=src, dst=dst, proto=IPProto.UDP, payload=payload))
+            engine.run_for(0.1)
+        assert [payload for _, _, payload in sock.inbox] == [b"hello"]
 
 
 class TestClatDataPaths:
