@@ -70,16 +70,19 @@ def _mac_wire(mac: MacAddress) -> bytes:
     return mac.to_bytes()
 
 
-def _solicited_wire(address: IPv6Address) -> bytes:
-    """The destination MAC of ``address``'s solicited-node group."""
-    return _mac_wire(multicast_mac_for_ipv6(solicited_node_multicast(address)))
-
-
 _BROADCAST_WIRE = MAC_BROADCAST.to_bytes()
 _ALL_NODES_WIRE = multicast_mac_for_ipv6(ALL_NODES_V6).to_bytes()
 _ALL_ROUTERS_WIRE = multicast_mac_for_ipv6(ALL_ROUTERS_V6).to_bytes()
 #: 33:33:ff, the first three bytes of every solicited-node group MAC.
 _SOLICITED_WIRE_PREFIX = b"\x33\x33\xff"
+
+
+def _solicited_wire(address: IPv6Address) -> bytes:
+    """The destination MAC of ``address``'s solicited-node group:
+    33:33:ff and the address's low 24 bits.  Built directly rather than
+    through the memoized address helpers, whose caches would keep three
+    objects per group."""
+    return _SOLICITED_WIRE_PREFIX + (int(address) & 0xFFFFFF).to_bytes(3, "big")
 
 
 @lru_cache(maxsize=None)

@@ -34,10 +34,9 @@ class Port:
         #: skipping the ``on_frame`` trampoline.  ``None`` falls back to
         #: ``node.on_frame(port, frame)`` (the switch needs the port).
         self.sink: Optional[Callable[[bytes], None]] = None
-        #: Identity-stable bound :meth:`deliver`, scheduled directly by
-        #: the link for single-frame ticks (``port.deliver`` would mint
-        #: a fresh bound method per access, defeating the link's ``is``
-        #: check when it upgrades a pending delivery into a batch).
+        #: Bound :meth:`deliver`, taken once: the link schedules it for a
+        #: lone frame and its drains call it per slot, where
+        #: ``port.deliver`` would mint a fresh bound method per frame.
         self.deliver_cb: Callable[[bytes], None] = self.deliver
 
     @property
