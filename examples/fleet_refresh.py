@@ -4,32 +4,21 @@ end-of-life deadline provides a rare opportunity to leverage the
 Windows 11 refresh cycle as a catalyst for sunsetting IPv4."
 
 Sweep a campus fleet through its refresh stages and watch IPv4 demand
-collapse while the accurate IPv6-only share climbs — every data point
-measured on a live simulated testbed, not interpolated.  Each stage is
-an independent testbed, so the sweep shards across worker processes
-with ``--jobs`` (the merged table is byte-identical at any job count).
+collapse while the accurate IPv6-only share climbs.  Each distinct
+device profile is measured once with a live client on the simulated
+testbed, and every stage counts its devices by those outcomes, not by
+interpolation.
 
-Run:  python examples/fleet_refresh.py [--jobs N]
+Run:  python examples/fleet_refresh.py
 """
 
-import argparse
-import sys
-
-from repro.analysis.adoption import run_adoption_sweep, sweep_table, windows_refresh_mixes
+from repro.analysis.adoption import sweep_table, windows_refresh_mixes
+from repro.analysis.fleet import run_fleet_adoption_sweep
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description="Windows-refresh adoption sweep (§VII)")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the sweep (default: $REPRO_JOBS or 1; 0 = all cores)",
-    )
-    args = parser.parse_args([] if argv is None else argv)
-
+def main() -> None:
     mixes = windows_refresh_mixes(fleet_size=23, stages=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
-    points = run_adoption_sweep(mixes, jobs=args.jobs)
+    points = run_fleet_adoption_sweep(mixes)
     print(sweep_table(points))
     print()
     first, last = points[0], points[-1]
@@ -41,4 +30,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

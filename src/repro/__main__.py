@@ -3,8 +3,8 @@
 Commands:
 
 - ``matrix``      — run the §V device-outcome matrix (intervention on/off)
-- ``sweep``       — the §VII Windows-refresh adoption trajectory
-- ``fleet``       — the same trajectory at fleet scale, in closed form
+- ``sweep``       — the §VII Windows-refresh adoption trajectory, within the testbed's DHCP pool
+- ``fleet``       — the same trajectory at fleet scale, as IPv4 demand
 - ``scores``      — mirror scores per device class, stock vs fixed
 - ``demo``        — the quickstart walk-through
 - ``experiments`` — one-line status for every paper experiment (E1-E16)
@@ -17,14 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.adoption import (
-    FIXED_DEVICES,
-    run_adoption_sweep,
-    sweep_table,
-    windows_refresh_mixes,
-)
+from repro.analysis.adoption import FIXED_DEVICES, sweep_table, windows_refresh_mixes
+from repro.analysis.fleet import run_fleet_adoption_sweep_stats
 from repro.analysis.matrix import matrix_table, run_device_matrix
-from repro.core.testbed import build_testbed, TestbedConfig
+from repro.core.testbed import build_testbed, PI_POOL_SIZE, TestbedConfig
 
 __all__ = ["main"]
 
@@ -46,8 +42,28 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """The §VII trajectory on the paper's testbed, in closed form.
+
+    Each distinct profile is calibrated once with a live client and
+    each stage folds as ``count × calibrated outcome``, as in
+    ``fleet``.  That equals measuring every device live while each
+    stage's IPv4 demand fits the Pi DHCP pool; past it the live
+    testbed would starve the last devices of a lease and count starved
+    Windows 10 machines as IPv6-only.  So a fleet whose demand
+    outgrows the pool is a usage error that points at ``fleet``,
+    which reports demand without modelling the pool.  ``--jobs`` has
+    nothing to fan out.
+    """
     mixes = windows_refresh_mixes(fleet_size=args.fleet)
-    print(sweep_table(run_adoption_sweep(mixes, jobs=args.jobs)))
+    points, _info = run_fleet_adoption_sweep_stats(mixes)
+    peak = max(points, key=lambda point: point.ipv4_leases)
+    if peak.ipv4_leases > PI_POOL_SIZE:
+        args.usage_error(
+            f"argument --fleet: {args.fleet} devices need {peak.ipv4_leases} IPv4 leases "
+            f"at {peak.label}, more than the {PI_POOL_SIZE}-address Pi DHCP pool; "
+            f"'repro fleet --devices {args.fleet}' reports that demand without the pool"
+        )
+    print(sweep_table(points))
     return 0
 
 
@@ -63,7 +79,6 @@ def cmd_fleet(args) -> int:
     """
     import time
 
-    from repro.analysis.fleet import run_fleet_adoption_sweep_stats
     from repro.core.rss import peak_rss_bytes
 
     mixes = windows_refresh_mixes(fleet_size=args.devices)
@@ -190,8 +205,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = "worker processes for the sweep (default: $REPRO_JOBS or 1; 0 = all cores)"
+    jobs_help = "worker processes for the matrix (default: $REPRO_JOBS or 1; 0 = all cores)"
     fleet_size_help = f"devices per refresh stage, at least {FIXED_DEVICES} (2 Macs + 1 IoT box)"
+    no_jobs_help = "accepted for compatibility; has no effect (the closed form runs in-process)"
 
     p_matrix = sub.add_parser("matrix", help="device outcome matrix (§V)")
     p_matrix.add_argument("--no-intervention", action="store_true")
@@ -199,23 +215,25 @@ def main(argv=None) -> int:
     p_matrix.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_matrix.set_defaults(fn=cmd_matrix)
 
-    p_sweep = sub.add_parser("sweep", help="Windows-refresh adoption sweep (§VII)")
-    p_sweep.add_argument("--fleet", type=fleet_size, default=15, help=fleet_size_help)
-    p_sweep.add_argument("--jobs", type=int, default=None, help=jobs_help)
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_fleet = sub.add_parser(
-        "fleet", help="adoption sweep at fleet scale, in closed form (count x calibrated outcome)"
+    sweep_help = (
+        f"Windows-refresh adoption sweep (§VII) on the testbed: no stage may need more "
+        f"IPv4 leases than its {PI_POOL_SIZE}-address Pi DHCP pool holds (beyond it, use fleet)"
     )
+    p_sweep = sub.add_parser("sweep", help=sweep_help, description=sweep_help)
+    p_sweep.add_argument("--fleet", type=fleet_size, default=15, help=fleet_size_help)
+    p_sweep.add_argument("--jobs", type=int, default=None, help=no_jobs_help)
+    p_sweep.set_defaults(fn=cmd_sweep, usage_error=p_sweep.error)
+
+    fleet_help = (
+        "adoption sweep at fleet scale, in closed form (count x calibrated outcome): "
+        "reports IPv4 demand and does not model the DHCP pool"
+    )
+    p_fleet = sub.add_parser("fleet", help=fleet_help, description=fleet_help)
     p_fleet.add_argument(
         "--devices", type=fleet_size, default=1_000_000,
         help=f"{fleet_size_help} (default: 1,000,000)",
     )
-    p_fleet.add_argument(
-        "--jobs", type=int, default=None,
-        help="accepted for compatibility with the other sweeps; has no effect here "
-             "(the closed form runs in this process)",
-    )
+    p_fleet.add_argument("--jobs", type=int, default=None, help=no_jobs_help)
     p_fleet.set_defaults(fn=cmd_fleet)
 
     p_scores = sub.add_parser("scores", help="mirror scores, stock vs fixed (§VI)")

@@ -12,6 +12,15 @@ native IPv4, how many hit the intervention, and the accurate IPv6-only
 share.  The output is the adoption trajectory the paper's conclusion
 argues for.
 
+The ``sweep`` and ``fleet`` commands print the same table in closed
+form (:func:`repro.analysis.fleet.run_fleet_adoption_sweep_stats`):
+each distinct profile is measured once and folded by count.  This live
+path is the oracle the tests hold that fold to.  The two agree while
+each stage's IPv4 demand fits the Pi DHCP pool
+(:data:`repro.core.testbed.PI_POOL_SIZE`); past it the live testbed
+runs dry, the devices that join last get no lease, and this path
+counts starved Windows 10 machines as IPv6-only.
+
 Each stage brings up its own testbed and shares no events with the
 others, so the sweep shards one-mix-per-shard over
 :class:`repro.parallel.SweepExecutor`: pass ``jobs=N`` (or set

@@ -1,12 +1,14 @@
 """Million-device adoption sweeps in closed form.
 
 The object path (:func:`repro.analysis.adoption.run_adoption_sweep`)
-simulates every device as a live packet-level client — the right tool
-up to a few hundred devices.  At fleet scale the simulation is not
-needed per device: every device of one OS profile on one testbed
-configuration has the identical observable outcome
-(:mod:`repro.clients.fleet`), so a stage's :class:`AdoptionPoint` is
-the sum over distinct profiles of ``count × outcome``:
+simulates every device as a live packet-level client.  It is the
+oracle for this module while each stage's IPv4 demand fits the Pi DHCP
+pool (:data:`repro.core.testbed.PI_POOL_SIZE`); past it the devices
+that join last get no lease.  The simulation is not needed per device:
+every device of one OS profile on one testbed configuration has the
+identical observable outcome (:mod:`repro.clients.fleet`), so a
+stage's :class:`AdoptionPoint` is the sum over distinct profiles of
+``count × outcome``:
 
 1. **calibrate once** — each *distinct* OS profile in the sweep is
    measured with one live client on a real testbed
@@ -17,8 +19,9 @@ the sum over distinct profiles of ``count × outcome``:
    flags the object path folds for one live client.
 
 That is O(stages × profiles) integer arithmetic in the calling
-process, exact at any device count: no shards, no worker pool and no
-per-device state, so the table cannot depend on ``--jobs``.
+process, exact IPv4 demand at any device count (no pool runs dry): no
+shards, no worker pool and no per-device state, so the table cannot
+depend on ``--jobs``.  Both ``sweep`` and ``fleet`` print it.
 
 :func:`run_fleet_population_stats` is the older columnar path, kept
 until the benchmark's tracer stops naming it: shard workers evaluate
@@ -195,10 +198,11 @@ def run_fleet_adoption_sweep_stats(
 ) -> Tuple[List[AdoptionPoint], FleetSweepInfo]:
     """The closed-form adoption sweep: calibrate once, fold each stage.
 
-    Produces one :class:`AdoptionPoint` per mix, in mix order, equal to
-    the object path's counts at any device count.  ``calibration`` lets
-    a caller reuse a previously-measured profile table (one outcome per
-    :func:`distinct_profiles` entry, in that order) across repeated
+    Produces one :class:`AdoptionPoint` per mix, in mix order.  Each
+    point's ``ipv4_leases`` counts demand, so the points equal the
+    object path's while demand fits the Pi DHCP pool.  ``calibration``
+    lets a caller reuse a previously-measured profile table (one outcome
+    per :func:`distinct_profiles` entry, in that order) across repeated
     sweeps of the same config instead of paying the calibration testbed
     again.
     """

@@ -67,6 +67,10 @@ PI_HEALTHY_V6 = IPv6Address("fd00:976a::9")
 PI_POISON_V4 = IPv4Address("192.168.12.252")
 PI_DHCP_V4 = IPv4Address("192.168.12.250")
 LAN_NETWORK = IPv4Network("192.168.12.0/24")
+#: The Pi DHCP server's pool: what bounds the testbed's IPv4 leases.
+PI_POOL_FIRST = IPv4Address("192.168.12.50")
+PI_POOL_LAST = IPv4Address("192.168.12.99")
+PI_POOL_SIZE = DhcpPool(LAN_NETWORK, PI_POOL_FIRST, PI_POOL_LAST).size
 ULA_PREFIX = IPv6Network("fd00:976a::/64")
 SC24_WEB_V4 = IPv4Address("190.92.158.4")  # 64:ff9b::be5c:9e04 in figure 7
 VPN_ANL_V4 = IPv4Address("130.202.228.253")  # 64:ff9b::82ca:e4fd in figure 10
@@ -335,7 +339,7 @@ class Testbed:
         )
         self.dhcp_server = PolicyDhcpServer(
             self.policy,
-            pool=DhcpPool(LAN_NETWORK, IPv4Address("192.168.12.50"), IPv4Address("192.168.12.99")),
+            pool=DhcpPool(LAN_NETWORK, PI_POOL_FIRST, PI_POOL_LAST),
             server_id=PI_DHCP_V4,
             clock=engine.clock,
             routers=[self.gateway.config.lan_ipv4],

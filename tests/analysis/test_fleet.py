@@ -22,7 +22,7 @@ from repro.clients.profiles import (
     WINDOWS_10,
     WINDOWS_11_RFC8925,
 )
-from repro.core.testbed import Testbed, TestbedConfig
+from repro.core.testbed import PI_POOL_SIZE, Testbed, TestbedConfig
 from repro.sim.fleet import FleetState, OUTCOME_COLUMNS
 
 
@@ -48,11 +48,14 @@ def test_fleet_sweep_equivalence_with_intervention_off():
     )
 
 
-@pytest.mark.parametrize(
+CONFIGS = pytest.mark.parametrize(
     "config",
     [TestbedConfig(), TestbedConfig(poisoned_dns=False), TestbedConfig(use_rpz=True)],
     ids=["poisoner", "no-intervention", "rpz"],
 )
+
+
+@CONFIGS
 def test_closed_form_matches_object_path_for_every_profile(config):
     """Every profile, with counts of 1 and 2 in both orders: at most 17
     live clients per stage testbed, inside its 50-address IPv4 pool."""
@@ -63,6 +66,22 @@ def test_closed_form_matches_object_path_for_every_profile(config):
     assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
         run_adoption_sweep(mixes, config)
     )
+
+
+@CONFIGS
+def test_closed_form_matches_object_path_up_to_the_pool(config):
+    """52 devices fill the Pi pool at 0% refreshed (49 Windows 10 boxes
+    and the IoT box; the Macs take option 108) and the live oracle
+    still equals the fold.  One more Windows 10 box and the live
+    testbed runs dry: it counts a full pool where demand is one more."""
+    mixes = windows_refresh_mixes(fleet_size=52, stages=(0.0, 1.0))
+    assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
+        run_adoption_sweep(mixes, config, jobs=1)
+    )
+    mixes = windows_refresh_mixes(fleet_size=53, stages=(0.0,))
+    [live] = run_adoption_sweep(mixes, config, jobs=1)
+    [closed] = run_fleet_adoption_sweep(mixes, config)
+    assert (live.ipv4_leases, closed.ipv4_leases) == (PI_POOL_SIZE, PI_POOL_SIZE + 1)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,15 @@ when the gateway reboots mid-session, or when the pool runs dry.
 """
 
 
-from repro.clients.profiles import LINUX, MACOS, NINTENDO_SWITCH, WINDOWS_10, WINDOWS_XP
-from repro.core.testbed import build_testbed, PI_HEALTHY_V6, TestbedConfig
+from repro.clients.profiles import (
+    LEGACY_IOT,
+    LINUX,
+    MACOS,
+    NINTENDO_SWITCH,
+    WINDOWS_10,
+    WINDOWS_XP,
+)
+from repro.core.testbed import build_testbed, PI_HEALTHY_V6, PI_POOL_SIZE, TestbedConfig
 from repro.dns.rdata import RCode, RRType
 from repro.net.addresses import IPv4Address, IPv6Address
 
@@ -86,6 +93,20 @@ class TestPoolExhaustion:
             testbed.add_client(MACOS, f"phone-{i}")
         legacy = testbed.add_client(NINTENDO_SWITCH, "legacy")
         assert legacy.host.ipv4_config is not None
+
+    def test_starved_iot_box_never_reaches_the_intervention(self, testbed):
+        """The §VII fleet past the pool: once Windows 10 boxes hold every
+        lease, the IPv4-only IoT box that joins last gets none, so its
+        lookup never reaches the poisoner and it never sees ip6.me."""
+        for i in range(PI_POOL_SIZE):
+            testbed.add_client(WINDOWS_10, f"w10-{i}")
+        iot = testbed.add_client(LEGACY_IOT, "iot")
+        assert iot.host.ipv4_config is None
+        poisoned = testbed.poisoner.poison_answers
+        outcome = iot.fetch("sc24.supercomputing.org")
+        assert outcome.detail == "name resolution failed"
+        assert outcome.landed_on != "ip6.me"
+        assert testbed.poisoner.poison_answers == poisoned
 
 
 class TestGatewayReboot:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.rss import peak_rss_bytes
+from repro.core.testbed import PI_POOL_SIZE
 
 
 class TestCli:
@@ -61,6 +62,22 @@ class TestCli:
         assert main(["fleet", "--devices", "3"]) == 0
         assert capsys.readouterr().out == sweep
         assert "100% refreshed       3         1       2          1          67%" in sweep
+
+    def test_sweep_accepts_a_fleet_whose_ipv4_demand_fills_the_pool(self, capsys):
+        """52 devices: 49 Windows 10 boxes and the IoT box lease the whole
+        pool at 0% refreshed, and the Macs take option 108 instead."""
+        assert main(["sweep", "--fleet", "52"]) == 0
+        out = capsys.readouterr().out
+        assert f"0% refreshed        52        {PI_POOL_SIZE}       2" in out
+
+    def test_sweep_rejects_a_fleet_that_would_drain_the_pool(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--fleet", "53"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: repro sweep")
+        assert "repro fleet" in err and f"{PI_POOL_SIZE}-address Pi DHCP pool" in err
 
     def test_sweep_jobs_matches_serial(self, capsys):
         assert main(["sweep", "--fleet", "6", "--jobs", "1"]) == 0

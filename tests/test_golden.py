@@ -3,7 +3,10 @@
 Each file under ``tests/golden/`` is the stdout of one command, recorded
 with ``PYTHONPATH=src`` from the repository root:
 
-- ``sweep.txt`` — ``python -m repro sweep --jobs 1``
+- ``sweep.txt`` — ``python -m repro sweep --jobs 1``, which folds
+  calibrated profiles in closed form; the live per-stage sweep
+  ``sweep_table(run_adoption_sweep(windows_refresh_mixes(15)))`` that
+  recorded it is diffed against it too
 - ``sweep_no_intervention.txt`` — ``sweep_table(run_adoption_sweep(
   windows_refresh_mixes(8), TestbedConfig(poisoned_dns=False)))``
   (no trailing newline: the table string itself)
@@ -85,3 +88,9 @@ OUTPUTS = {
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
 def test_output_matches_golden(name, capsys):
     assert OUTPUTS[name](capsys) == (GOLDEN / name).read_bytes().decode("utf-8")
+
+
+def test_live_sweep_matches_the_cli_golden():
+    """The live path the closed form is held to prints the same table."""
+    table = sweep_table(run_adoption_sweep(windows_refresh_mixes(15)))
+    assert table + "\n" == (GOLDEN / "sweep.txt").read_bytes().decode("utf-8")
