@@ -125,8 +125,8 @@ class PoisonedDNSServer(ForwardingDnsServer):
         # the server= line forwards everything else.
         return question.rrtype != RRType.A or self._exempt(question.name)
 
-    def _cache_epoch(self) -> object:
-        return (super()._cache_epoch(), self.config)
+    def _cache_policy(self) -> object:
+        return (super()._cache_policy(), self.config)
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question

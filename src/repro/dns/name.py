@@ -165,9 +165,18 @@ class DnsName:
 
         Returns the name and the offset just past its in-place encoding.
         Handles pointer chains with loop protection.
+
+        :func:`decode_labels` already lowercases the labels and bounds
+        each one, so the name is built from its tuple as is; only the
+        total length is left to check, since pointers can assemble a
+        name longer than any one stretch of the message.
         """
         labels, end = decode_labels(data, offset)
-        return cls(labels), end
+        if sum(map(len, labels)) + len(labels) + 1 > MAX_NAME:
+            raise ValueError(f"domain name too long: {'.'.join(labels)!r}")
+        name = object.__new__(cls)
+        object.__setattr__(name, "labels", labels)
+        return name, end
 
     def __str__(self) -> str:
         return ".".join(self.labels) if self.labels else "."

@@ -12,8 +12,8 @@ UDP port 53 on a simulated host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro._compat import slotted_dataclass
 from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
@@ -23,10 +23,17 @@ from repro.dns.zone import Zone
 
 __all__ = ["DnsServer", "ForwardingDnsServer", "QueryLogEntry"]
 
+#: A cache epoch: the policy part and the version of each zone.
+_Epoch = Tuple[object, Tuple[int, ...]]
 
-@dataclass
+
+@slotted_dataclass(frozen=True)
 class QueryLogEntry:
-    """One served query — the raw material for the paper's client counting."""
+    """One served query — the raw material for the paper's client counting.
+
+    Entries are immutable, so a cached answer replayed without a client
+    appends the very entries its record holds: a replayed entry costs
+    the log one pointer, not a new object."""
 
     name: DnsName
     rrtype: int
@@ -43,12 +50,17 @@ class _CachedResponse:
     A record built from an upstream exchange also keeps the query sent
     upstream and the reply that came back, both without their 2-byte
     ident (``forwarded`` and ``reply``); records of zone answers keep
-    ``None`` in both."""
+    ``None`` in both.
 
-    epoch: object
+    ``labels`` is the query name's label tuple when the record may outlive
+    its epoch by the per-name rule (see :class:`DnsServer`), else ``None``.
+    ``log_entries`` hold no client."""
+
+    epoch: _Epoch
     wire: bytes
     log_entries: List[QueryLogEntry]
     counter_deltas: List[Tuple[str, int]]
+    labels: Optional[Tuple[str, ...]] = None
     forwarded: Optional[bytes] = None
     reply: Optional[bytes] = None
 
@@ -64,23 +76,31 @@ class DnsServer:
     Responses are cached as wire templates keyed by the query wire
     *minus its 2-byte ident* (``wire[2:]`` — flags, counts and question
     included), so a hit skips query *decoding* entirely; the ident is
-    patched into the template on each hit.  Every record carries a
-    cache epoch (zone versions + :attr:`policy_epoch`, plus a
-    subclass's config), and one of two validity rules applies:
+    patched into the template on each hit.  Every record carries the
+    cache epoch it was last known valid under: a policy part
+    (:attr:`policy_epoch`, plus a subclass's config) and the zone
+    versions.  One of two validity rules applies:
 
     - the *zone* rule: an answer built from this server's own data holds
-      while the epoch does — it is built once per policy change, not
-      once per query;
+      while the epoch does.  After zone writes it still holds, and is
+      re-stamped with the new epoch, when the policy part and the set of
+      zones are unchanged, no lookup made for it followed a CNAME, and
+      no write since touched its query name or any name below it
+      (:meth:`Zone.touched`).  So an answer is rebuilt when its own name
+      or the policy changes, not once per query or per zone write;
     - the *upstream* rule (:class:`ForwardingDnsServer`): an answer
       built from an upstream exchange also depends on the upstream's
       reply, so a hit still sends the upstream the same query and
       replays only when the reply matches the recorded one byte for
-      byte.
+      byte, under the very epoch it was recorded with.
 
-    Query-log entries and subclass counters (declared in
-    ``_CACHE_COUNTERS``) recorded with the answer are replayed, so
-    observable bookkeeping is identical with and without the cache.
-    :attr:`cache_hits` and :attr:`cache_misses` count the zone rule only.
+    The cache holds at most ``_CACHE_LIMIT`` records and makes room by
+    evicting the least recently used one.  Query-log entries and
+    subclass counters (declared in ``_CACHE_COUNTERS``) recorded with the
+    answer are replayed, so observable bookkeeping is identical with and
+    without the cache; a replay without a client appends the record's
+    own entries.  :attr:`cache_hits` and :attr:`cache_misses` count the
+    zone rule only, re-stamped hits among the hits.
     """
 
     #: Counter attribute names whose increments must replay on cache hits.
@@ -92,12 +112,15 @@ class DnsServer:
         self.name = name
         self._zones: List[Zone] = list(zones)
         self.query_log: List[QueryLogEntry] = []
-        self._response_cache: Dict[bytes, _CachedResponse] = {}
+        #: Least recently used first.
+        self._response_cache: "OrderedDict[bytes, _CachedResponse]" = OrderedDict()
         #: Bump (via :meth:`bump_policy_epoch`) whenever out-of-band
         #: policy affecting responses changes.
         self.policy_epoch = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Set by :meth:`respond` when a zone lookup followed a CNAME.
+        self._chased = False
 
     def add_zone(self, zone: Zone) -> None:
         self._zones.append(zone)
@@ -124,9 +147,13 @@ class DnsServer:
         Malformed queries are dropped (``None``), mirroring real servers.
         """
         key = bytes(wire[2:])
-        cached = self._response_cache.get(key)
-        if cached is not None and cached.epoch == self._cache_epoch():
-            return self._hit(cached, wire, client)
+        cache = self._response_cache
+        cached = cache.get(key)
+        if cached is not None:
+            epoch = self._cache_epoch()
+            if cached.epoch == epoch or self._still_holds(cached, epoch):
+                cache.move_to_end(key)
+                return self._hit(cached, wire, client)
         try:
             query = DnsMessage.decode(wire)
         except ValueError:
@@ -136,6 +163,21 @@ class DnsServer:
         if len(query.questions) > 1:
             return self.respond(query, client).encode()
         return self._record(key, query, client)
+
+    def _still_holds(self, cached: _CachedResponse, epoch: _Epoch) -> bool:
+        """The zone rule across zone writes: whether ``cached``, stamped
+        with an older epoch, still answers under ``epoch``.  If it does,
+        it is re-stamped with ``epoch``."""
+        labels = cached.labels
+        policy, versions = epoch
+        stamped_policy, stamped_versions = cached.epoch
+        if labels is None or policy != stamped_policy or len(versions) != len(stamped_versions):
+            return False
+        for zone, stamped in zip(self._zones, stamped_versions):
+            if zone.touched(labels) > stamped:
+                return False
+        cached.epoch = epoch
+        return True
 
     def _hit(self, cached: _CachedResponse, wire: bytes, client: Optional[object]) -> bytes:
         """Answer ``wire`` from ``cached``, a record whose epoch holds."""
@@ -148,8 +190,10 @@ class DnsServer:
         epoch = self._cache_epoch()
         self.cache_misses += 1
         mark = self._mark()
+        self._chased = False
         answer = self.respond(query, client).encode()
-        self._store(key, epoch, answer, mark)
+        labels = None if self._chased else query.question.name.labels
+        self._store(key, epoch, answer, mark, labels)
         return answer
 
     def _mark(self) -> Tuple[int, List[int]]:
@@ -159,30 +203,34 @@ class DnsServer:
     def _store(
         self,
         key: bytes,
-        epoch: object,
+        epoch: _Epoch,
         answer: bytes,
         mark: Tuple[int, List[int]],
+        labels: Optional[Tuple[str, ...]] = None,
         forwarded: Optional[bytes] = None,
         reply: Optional[bytes] = None,
     ) -> None:
-        """Record ``answer`` with the log entries and counter increments
-        made since ``mark``."""
+        """Record ``answer`` as the most recently used record, with the
+        log entries and counter increments made since ``mark``."""
         log_mark, before = mark
         deltas: List[Tuple[str, int]] = []
         for counter, value in zip(self._CACHE_COUNTERS, before):
             delta = getattr(self, counter) - value
             if delta:
                 deltas.append((counter, delta))
-        if len(self._response_cache) >= self._CACHE_LIMIT:
-            self._response_cache.clear()
-        self._response_cache[key] = _CachedResponse(
+        cache = self._response_cache
+        cache.pop(key, None)
+        if len(cache) >= self._CACHE_LIMIT:
+            cache.popitem(last=False)
+        cache[key] = _CachedResponse(
             epoch=epoch,
             wire=answer,
             log_entries=[
-                QueryLogEntry(e.name, e.rrtype, e.rcode, e.answered_from, None)
+                e if e.client is None else QueryLogEntry(e.name, e.rrtype, e.rcode, e.answered_from)
                 for e in self.query_log[log_mark:]
             ],
             counter_deltas=deltas,
+            labels=labels,
             forwarded=forwarded,
             reply=reply,
         )
@@ -190,10 +238,12 @@ class DnsServer:
     def _replay(self, cached: _CachedResponse, wire: bytes, client: Optional[object]) -> bytes:
         """The recorded answer with ``wire``'s ident, after replaying the
         recorded log entries (for ``client``) and counter increments."""
-        for entry in cached.log_entries:
-            self.query_log.append(
-                QueryLogEntry(entry.name, entry.rrtype, entry.rcode, entry.answered_from, client)
-            )
+        log = self.query_log
+        if client is None:
+            log.extend(cached.log_entries)
+        else:
+            for e in cached.log_entries:
+                log.append(QueryLogEntry(e.name, e.rrtype, e.rcode, e.answered_from, client))
         for counter, delta in cached.counter_deltas:
             setattr(self, counter, getattr(self, counter) + delta)
         answer = cached.wire
@@ -201,10 +251,15 @@ class DnsServer:
             return answer
         return bytes(wire[:2]) + answer[2:]
 
-    def _cache_epoch(self) -> object:
-        """Validity token compared on every hit; any change to zone data
-        or policy yields a different token and forces a rebuild."""
-        return (self.policy_epoch, tuple(zone.version for zone in self._zones))
+    def _cache_policy(self) -> object:
+        """The policy part of the cache epoch: whatever answers depend on
+        besides zone data.  Subclasses add their config."""
+        return self.policy_epoch
+
+    def _cache_epoch(self) -> _Epoch:
+        """Validity token compared on every hit: the policy part and the
+        zone versions."""
+        return (self._cache_policy(), tuple(zone.version for zone in self._zones))
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         """Typed-message counterpart of :meth:`handle_query`."""
@@ -216,6 +271,8 @@ class DnsServer:
             self._log(question, RCode.REFUSED, "refused", client)
             return query.response(rcode=RCode.REFUSED, recursion_available=False)
         result = zone.lookup(question.name, question.rrtype)
+        if result.cname_chain:
+            self._chased = True
         authorities: List[ResourceRecord] = []
         if not result.answers or result.rcode == RCode.NXDOMAIN:
             authorities = [zone.negative_soa()]
@@ -310,7 +367,7 @@ class ForwardingDnsServer(DnsServer):
         query: DnsMessage,
         sent: bytes,
         raw: Optional[bytes],
-        epoch: object,
+        epoch: _Epoch,
         client: Optional[object],
     ) -> bytes:
         """The answer to ``query`` from the upstream's reply ``raw`` to
@@ -323,7 +380,7 @@ class ForwardingDnsServer(DnsServer):
         mark = self._mark()
         answer = self._relay(query, reply, client).encode()
         if raw is not None and reply is not None and epoch == self._cache_epoch():
-            self._store(key, epoch, answer, mark, sent[2:], bytes(raw[2:]))
+            self._store(key, epoch, answer, mark, forwarded=sent[2:], reply=bytes(raw[2:]))
         return answer
 
     def _relay(

@@ -46,13 +46,17 @@ class LookupResult:
 class Zone:
     """A single authoritative zone: an apex name, a SOA and a record set.
 
-    Besides the records themselves the zone keeps two indexes, both keyed
-    by a name's label tuple (hashed in C, and sliced to reach ancestors):
+    Besides the records themselves the zone keeps three indexes, all
+    keyed by a name's label tuple (hashed in C, and sliced to reach
+    ancestors):
 
     * ``_below`` maps every name that exists in the zone to the number of
       records owned at or below it.  A name exists — answers NOERROR,
       possibly with no data — exactly while it has an entry; the apex and
       empty non-terminals exist because records below them are counted.
+    * ``_touched`` maps every name a mutation ever reached — its owner and
+      each ancestor, the names whose count it changed — to the
+      :attr:`version` of the last such mutation (see :meth:`touched`).
     * ``_rrtypes`` lists the record types present at each owner, so a
       mutation touches only the types at its one name.
     """
@@ -67,6 +71,7 @@ class Zone:
         self._records: Dict[Tuple[DnsName, int], List[ResourceRecord]] = {}
         self._rrtypes: Dict[Tuple[str, ...], List[int]] = {}
         self._below: Dict[Tuple[str, ...], int] = {}
+        self._touched: Dict[Tuple[str, ...], int] = {}
         #: Bumped on every mutation; response caches key on it.
         self.version = 0
         self.add(self.origin, RRType.SOA, self.soa, ttl=3600)
@@ -123,16 +128,29 @@ class Zone:
         return removed
 
     def _count(self, owner: DnsName, delta: int) -> None:
-        """Add ``delta`` records to ``owner`` and each ancestor up to the origin."""
+        """Add ``delta`` records to ``owner`` and each ancestor up to the
+        origin, and stamp each of them with the current version."""
         below = self._below
+        touched = self._touched
+        version = self.version
         labels = owner.labels
         for start in range(len(labels) - len(self.origin.labels) + 1):
             node = labels[start:]
+            touched[node] = version
             count = below.get(node, 0) + delta
             if count:
                 below[node] = count
             else:
                 del below[node]
+
+    def touched(self, labels: Tuple[str, ...]) -> int:
+        """The version of the last mutation at or below the name with
+        these labels, or 0 if none ever was.
+
+        A lookup of a name that follows no CNAME reads only the records
+        at that name and whether it exists, so its result is the same at
+        every version from ``touched(labels)`` on."""
+        return self._touched.get(labels, 0)
 
     # -- lookup ---------------------------------------------------------------
 

@@ -5,6 +5,7 @@ against the 5G gateway's limitations (§IV.A).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from repro.dhcp.snooping import DhcpSnooper, SnoopAction
@@ -52,6 +53,10 @@ class ManagedSwitch(Node):
         #: Ports whose link is up, in port-creation order: where floods
         #: and RAs go.  Unplugged attendees' ports leave it.
         self._live_ports: List[Port] = []
+        #: The creation number of each port in ``_live_ports``, in step
+        #: with it: where a cable change inserts or removes its port.
+        self._live_numbers: List[int] = []
+        self._port_numbers: Dict[Port, int] = {}
         self.snooper = DhcpSnooper(enabled=False)
         self.mac = mac or MacAddress(0x02_00_00_00_00_01)
         self._mac_bytes = self.mac.to_bytes()
@@ -60,6 +65,11 @@ class ManagedSwitch(Node):
         self._ra_cancel = None
         self.flooded = 0
         self.forwarded = 0
+
+    def add_port(self, name: str = "eth0") -> Port:
+        port = super().add_port(name)
+        self._port_numbers[port] = len(self._port_numbers)
+        return port
 
     # -- forwarding --------------------------------------------------------------
 
@@ -101,11 +111,25 @@ class ManagedSwitch(Node):
 
     def on_link_change(self, port: Port) -> None:
         """Keep the flood set to live ports, and forget the MACs learned
-        on a port whose link went down, as a real switch does."""
-        self._live_ports = [candidate for candidate in self.ports.values() if candidate.connected]
-        if not port.connected:
-            for mac in [mac for mac, learned in self.mac_table.items() if learned is port]:
-                del self.mac_table[mac]
+        on a port whose link went down, as a real switch does.
+
+        Only ``port`` moves, found by bisection on its creation number,
+        so a cable change costs the same however many ports departed
+        attendees left behind, and a re-plugged port keeps its place."""
+        number = self._port_numbers[port]
+        numbers = self._live_numbers
+        at = bisect_left(numbers, number)
+        live = at < len(numbers) and numbers[at] == number
+        if port.connected:
+            if not live:
+                numbers.insert(at, number)
+                self._live_ports.insert(at, port)
+            return
+        if live:
+            del numbers[at]
+            del self._live_ports[at]
+        for mac in [mac for mac, learned in self.mac_table.items() if learned is port]:
+            del self.mac_table[mac]
 
     # -- the RA workaround ----------------------------------------------------
 

@@ -74,8 +74,8 @@ class DNS64Resolver(DnsServer):
 
     _CACHE_COUNTERS = ("synthesized", "passed_through")
 
-    def _cache_epoch(self) -> object:
-        return (super()._cache_epoch(), self.config)
+    def _cache_policy(self) -> object:
+        return (super()._cache_policy(), self.config)
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question

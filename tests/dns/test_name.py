@@ -1,6 +1,8 @@
 """DNS names: normalization, wire format, compression pointers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.dns.name import DnsName, NameCompressor
 
@@ -92,6 +94,42 @@ class TestWireFormat:
     def test_reserved_label_type(self):
         with pytest.raises(ValueError):
             DnsName.decode(b"\x80x\x00", 0)
+
+    @staticmethod
+    def pointer_built(tail_labels, head_labels):
+        """A message holding ``tail`` at offset 0, then ``head`` followed
+        by a pointer to it; returns the message and the head's offset.
+        Neither stretch is over 255 octets on its own."""
+        tail = b"".join(bytes([len(label)]) + label.encode() for label in tail_labels) + b"\x00"
+        head = b"".join(bytes([len(label)]) + label.encode() for label in head_labels)
+        return tail + head + b"\xc0\x00", len(tail)
+
+    def test_pointer_built_name_over_255_octets_rejected(self):
+        # 4 x (1 + 63) + 1 = 257 octets.
+        data, offset = self.pointer_built(["c" * 63, "d" * 63], ["a" * 63, "b" * 63])
+        with pytest.raises(ValueError, match="too long"):
+            DnsName.decode(data, offset)
+
+    def test_pointer_built_name_of_255_octets_accepted(self):
+        # 3 x (1 + 63) + (1 + 61) + 1 = 255 octets.
+        data, offset = self.pointer_built(["c" * 63, "d" * 61], ["a" * 63, "b" * 63])
+        name, end = DnsName.decode(data, offset)
+        assert len(name.encode()) == 255 and end == len(data)
+
+    @given(
+        labels=st.lists(
+            st.text(alphabet="abcXYZ019-_", min_size=1, max_size=63), min_size=0, max_size=4
+        )
+    )
+    def test_decoded_names_equal_parsed_names(self, labels):
+        wire = b"".join(bytes([len(label)]) + label.encode() for label in labels) + b"\x00"
+        name, end = DnsName.decode(wire, 0)
+        parsed = DnsName(".".join(labels))
+        assert end == len(wire)
+        assert name == parsed and hash(name) == hash(parsed)
+        assert str(name) == str(parsed) and name.labels == parsed.labels
+        assert name.encode() == parsed.encode() == wire.lower()
+        assert {parsed: True}.get(name)
 
 
 class TestCompressor:

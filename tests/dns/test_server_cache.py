@@ -1,14 +1,23 @@
 """The wire-template response cache must be observably transparent:
 identical answers, identical query logs and counters, invalidated the
-moment zone data or intervention policy changes."""
+moment the zone data an answer reads or the intervention policy
+changes, and bounded by evicting the least recently used answer."""
+
+import dataclasses
+import tracemalloc
+from unittest.mock import patch
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervention import InterventionConfig, PoisonedDNSServer
 from repro.dns.message import DnsMessage
-from repro.dns.rdata import RRType
+from repro.dns.rdata import TXT, RRType
 from repro.dns.server import DnsServer, ForwardingDnsServer
-from repro.dns.zone import Zone
-from repro.net.addresses import IPv4Address
-from repro.xlat.dns64 import DNS64Resolver
+from repro.dns.zone import Zone, ZoneError
+from repro.net.addresses import IPv4Address, IPv6Network
+from repro.xlat.dns64 import Dns64Config, DNS64Resolver
 
 
 def make_zone():
@@ -100,3 +109,274 @@ class TestResponseCache:
         forwarder.handle_query(wire)
         forwarder.handle_query(wire)
         assert forwarder.cache_hits == 0 and forwarder.forwarded == 2
+
+
+class TestPerNameValidity:
+    """A zone write invalidates only the answers whose name it touched."""
+
+    def test_write_at_an_unrelated_name_keeps_the_hit(self):
+        zone = make_zone()
+        zone.add_a("v4.example.test", "192.0.2.20")
+        server = DNS64Resolver([zone])
+        wire = query_wire("v4.example.test", RRType.AAAA)
+        first = server.handle_query(wire)
+        zone.add_a("other.example.test", "192.0.2.99")
+        assert server.handle_query(wire) == first
+        assert (server.cache_misses, server.cache_hits) == (1, 1)
+        # Re-stamped, so the next hit matches the epoch outright.
+        assert server._response_cache[wire[2:]].epoch == server._cache_epoch()
+
+
+class TestEviction:
+    def test_hot_record_survives_eviction_pressure(self, monkeypatch):
+        monkeypatch.setattr(DnsServer, "_CACHE_LIMIT", 8)
+        server = DnsServer([make_zone()])
+        hot = query_wire("web.example.test", RRType.A)
+        server.handle_query(hot)
+        for number in range(40):
+            server.handle_query(query_wire(f"cold-{number}.example.test", RRType.A))
+            server.handle_query(hot)
+        assert server.cache_hits == 40 and server.cache_misses == 41
+        assert len(server._response_cache) == 8
+
+    def test_least_recently_used_record_goes_first(self, monkeypatch):
+        monkeypatch.setattr(DnsServer, "_CACHE_LIMIT", 2)
+        server = DnsServer([make_zone()])
+        a, b, c = (query_wire(f"{name}.example.test", RRType.A) for name in "abc")
+        for wire in (a, b, a, c, a, b):
+            server.handle_query(wire)
+        # c evicted b (a was used after b); b's return then evicted c.
+        assert (server.cache_misses, server.cache_hits) == (4, 2)
+
+
+class TestSharedLogEntries:
+    def test_client_less_replays_retain_one_pointer_per_entry(self):
+        zone = make_zone()
+        zone.add_a("v4.example.test", "192.0.2.20")
+        server = DNS64Resolver([zone])
+        wire = query_wire("v4.example.test", RRType.AAAA)
+        server.handle_query(wire)
+        assert server.synthesized == 1
+        recorded = len(server.query_log)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                server.handle_query(wire)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = len(server.query_log) - recorded
+        assert entries == 10_000 * recorded
+        assert retained / entries <= 16
+        assert server.query_log[-1] is server.query_log[recorded - 1]
+
+    def test_entries_are_immutable_and_hits_with_a_client_get_their_own(self):
+        server = DnsServer([make_zone()])
+        wire = query_wire("web.example.test", RRType.A)
+        server.handle_query(wire)
+        server.handle_query(wire, client="alice")
+        server.handle_query(wire)
+        first, alice, third = server.query_log
+        assert (first.client, alice.client, third.client) == (None, "alice", None)
+        assert third is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.client = "mallory"
+
+
+# -- transparency under writes --------------------------------------------
+#
+# Queries interleaved with zone writes, policy bumps, config swaps and
+# add_zone, against a cache of 8 records so that eviction runs too.  The
+# names cover an existing name, a nonexistent one, an empty non-terminal
+# (sub), a CNAME (alias) and a name outside every zone until its zone is
+# added; the written names add descendants (x.*), the apex and an
+# unrelated name.
+
+_ORIGIN = "example.test"
+_QUERIED_NAMES = (
+    _ORIGIN,
+    *(f"{label}.{_ORIGIN}" for label in ("web", "v4", "sub", "deep.sub", "alias", "nx")),
+    "elsewhere.test",
+    "www.elsewhere.test",
+)
+_WRITTEN_NAMES = (
+    *_QUERIED_NAMES,
+    *(f"x.{name}" for name in _QUERIED_NAMES if name != _ORIGIN),
+    f"other.{_ORIGIN}",
+)
+_TARGETS = (f"web.{_ORIGIN}", f"v4.{_ORIGIN}", f"nx.{_ORIGIN}", "www.elsewhere.test")
+_DNS64_CONFIGS = (
+    Dns64Config(),
+    Dns64Config(always_synthesize=True),
+    Dns64Config(prefix=IPv6Network("2001:db8:64::/96")),
+)
+
+
+def _cache_zones():
+    """The served zone, then the zones ``add_zone`` may add."""
+    main = Zone(_ORIGIN)
+    main.add_a(f"web.{_ORIGIN}", "192.0.2.10")
+    main.add_aaaa(f"web.{_ORIGIN}", "2001:db8::10")
+    main.add_a(f"v4.{_ORIGIN}", "192.0.2.20")
+    main.add_a(f"deep.sub.{_ORIGIN}", "192.0.2.30")
+    main.add_cname(f"alias.{_ORIGIN}", f"v4.{_ORIGIN}")
+    sub = Zone(f"sub.{_ORIGIN}")
+    sub.add_a(f"deep.sub.{_ORIGIN}", "198.51.100.30")
+    elsewhere = Zone("elsewhere.test")
+    elsewhere.add_a("www.elsewhere.test", "198.51.100.40")
+    return main, (sub, elsewhere)
+
+
+def _upstream_zone():
+    zone = Zone("elsewhere.test")
+    zone.add_a("www.elsewhere.test", "203.0.113.40")
+    zone.add_aaaa("www.elsewhere.test", "2001:db8::40")
+    return zone
+
+
+def _make_server(kind, zones, config, upstream):
+    if kind == "zone":
+        return DnsServer(zones)
+    if kind == "dns64":
+        return DNS64Resolver(zones, config)
+    return ForwardingDnsServer(upstream, zones)
+
+
+def _write(zones, how, name, target, outer):
+    """Apply one write to the most specific zone covering ``name`` (the
+    served zone when ``outer``); writes the zone refuses are skipped."""
+    main, (sub, elsewhere) = zones
+    zone = next(z for z in (elsewhere, main if outer else sub, main) if z.covers(name))
+    try:
+        if how == "add_a":
+            zone.add_a(name, "192.0.2.99")
+        elif how == "add_aaaa":
+            zone.add_aaaa(name, "2001:db8::99")
+        elif how == "add_txt":
+            zone.add(name, RRType.TXT, TXT.from_text("written"))
+        elif how == "add_cname":
+            zone.add_cname(name, target)
+        elif how == "remove_cname":
+            zone.remove(name, RRType.CNAME)
+        else:
+            zone.remove(name)
+    except ZoneError:
+        pass
+
+
+_query_op = st.tuples(
+    st.just("query"),
+    st.sampled_from(_QUERIED_NAMES),
+    st.sampled_from((RRType.A, RRType.AAAA, RRType.TXT)),
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.sampled_from((None, "alice", "bob")),
+)
+_write_op = st.tuples(
+    st.just("write"),
+    st.sampled_from(("add_a", "add_aaaa", "add_txt", "add_cname", "remove_cname", "remove")),
+    st.sampled_from(_WRITTEN_NAMES),
+    st.sampled_from(_TARGETS),
+    st.booleans(),
+)
+_cache_operations = st.lists(
+    st.one_of(
+        _query_op,
+        _query_op,
+        _query_op,
+        _write_op,
+        _write_op,
+        st.just(("bump",)),
+        st.tuples(st.just("config"), st.integers(min_value=0, max_value=len(_DNS64_CONFIGS) - 1)),
+        st.tuples(st.just("add_zone"), st.integers(min_value=0, max_value=1)),
+    ),
+    max_size=60,
+)
+
+
+def _log(server):
+    return [(e.name, e.rrtype, e.rcode, e.answered_from, e.client) for e in server.query_log]
+
+
+@pytest.mark.parametrize("kind", ("zone", "dns64", "forwarder"))
+@given(operations=_cache_operations)
+@example(
+    # A write elsewhere keeps the hit; a write at the name, below it or
+    # at its CNAME target does not.
+    operations=[
+        ("query", f"v4.{_ORIGIN}", RRType.AAAA, 1, None),
+        ("query", f"alias.{_ORIGIN}", RRType.AAAA, 2, "alice"),
+        ("query", f"sub.{_ORIGIN}", RRType.A, 3, None),
+        ("query", f"nx.{_ORIGIN}", RRType.A, 4, None),
+        ("write", "add_a", f"other.{_ORIGIN}", f"web.{_ORIGIN}", False),
+        ("query", f"v4.{_ORIGIN}", RRType.AAAA, 5, "bob"),
+        ("write", "add_aaaa", f"v4.{_ORIGIN}", f"web.{_ORIGIN}", False),
+        ("query", f"alias.{_ORIGIN}", RRType.AAAA, 6, None),
+        ("write", "add_a", f"x.nx.{_ORIGIN}", f"web.{_ORIGIN}", False),
+        ("query", f"nx.{_ORIGIN}", RRType.A, 7, None),
+        ("write", "remove", f"deep.sub.{_ORIGIN}", f"web.{_ORIGIN}", True),
+        ("query", f"sub.{_ORIGIN}", RRType.A, 8, None),
+    ]
+)
+@example(
+    # An A record beside a CNAME: the AAAA answer is synthesized from
+    # the A record, so it holds no CNAME, yet the native lookup followed
+    # the CNAME, whose target then gains an AAAA record.
+    operations=[
+        ("write", "add_a", f"alias.{_ORIGIN}", f"web.{_ORIGIN}", False),
+        ("query", f"alias.{_ORIGIN}", RRType.AAAA, 1, None),
+        ("write", "add_aaaa", f"v4.{_ORIGIN}", f"web.{_ORIGIN}", False),
+        ("query", f"alias.{_ORIGIN}", RRType.AAAA, 2, None),
+    ]
+)
+@example(
+    # add_zone, a config swap and a bump each invalidate everything.
+    operations=[
+        ("query", "www.elsewhere.test", RRType.A, 1, None),
+        ("query", f"deep.sub.{_ORIGIN}", RRType.A, 2, None),
+        ("add_zone", 1),
+        ("query", "www.elsewhere.test", RRType.A, 3, None),
+        ("add_zone", 0),
+        ("query", f"deep.sub.{_ORIGIN}", RRType.A, 4, None),
+        ("query", f"v4.{_ORIGIN}", RRType.AAAA, 5, None),
+        ("config", 2),
+        ("query", f"v4.{_ORIGIN}", RRType.AAAA, 6, None),
+        ("bump",),
+        ("query", f"v4.{_ORIGIN}", RRType.AAAA, 7, None),
+    ]
+)
+@settings(max_examples=150, deadline=None)
+def test_cache_is_transparent_under_writes(kind, operations):
+    """Every answer, the query log and every ``_CACHE_COUNTERS`` counter
+    equal those of answering each query on a fresh server."""
+    main, addable = zones = _cache_zones()
+    upstream = DnsServer([_upstream_zone()]).handle_query
+    served = [main]
+    config = _DNS64_CONFIGS[0]
+    with patch.object(DnsServer, "_CACHE_LIMIT", 8):
+        server = _make_server(kind, served, config, upstream)
+        fresh_log = []
+        fresh_counters = dict.fromkeys(server._CACHE_COUNTERS, 0)
+        for operation in operations:
+            if operation[0] == "query":
+                _, name, rrtype, ident, client = operation
+                wire = query_wire(name, rrtype, ident)
+                fresh = _make_server(kind, served, config, upstream)
+                answer = server.handle_query(wire, client)
+                assert answer == fresh.handle_query(wire, client), operation
+                fresh_log += _log(fresh)
+                for counter in fresh_counters:
+                    fresh_counters[counter] += getattr(fresh, counter)
+            elif operation[0] == "write":
+                _write(zones, *operation[1:])
+            elif operation[0] == "bump":
+                server.bump_policy_epoch()
+            elif operation[0] == "config":
+                config = _DNS64_CONFIGS[operation[1]]
+                if kind == "dns64":
+                    server.config = config
+            else:
+                served.append(addable[operation[1]])
+                server.add_zone(addable[operation[1]])
+    assert _log(server) == fresh_log
+    assert {counter: getattr(server, counter) for counter in fresh_counters} == fresh_counters

@@ -220,6 +220,40 @@ class TestLiveFloodSet:
         ]
         assert ras == ["p0", "p2", "p3"]
 
+    def test_join_cost_stays_flat_under_churn(self, monkeypatch):
+        """250 attendees join a testbed that keeps 30 on the floor, the
+        oldest leaving before each new one joins.  Per arrival, switch
+        transmits and ``Port.connected`` reads are the same in a late
+        window as in an early one, however many ports departed attendees
+        left behind."""
+        from repro.clients import profiles
+        from repro.core.testbed import Testbed, TestbedConfig
+        from repro.sim.node import Port
+
+        reads = []
+        plain = Port.connected.fget
+        counted = property(lambda port: reads.append(1) or plain(port))
+        monkeypatch.setattr(Port, "connected", counted)
+        mix = (profiles.IOS, profiles.ANDROID, profiles.MACOS, profiles.WINDOWS_10, profiles.LINUX)
+        testbed = Testbed(TestbedConfig())
+        present = []
+        marks = {}
+        for number in range(251):
+            if number in (50, 100, 200, 250):
+                transmits = sum(port.tx_frames for port in testbed.switch.ports.values())
+                marks[number] = (len(reads), transmits)
+            if number == 250:
+                break
+            if len(present) == 30:
+                present.pop(0).disconnect()
+            present.append(testbed.add_client(mix[number % len(mix)], f"attendee-{number}"))
+        early = [after - before for before, after in zip(marks[50], marks[100])]
+        late = [after - before for before, after in zip(marks[200], marks[250])]
+        assert len(testbed.switch.ports) == 254  # 3 Pis, the gateway, 250 attendees
+        # One read per cable change: each arrival plugs one port in, one out.
+        assert late[0] <= early[0] <= 2 * 50
+        assert early[1] > 0 and abs(late[1] - early[1]) <= early[1] // 100
+
 
 class TestStackConfigFlags:
     def test_ipv4_disabled_stack_sends_nothing_v4(self, engine):
