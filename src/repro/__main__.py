@@ -74,8 +74,9 @@ def cmd_fleet(args) -> int:
     every stage folds as ``count × calibrated outcome`` in this process
     (:func:`repro.analysis.fleet.run_fleet_adoption_sweep_stats`), so
     ``--jobs`` has nothing to fan out.  The table goes to stdout and the
-    summary to stderr, so ``fleet --jobs 1`` and ``fleet --jobs N``
-    stdout can be diffed byte-for-byte (the CI fleet smoke does).
+    timed summary to stderr, so stdout can be diffed byte-for-byte
+    against a golden table (the CI fleet smoke diffs the 100,000-device
+    run against ``tests/golden/fleet_100k.txt``).
     """
     import time
 
@@ -121,9 +122,9 @@ def cmd_scores(args) -> int:
 
 def cmd_demo(args) -> int:
     del args
-    from examples import quickstart  # type: ignore[import-not-found]
+    from repro.demo import main as demo_main
 
-    quickstart.main()
+    demo_main()
     return 0
 
 

@@ -7,7 +7,7 @@ ModuleSummary` (cached by content hash); summaries assemble into a
 :class:`~repro.lint.program.callgraph.CallGraph`; the
 :class:`~repro.lint.program.analyzer.ProgramContext` on top knows which
 functions are reachable from shard-worker entry points and from the
-timing-wheel dispatch loop.  The RL4xx family and RL701 consume that
+event engine's dispatch loop.  The RL4xx family and RL701 consume that
 context (see :mod:`repro.lint.rules.shard_safety` and
 :mod:`repro.lint.rules.flow_exceptions`).
 """

@@ -10,7 +10,7 @@ call graph, dynamic-dispatch over-approximation included; RL4xx rules
 judge candidates against that cone.
 
 Dispatch roots for RL701 are the public methods of ``EventEngine`` in
-``repro.sim.engine`` — the timing-wheel loop and the schedule calls
+``repro.sim.engine`` — the dispatch loop and the schedule calls
 that feed it.  Every callback ever passed to the scheduler is reachable
 from there via the reference edges.
 """

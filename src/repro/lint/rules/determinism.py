@@ -296,7 +296,7 @@ class IdBasedOrdering(Rule):
                     )
 
 
-#: The modules allowed to touch :mod:`heapq` directly — the timing wheel
+#: The modules allowed to touch :mod:`heapq` directly — the event engine
 #: owns the ``(time, sequence)`` tie-break contract.
 _SCHEDULER_MODULES = ("repro.sim.engine",)
 
@@ -305,7 +305,7 @@ _SCHEDULER_MODULES = ("repro.sim.engine",)
 class DirectHeapqUse(Rule):
     code = "RL106"
     name = "direct-heapq-use"
-    summary = "heapq used outside the timing-wheel engine (repro.sim.engine)"
+    summary = "heapq used outside the event engine (repro.sim.engine)"
     scope = DETERMINISTIC_PACKAGES
 
     def check(self, ctx: LintContext) -> None:

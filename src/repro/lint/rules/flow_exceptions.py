@@ -3,7 +3,7 @@
 A shard worker that swallows an exception does not fail — it returns a
 *wrong table*, and the fold happily merges it.  The event-dispatch
 path is just as exposed: a callback that silences errors leaves the
-timing wheel consistent but the simulated world half-updated.  These
+event queue consistent but the simulated world half-updated.  These
 rules combine the per-function exception digests collected by the
 dataflow solver with the whole-program reachability cones:
 

@@ -127,9 +127,7 @@ class MobileGateway5G(Node):
             name=f"{name}-nat64",
         )
         self._ra_daemon = RaDaemon(self._ra_config(), self.lan_iface.mac)
-        engine.schedule_every(
-            self.config.ra_interval, self._emit_ra, immediate=True, coalesce="ra"
-        )
+        engine.schedule_every(self.config.ra_interval, self._emit_ra)
         self.dropped_ula_uplink = 0
 
     # -- prefix rotation ------------------------------------------------------

@@ -72,20 +72,20 @@ def _drain(engine, peers, frames) -> None:
 class _Lane:
     """One direction of a link: what its sender puts toward ``peer``.
 
-    While a delivery toward ``peer`` is pending, ``entry`` is its engine
-    entry, ``seq`` the entry's sequence stamp (the ABA guard for a
-    recycled entry), ``stamp`` the tick it was opened on, and ``slot``
-    the peer's index in a :func:`_drain` entry, or -1 for a lone frame
-    scheduled straight at ``peer.deliver_cb``.
+    ``entry`` is the engine entry of the lane's latest delivery toward
+    ``peer``, ``stamp`` the tick it was opened on, and ``slot`` the
+    peer's index in a :func:`_drain` entry, or -1 for a lone frame
+    scheduled straight at ``peer.deliver_cb``.  The engine clears the
+    callback slot of an entry it has run, so ``entry[2]`` tells a
+    pending delivery from a delivered one.
     """
 
-    __slots__ = ("engine", "peer", "entry", "seq", "stamp", "slot")
+    __slots__ = ("engine", "peer", "entry", "stamp", "slot")
 
     def __init__(self, engine: EventEngine) -> None:
         self.engine = engine
         self.peer = None
         self.entry = None
-        self.seq = -1
         self.stamp = -1.0
         self.slot = -1
 
@@ -95,9 +95,7 @@ class _Lane:
         if self.stamp != self.engine._now:
             return False
         entry = self.entry
-        # A fired entry has callback None until it is reused; a reused
-        # one fails the sequence guard.
-        if entry is None or entry[1] != self.seq or entry[2] is None:
+        if entry[2] is None:  # already delivered
             return False
         slot = self.slot
         if slot < 0:
@@ -116,7 +114,6 @@ class _Lane:
     def hold(self, entry, slot: int) -> None:
         """Record ``entry`` as this tick's pending delivery toward ``peer``."""
         self.entry = entry
-        self.seq = entry[1]
         self.stamp = self.engine._now
         self.slot = slot
 

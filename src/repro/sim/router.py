@@ -109,7 +109,7 @@ class Router(Node):
             )
             iface.send_ipv6(packet)
 
-        self.engine.schedule_every(config.interval, emit, immediate=True, coalesce="ra")
+        self.engine.schedule_every(config.interval, emit)
         return daemon
 
     # -- frame handling -----------------------------------------------------------

@@ -141,9 +141,7 @@ class ManagedSwitch(Node):
         """
         self.disable_ra_daemon()
         self._ra_daemon = RaDaemon(config, self.mac)
-        self._ra_cancel = self.engine.schedule_every(
-            config.interval, self._emit_ra, immediate=True, coalesce="ra"
-        )
+        self._ra_cancel = self.engine.schedule_every(config.interval, self._emit_ra)
         return self._ra_daemon
 
     def disable_ra_daemon(self) -> None:

@@ -42,6 +42,18 @@ class TestScheduling:
         engine.run_until_idle()
         assert seen == ["frame", (1, 2)]
 
+    def test_fired_entry_holds_nothing_and_ignores_a_late_cancel(self):
+        engine = EventEngine()
+        seen = []
+        fired = engine.schedule(1.0, seen.append, "first")
+        engine.run_until_idle()
+        assert fired[2] is None and fired[3] is None
+        later = engine.schedule(1.0, seen.append, "later")
+        fired[2] = None  # a canceller that outlived its event
+        engine.run_until_idle()
+        assert seen == ["first", "later"]
+        assert later[2] is None
+
     def test_events_scheduled_during_event(self):
         engine = EventEngine()
         order = []
@@ -82,8 +94,20 @@ class TestRunUntil:
         hits = []
         engine.schedule_every(1.0, lambda: hits.append(engine.now))
         engine.run_for(5.5)
-        assert hits == [1.0, 2.0, 3.0, 4.0, 5.0]  # first tick waits one interval
+        assert hits == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert engine.now == 5.5
+
+    def test_run_for_advances_the_clock_over_a_drained_queue(self):
+        engine = EventEngine()
+        engine.run_for(5.0)
+        assert engine.now == 5.0
+        engine.schedule(1.0, lambda: None)
+        engine.run_for(5.0)
+        assert engine.now == 10.0
+        # No deadline, no clock to advance to: a drained queue leaves it.
+        engine.schedule(1.0, lambda: None)
+        assert not engine.run_until(lambda: False)
+        assert engine.now == 11.0
 
     def test_queue_drain_returns_false(self):
         engine = EventEngine()
@@ -108,12 +132,13 @@ class TestPeriodic:
         engine.run_for(3.5)
         cancel()
         engine.run_for(5.0)
-        assert len(hits) == 3  # t=1,2,3
+        assert len(hits) == 4  # t=0,1,2,3
 
     def test_immediate_flag_fires_at_t0(self):
+        # Every periodic timer's first tick runs at once.
         engine = EventEngine()
         hits = []
-        engine.schedule_every(1.0, lambda: hits.append(engine.now), immediate=True)
+        engine.schedule_every(1.0, lambda: hits.append(engine.now))
         engine.run_for(2.5)
         assert hits == [0.0, 1.0, 2.0]
 
@@ -138,7 +163,8 @@ class TestPeriodic:
 
         holder["cancel"] = engine.schedule_every(1.0, tick)
         engine.run_for(10.0)
-        assert hits == [1.0, 2.0]
+        assert hits == [0.0, 1.0]
+        assert engine.pending_events == 0
 
     def test_cancellation_respects_run_until_deadline(self):
         # A tombstone at the heap head must not let run_until step past
@@ -156,32 +182,36 @@ class TestPeriodic:
         engine = EventEngine()
         hits = []
         for tag in "abc":
-            engine.schedule_every(1.0, lambda t=tag: hits.append(t), coalesce="tick")
+            engine.schedule_every(1.0, lambda t=tag: hits.append(t))
         engine.run_for(2.5)
-        assert hits == ["a", "b", "c", "a", "b", "c"]
-        # 3 members, 2 periods -> 2 timer events, not 6.
-        assert engine.events_run == 2
+        assert hits == ["a", "b", "c"] * 3
+        # 3 first ticks, then 2 periods of 1 shared event each, not 3.
+        assert engine.events_run == 5
 
     def test_coalesced_cancel_removes_member(self):
         engine = EventEngine()
         hits = []
-        cancel_a = engine.schedule_every(1.0, lambda: hits.append("a"), coalesce="g")
-        engine.schedule_every(1.0, lambda: hits.append("b"), coalesce="g")
+        cancel_a = engine.schedule_every(1.0, lambda: hits.append("a"))
+        engine.schedule_every(1.0, lambda: hits.append("b"))
         engine.run_for(1.5)
         cancel_a()
         engine.run_for(1.0)
-        assert hits == ["a", "b", "b"]
+        assert hits == ["a", "b", "a", "b", "b"]
 
-    def test_coalesce_rejects_jitter(self):
+    def test_timers_of_different_intervals_do_not_share(self):
+        engine = EventEngine()
+        hits = []
+        engine.schedule_every(1.0, lambda: hits.append(("fast", engine.now)))
+        engine.schedule_every(2.0, lambda: hits.append(("slow", engine.now)))
+        engine.run_for(2.5)
+        assert hits == [
+            ("fast", 0.0),
+            ("slow", 0.0),
+            ("fast", 1.0),
+            ("slow", 2.0),  # armed at t=0, before the fast tick re-armed at t=1
+            ("fast", 2.0),
+        ]
+
+    def test_non_positive_interval_rejected(self):
         with pytest.raises(ValueError):
-            EventEngine().schedule_every(1.0, lambda: None, jitter=0.5, coalesce="g")
-
-    def test_determinism_across_runs(self):
-        def run():
-            engine = EventEngine(seed=7)
-            values = []
-            engine.schedule_every(1.0, lambda: values.append(engine.rng.random()), jitter=0.1)
-            engine.run_for(10.0)
-            return values
-
-        assert run() == run()
+            EventEngine().schedule_every(0.0, lambda: None)

@@ -1,15 +1,13 @@
-"""Property tests for the timing-wheel scheduler.
+"""Property tests for the event engine's ``(time, sequence)`` contract.
 
-The wheel engine's contract is behavioural equivalence with the plain
-single-heapq engine it replaced: identical callback order, identical
-clock readings, ties broken by insertion sequence.  :class:`_ReferenceEngine`
-below *is* that single-heap engine, stripped to the scheduling
-semantics; randomized seeded workloads drive both implementations
-through the same operation stream and the observation logs must match
-exactly.
+The engine must dispatch exactly as a plain single-heapq scheduler
+does: identical callback order, identical clock readings, ties broken
+by insertion sequence.  :class:`_ReferenceEngine` below *is* that
+scheduler, stripped to the scheduling semantics; randomized seeded
+workloads drive both implementations through the same operation stream
+and the observation logs must match exactly.
 
-Also covers the pooling/batching machinery the overhaul introduced:
-slab recycling with the sequence ABA guard, coalesce-group purge on
+Also covers tombstoned entries, the periodic-group purge on
 last-member cancel, and the link's same-tick entry-upgrade batching.
 """
 
@@ -24,7 +22,7 @@ from repro.sim.node import connect, Node
 
 
 class _ReferenceEngine:
-    """The pre-overhaul scheduler: one heapq, ``(when, seq)`` entries.
+    """The plain scheduler: one heapq, ``(when, seq)`` entries.
 
     Implements just enough of :class:`EventEngine`'s surface for the
     workload driver: ``schedule`` returning a tombstonable entry,
@@ -74,9 +72,9 @@ class _ReferenceEngine:
         self.run_until(condition=None, deadline=None)
 
 
-# Delay scales chosen to land events in every tier of the wheel: the
-# due-now heap (0 and behind-cursor), tier-0 slots (sub-125 ms), tier-1
-# slots (sub-32 s) and the overflow heap (beyond the tier-1 block).
+# Delay scales from same-tick (0) through link latency to protocol
+# timers (seconds) and far-future expiries (minutes), so ties, nested
+# delay-0 events and long gaps all occur.
 _DELAY_SCALES = (0.0, 1e-4, 3e-3, 0.08, 0.4, 7.0, 45.0, 900.0)
 
 
@@ -89,35 +87,33 @@ def _run_workload(engine, seed: int):
     """
     rng = random.Random(seed)
     log = []
-    cancellable = []  # (entry, seq_at_schedule)
+    cancellable = []
     counter = [0]
 
     def fire(tag):
         log.append((tag, engine.now))
         roll = rng.random()
         if roll < 0.25:
-            # Schedule follow-up work from inside a callback — delay 0
-            # lands behind the wheel cursor on the wheel engine.
+            # Schedule follow-up work from inside a callback, often
+            # at the current time.
             delay = rng.choice(_DELAY_SCALES) * rng.random()
             _schedule(delay, nested=True)
         elif roll < 0.35 and cancellable:
-            # Tombstone a random pending entry, guarded by its sequence
-            # stamp exactly as real cancellers must (entries recycle).
-            entry, seq = cancellable.pop(rng.randrange(len(cancellable)))
-            if entry[1] == seq:
-                entry[2] = None
+            # Tombstone a random entry; one that already fired must
+            # not be affected.
+            cancellable.pop(rng.randrange(len(cancellable)))[2] = None
 
     def _schedule(delay, nested=False):
         counter[0] += 1
         tag = f"{'n' if nested else 't'}{counter[0]}"
         entry = engine.schedule(delay, fire, tag)
         if rng.random() < 0.5:
-            cancellable.append((entry, entry[1]))
+            cancellable.append(entry)
 
     for _ in range(120):
         _schedule(rng.choice(_DELAY_SCALES) * rng.random())
-    # Interleave execution with fresh scheduling so the cursor has
-    # jumped ahead before some of the later (earlier-time) inserts.
+    # Interleave execution with fresh scheduling, so later inserts land
+    # among entries that have waited.
     engine.run_until(deadline=engine.now + 0.05)
     for _ in range(60):
         _schedule(rng.choice(_DELAY_SCALES) * rng.random())
@@ -138,90 +134,88 @@ class TestWheelMatchesReferenceHeap:
 
     def test_same_tick_ties_break_by_insertion_across_tiers(self):
         # Entries that *end up* due together must still fire in
-        # insertion order, even when they entered via different tiers.
+        # insertion order, even when one was scheduled from a callback.
         engine = EventEngine()
         order = []
-        engine.schedule(0.5, order.append, "a")  # tier-1 at schedule time
+        engine.schedule(0.5, order.append, "a")
+        engine.schedule(0.2, lambda: engine.schedule(0.3, order.append, "c"))
         engine.schedule(0.5, order.append, "b")
-        engine.schedule(0.5, order.append, "c")
         engine.run_until_idle()
         assert order == ["a", "b", "c"]
 
     def test_periodic_timers_match_reference_clocks(self):
         # schedule_every is sugar over schedule(); its ticks must land
-        # on the same clock readings as hand-rolled rescheduling.
+        # on the same clock readings as hand-rolled rescheduling: a
+        # first tick now, and a chain that re-arms now + interval.
         engine = EventEngine()
         ticks = []
         cancel = engine.schedule_every(0.3, lambda: ticks.append(engine.now))
         engine.run_for(2.0)
         cancel()
         engine.run_for(2.0)
-        expected, t = [], 0.0
-        for _ in range(6):  # reschedule accumulates now+interval per tick
-            t += 0.3
-            expected.append(t)
+        reference = _ReferenceEngine()
+        expected = []
+
+        def tick():
+            expected.append(reference.now)
+            reference.schedule(0.3, tick)
+
+        reference.schedule(0.3, tick)
+        reference.schedule(0.0, lambda: expected.append(reference.now))
+        reference.run_until(deadline=2.0)
         assert ticks == expected
+        assert len(ticks) == 7  # t=0 and six periods
 
 
 class TestSlabPool:
-    def test_fired_entries_are_recycled(self):
-        engine = EventEngine()
-        first = engine.schedule(0.001, lambda: None)
-        engine.run_until_idle()
-        second = engine.schedule(0.001, lambda: None)
-        assert second is first  # same slab slot, recycled
-        assert second[1] > 0
-
-    def test_sequence_guard_protects_recycled_entries(self):
-        # A canceller holding a stale (entry, seq) handle must not be
-        # able to kill the event that now owns the recycled slot.
-        engine = EventEngine()
-        fired = []
-        stale = engine.schedule(0.001, fired.append, "old")
-        stale_seq = stale[1]
-        engine.run_until_idle()
-        reused = engine.schedule(0.001, fired.append, "new")
-        assert reused is stale and reused[1] != stale_seq
-        if stale[1] == stale_seq:  # the guard every canceller applies
-            stale[2] = None
-        engine.run_until_idle()
-        assert fired == ["old", "new"]
+    """Tombstoned entries: dropped from the queue, never run."""
 
     def test_tombstones_recycle_without_running(self):
         engine = EventEngine()
         fired = []
         entry = engine.schedule(0.001, fired.append, "x")
         entry[2] = None
+        assert engine.pending_events == 0
         engine.run_until_idle()
         assert fired == []
         assert engine.events_run == 0
-        assert entry in engine._pool
+        assert not engine.step()
 
 
 class TestCoalesceGroupLifecycle:
     def test_group_purged_when_last_member_cancels(self):
         engine = EventEngine()
         hits = []
-        cancel_a = engine.schedule_every(1.0, lambda: hits.append("a"), coalesce="g")
-        cancel_b = engine.schedule_every(1.0, lambda: hits.append("b"), coalesce="g")
+        cancel_a = engine.schedule_every(1.0, lambda: hits.append("a"))
+        cancel_b = engine.schedule_every(1.0, lambda: hits.append("b"))
         engine.run_for(1.5)
         cancel_a()
         cancel_b()
-        assert engine._coalesce_groups == {}
+        assert engine._periodic == {}
+        assert engine.pending_events == 0
         engine.run_for(5.0)
-        assert hits == ["a", "b"]
+        assert hits == ["a", "b", "a", "b"]
 
     def test_rejoin_after_purge_starts_fresh_phase(self):
         engine = EventEngine()
         hits = []
-        cancel = engine.schedule_every(1.0, lambda: hits.append("old"), coalesce="g")
+        cancel = engine.schedule_every(1.0, lambda: hits.append("old"))
         engine.run_for(1.2)  # group phase is now x.0-aligned
         cancel()
-        engine.schedule_every(1.0, lambda: hits.append(engine.now), coalesce="g")
+        engine.schedule_every(1.0, lambda: hits.append(engine.now))
         engine.run_for(1.5)
-        # Fresh group: first tick one full interval after the re-join
+        # Fresh group: ticks at the re-join and one full interval later
         # (t=2.2), not on the old group's x.0 phase.
-        assert hits == ["old", 2.2]
+        assert hits == ["old", "old", 1.2, 2.2]
+
+    def test_joiner_ticks_at_once_then_on_the_group_phase(self):
+        engine = EventEngine()
+        hits = []
+        engine.schedule_every(1.0, lambda: hits.append(("a", engine.now)))
+        engine.run_for(0.4)
+        engine.schedule_every(1.0, lambda: hits.append(("b", engine.now)))
+        engine.run_for(1.0)
+        assert hits == [("a", 0.0), ("b", 0.4), ("a", 1.0), ("b", 1.0)]
 
 
 class _CaptureNode(Node):

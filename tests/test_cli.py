@@ -1,9 +1,13 @@
 """The ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.__main__ import main
 from repro.core.rss import peak_rss_bytes
 from repro.core.testbed import PI_POOL_SIZE
@@ -111,3 +115,21 @@ class TestCli:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_demo_runs_outside_the_checkout(self, capsys, tmp_path):
+        # In process, the checkout root is on sys.path; a user's shell
+        # elsewhere has only the package.
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = src
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "demo"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert main(["demo"]) == 0
+        assert result.stdout == capsys.readouterr().out
