@@ -82,9 +82,6 @@ class AdoptionPoint:
     def v6only_share(self) -> float:
         return self.accurate_v6only / self.total if self.total else 0.0
 
-    @property
-    def ipv4_demand_share(self) -> float:
-        return self.ipv4_leases / self.total if self.total else 0.0
 
 
 #: Devices every refresh stage keeps whatever the fleet size: the two

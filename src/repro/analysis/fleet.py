@@ -26,8 +26,7 @@ depend on ``--jobs``.  Both ``sweep`` and ``fleet`` print it.
 :func:`run_fleet_population_stats` is the older columnar path, kept
 until the benchmark's tracer stops naming it: shard workers evaluate
 per-device columns (:class:`repro.sim.fleet.FleetState`, ≈7 B/device)
-and ship them to the parent over the executor's pickle or
-shared-memory transport.
+and ship them to the parent pickled.
 """
 
 from __future__ import annotations
@@ -46,15 +45,13 @@ from repro.clients.profiles import OsProfile
 from repro.core.metrics import AdoptionFold, CensusFold, SweepStats
 from repro.core.testbed import TestbedConfig
 from repro.parallel import (
+    chunk_ranges,
     make_shards,
-    open_window,
     owned_executor,
     ShardPayload,
     ShardSpec,
     SweepExecutor,
 )
-from repro.parallel.shard import chunk_ranges
-from repro.parallel.shm import ArenaWindow, SharedColumnArena
 from repro.sim import fleet as fl
 
 __all__ = [
@@ -85,15 +82,12 @@ class FleetSweepInfo:
 class FleetPopulationInfo(FleetSweepInfo):
     """Execution accounting for one population sweep.
 
-    ``transport`` and ``ipc_bytes`` record how the sweep's bulk data
-    travelled: the pickle transport ships ~``bytes_per_device`` bytes
-    per device through the pool's pipe, the shared-memory transport
-    ships none (columns land in the arena; only O(1) folds pickle).
+    ``ipc_bytes`` bills the sweep's bulk data: ~``bytes_per_device``
+    bytes per device cross the pool's pipe as pickled columns.
     """
 
     shard_count: int
     bytes_per_device: float
-    transport: str = "pickle"
     ipc_bytes: int = 0
 
 
@@ -129,28 +123,19 @@ def _slice_runs(
     return out
 
 
-def _fold_state(state: fl.FleetState) -> Tuple[AdoptionFold, CensusFold]:
-    """Fold one shard worker's columnar range into its additive accumulators.
-
-    ``naive_v6only`` is an addressing fact (device holds a global v6
-    address), not a class fact, so it folds from the addressing column
-    while the per-class counts fold from the census column.
-    """
+def _fold_state(state: fl.FleetState) -> AdoptionFold:
+    """Fold one shard worker's columnar range into its additive counts;
+    the IPv6-only count folds from the census column's classes."""
     census = CensusFold()
     for code, count in state.code_counts("census").items():
         census.add_class(CLASS_FOR_CODE[code], has_v6_address=False, count=count)
-    census.naive_v6only = state.count("addressing", fl.ADDR_DUAL) + state.count(
-        "addressing", fl.ADDR_V6_ONLY
-    )
-
-    fold = AdoptionFold(
+    return AdoptionFold(
         total=state.size,
         ipv4_leases=state.count("dhcp4", fl.DHCP4_LEASED),
         rfc8925_grants=state.count("dhcp4", fl.DHCP4_V6ONLY_GRANT),
         intervened=state.count("dns", fl.DNS_POISON_REDIRECT),
         accurate_v6only=census.accurate_v6only,
     )
-    return fold, census
 
 
 def _build_range_state(
@@ -171,23 +156,15 @@ def _export_fleet_range(spec: ShardSpec) -> ShardPayload:
 
     The payload carries everything the worker needs — the range's
     profile runs and the pre-built translate tables — so it touches no
-    testbed, no engine and no RNG.  With a ``window`` in the payload the
-    columns land directly in the shared arena (only the fold struct and
-    the committed generation pickle home — O(1) per shard); without one
-    they ship as pickled bytes and the shard's ``ipc_bytes`` bills
-    ~7 B/device for the trip.
+    testbed, no engine and no RNG.  The columns ship home pickled, and
+    the shard's ``ipc_bytes`` bills ~7 B/device for the trip.
     """
-    mix_index, start, stop, runs, tables, window = spec.payload
+    mix_index, start, stop, runs, tables = spec.payload
     state = _build_range_state(runs, start, stop, tables)
-    fold, census = _fold_state(state)
-    if window is None:
-        columns = state.export_columns()
-        ipc = sum(len(data) for data in columns.values())
-        return ShardPayload((mix_index, fold, census, columns, 0), ipc_bytes=ipc)
-    with open_window(window) as writer:
-        state.write_into(writer.buffers())
-        committed = writer.commit()
-    return ShardPayload((mix_index, fold, census, None, committed))
+    fold = _fold_state(state)
+    columns = state.export_columns()
+    ipc = sum(len(data) for data in columns.values())
+    return ShardPayload((mix_index, fold, columns), ipc_bytes=ipc)
 
 
 def run_fleet_adoption_sweep_stats(
@@ -275,98 +252,61 @@ def run_fleet_population_stats(
     min_shard: int = DEFAULT_MIN_SHARD,
     target_site: str = "sc24.supercomputing.org",
     calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
-    transport: str = "auto",
     keep_states: bool = False,
 ) -> Tuple[List[AdoptionPoint], SweepStats, FleetPopulationInfo, List[Optional[fl.FleetState]]]:
     """The population sweep: like the adoption sweep, but the parent ends
     up holding every stage's evaluated *columns*, not just the counts.
 
-    This is the path where the transport matters.  Workers evaluate
-    their range and hand the columns back either as pickled bytes
-    (``transport="pickle"`` — ~7 B/device crosses the pipe) or by
-    writing them into a per-stage :class:`SharedColumnArena` window
-    (``transport="shm"`` — only the O(1) fold struct pickles).  Either
-    way the parent reconstructs each stage's merged
-    :class:`~repro.sim.fleet.FleetState` byte-identically — a sanity
-    cross-check against the workers' additive folds runs on every stage
-    — and the points it returns are byte-identical to
-    :func:`run_fleet_adoption_sweep_stats` at any ``jobs``, any
-    transport and any chunk geometry.
+    Workers evaluate their range and hand the columns back as pickled
+    bytes (~7 B/device crosses the pipe, billed as ``ipc_bytes``).  The
+    parent reconstructs each stage's merged
+    :class:`~repro.sim.fleet.FleetState` — a sanity cross-check against
+    the workers' additive folds runs on every stage — and the points it
+    returns are byte-identical to :func:`run_fleet_adoption_sweep_stats`
+    at any ``jobs`` and any chunk geometry.
 
     ``keep_states=True`` returns the per-stage states (tests byte-diff
-    them across transports); the default drops each stage's state after
-    its cross-check so peak RSS stays bounded by one stage, not the
-    whole sweep.  Arena segments are created per stage and released in
-    a ``finally`` — a crashed sweep leaks nothing.
+    them across geometries); the default drops each stage's state after
+    its cross-check so peak RSS stays bounded by one stage's columns on
+    top of the shipped bytes.
     """
     config = config or TestbedConfig()
     profiles = distinct_profiles(mixes)
     index_of = {profile: i for i, profile in enumerate(profiles)}
 
-    with owned_executor(executor, jobs=jobs, transport=transport) as ex:
+    with owned_executor(executor, jobs=jobs) as ex:
         tables = outcome_tables(_calibrate(profiles, config, target_site, calibration))
 
         payloads = []
         costs: List[float] = []
-        arenas: List[Optional[SharedColumnArena]] = []
-        stage_slots: List[List[int]] = []  # payload indices per stage, slot order
+        stage_slots: List[List[int]] = []  # payload indices per stage, range order
         for mix_index, mix in enumerate(mixes):
             runs = _runs_for_mix(mix, index_of)
-            ranges = chunk_ranges(mix.total, ex.jobs, min_shard)
-            arena = ex.open_arena(fl.ALL_COLUMNS, mix.total, ranges)
-            arenas.append(arena)
             slots: List[int] = []
-            for slot, (start, stop) in enumerate(ranges):
-                window: Optional[ArenaWindow] = (
-                    arena.window(slot) if arena is not None else None
-                )
+            for start, stop in chunk_ranges(mix.total, ex.jobs, min_shard):
                 slots.append(len(payloads))
-                payloads.append((mix_index, start, stop, runs, tables, window))
+                payloads.append((mix_index, start, stop, runs, tables))
                 costs.append(float(stop - start))
             stage_slots.append(slots)
         specs = make_shards(payloads, base_seed=config.seed, costs=costs)
 
-        try:
-            values = ex.map(_export_fleet_range, specs, label="fleet population sweep")
-            stats = ex.last_stats
+        values = ex.map(_export_fleet_range, specs, label="fleet population sweep")
+        stats = ex.last_stats
 
-            folds = [AdoptionFold() for _ in mixes]
-            censuses = [CensusFold() for _ in mixes]
-            for value in values:
-                mix_i, fold, census = value[0], value[1], value[2]
-                folds[mix_i].merge(fold)
-                censuses[mix_i].merge(census)
+    folds = [AdoptionFold() for _ in mixes]
+    for mix_i, fold, _columns in values:
+        folds[mix_i].merge(fold)
 
-            # Drain stage by stage: verify stamps, rebuild the merged
-            # columns, cross-check against the folds, then release the
-            # stage's arena so peak RSS tracks one stage's columns.
-            states: List[Optional[fl.FleetState]] = []
-            for mix_index, mix in enumerate(mixes):
-                arena = arenas[mix_index]
-                if arena is None:
-                    # Pickle transport: merge the shipped column bytes.
-                    state = fl.FleetState(mix.total)
-                    for payload_index in stage_slots[mix_index]:
-                        _mix, start, stop, *_rest = specs[payload_index].payload
-                        columns = values[payload_index][3]
-                        state.import_range(start, stop, columns)
-                else:
-                    # Shm transport: accept each window's stamp against
-                    # the generation its accepted result committed with,
-                    # then copy the merged columns out of the arena.
-                    for slot, payload_index in enumerate(stage_slots[mix_index]):
-                        committed = values[payload_index][4]
-                        arena.verify(slot, committed)
-                    state = fl.FleetState.from_buffers(
-                        mix.total, dict(arena.iter_buffers())
-                    )
-                    ex.release_arena(arena)
-                    arenas[mix_index] = None
-                _check_stage(state, folds[mix_index], mix.label)
-                states.append(state if keep_states else None)
-        finally:
-            for arena in arenas:
-                ex.release_arena(arena)
+    # Rebuild stage by stage from the shipped column bytes and
+    # cross-check each against the folds.
+    states: List[Optional[fl.FleetState]] = []
+    for mix_index, mix in enumerate(mixes):
+        state = fl.FleetState(mix.total)
+        for payload_index in stage_slots[mix_index]:
+            _mix, start, stop, _runs, _tables = payloads[payload_index]
+            state.import_range(start, stop, values[payload_index][2])
+        _check_stage(state, folds[mix_index], mix.label)
+        states.append(state if keep_states else None)
 
     points = _points_from_folds(mixes, folds)
     info = FleetPopulationInfo(
@@ -375,7 +315,6 @@ def run_fleet_population_stats(
         distinct_profiles=len(profiles),
         shard_count=len(specs),
         bytes_per_device=float(len(fl.ALL_COLUMNS)),
-        transport=stats.transport,
         ipc_bytes=stats.total_ipc_bytes,
     )
     return points, stats, info, states
@@ -385,9 +324,8 @@ def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
     """Cross-check the reconstructed columns against the workers' folds.
 
     Two C-speed column counts per stage — cheap at any scale, and they
-    would catch a misplaced window or a torn transport copy that the
-    stamp protocol structurally cannot (e.g. a wrong offset that still
-    committed cleanly).
+    would catch a range imported at the wrong offset or a column lost
+    on the way home.
     """
     leases = state.count("dhcp4", fl.DHCP4_LEASED)
     grants = state.count("dhcp4", fl.DHCP4_V6ONLY_GRANT)
@@ -396,7 +334,7 @@ def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
             f"fleet stage {label!r}: reconstructed columns disagree with worker "
             f"folds (size {state.size}/{fold.total}, leases {leases}/"
             f"{fold.ipv4_leases}, grants {grants}/{fold.rfc8925_grants}) — "
-            "transport corruption"
+            "columns corrupted in transit"
         )
 
 

@@ -298,10 +298,9 @@ class ShardStats:
     """Per-shard execution statistics from one sweep run.
 
     ``ipc_bytes`` counts bulk payload bytes that crossed (or, on the
-    serial backend, would have crossed) the transport boundary — the
-    shared-memory transport reports ~0 here because columns travel
-    through the arena.  A non-``None`` ``error`` marks the shard's
-    structured failure row (it exhausted its one retry).
+    serial backend, would have crossed) the pool's pipe.  A
+    non-``None`` ``error`` marks the shard's structured failure row (it
+    exhausted its one retry).
     """
 
     index: int
@@ -317,22 +316,15 @@ class ShardStats:
 
 @slotted_dataclass()
 class SweepStats:
-    """Merged statistics for one sweep: how it ran, plus one row per shard.
-
-    ``transport`` records how bulk shard data travelled: ``"pickle"``
-    through the pool's pipe, ``"shm"`` through a shared-memory column
-    arena (fold-only sweeps always report ``"pickle"`` — they have no
-    bulk data to route).
-    """
+    """Merged statistics for one sweep: how it ran, plus one row per shard."""
 
     jobs: int
     backend: str
-    transport: str = "pickle"
     shards: List[ShardStats] = field(default_factory=list)
 
     @property
     def total_ipc_bytes(self) -> int:
-        """Bulk payload bytes that crossed the transport boundary."""
+        """Bulk payload bytes that crossed the pool's pipe."""
         return sum(s.ipc_bytes for s in self.shards)
 
     @property

@@ -66,10 +66,6 @@ class ScoreBreakdown:
     classified_as: str
     notes: List[str] = field(default_factory=list)
 
-    @property
-    def is_perfect(self) -> bool:
-        return self.score == self.max_score
-
     def __str__(self) -> str:
         return f"{self.score}/{self.max_score} ({self.classified_as})"
 

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.dns.message import ResourceRecord
 from repro.dns.name import DnsName
-from repro.dns.rdata import A, AAAA, CNAME, NS, RCode, RRType, SOA
+from repro.dns.rdata import A, AAAA, CNAME, RCode, RRType, SOA
 from repro.net.addresses import IPv4Address, IPv6Address
 
 __all__ = ["Zone", "ZoneError", "LookupResult"]
@@ -105,9 +105,6 @@ class Zone:
 
     def add_cname(self, name, target, ttl: int = 300) -> "Zone":
         return self.add(name, RRType.CNAME, CNAME(DnsName(target)), ttl)
-
-    def add_ns(self, name, target, ttl: int = 3600) -> "Zone":
-        return self.add(name, RRType.NS, NS(DnsName(target)), ttl)
 
     def remove(self, name, rrtype: Optional[int] = None) -> int:
         """Remove records at ``name`` (optionally one type). Returns count."""

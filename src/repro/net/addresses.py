@@ -322,7 +322,6 @@ def is_nat64_synthesized(addr: IPv6Address, prefix: IPv6Network = WELL_KNOWN_NAT
 
 _ULA = IPv6Network("fc00::/7")
 _GUA = IPv6Network("2000::/3")
-_DOC_V6 = IPv6Network("2001:db8::/32")
 _TEREDO = IPv6Network("2001::/32")
 _6TO4 = IPv6Network("2002::/16")
 _V4MAPPED = IPv6Network("::ffff:0:0/96")
@@ -340,10 +339,6 @@ def is_ula(addr: IPv6Address) -> bool:
 def is_gua(addr: IPv6Address) -> bool:
     """True for globally-routable unicast (``2000::/3``)."""
     return addr in _GUA
-
-
-def is_documentation_v6(addr: IPv6Address) -> bool:
-    return addr in _DOC_V6
 
 
 def is_teredo(addr: IPv6Address) -> bool:

@@ -25,15 +25,6 @@ class IcmpType(enum.IntEnum):
     TIME_EXCEEDED = 11
 
 
-class IcmpUnreachableCode(enum.IntEnum):
-    NET_UNREACHABLE = 0
-    HOST_UNREACHABLE = 1
-    PROTOCOL_UNREACHABLE = 2
-    PORT_UNREACHABLE = 3
-    FRAGMENTATION_NEEDED = 4
-    COMM_ADMIN_PROHIBITED = 13
-
-
 @dataclass(frozen=True)
 class IcmpMessage:
     """A generic ICMPv4 message: type, code, rest-of-header, body."""

@@ -153,11 +153,6 @@ class LazyEthernetFrame:
         return payload
 
     @property
-    def src_multicast(self) -> bool:
-        """The source MAC's I/G bit, without constructing a MacAddress."""
-        return bool(self._wire[6] & 1)
-
-    @property
     def is_broadcast(self) -> bool:
         return self._wire[0:6] == b"\xff\xff\xff\xff\xff\xff"
 

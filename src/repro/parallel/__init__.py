@@ -14,14 +14,13 @@ Entry points:
 - :func:`derive_seed` — the one per-shard seed rule both backends
   apply, so ``jobs=1`` and ``jobs=N`` agree byte-for-byte;
 - :func:`make_shards` / :class:`ShardSpec` / :class:`ShardPayload` /
-  :class:`ShardResult` — the picklable job protocol;
-- :func:`make_range_shards` / :func:`chunk_ranges` — contiguous
-  device-range chunking for columnar fleet shards (million-device
-  sweeps fold per-range partial counts that merge additively);
-- :mod:`repro.parallel.shm` — the zero-copy shared-memory transport:
-  :class:`SharedColumnArena` windows that workers write columns into
-  so only O(1) fold structs ever cross the pickle pipe
-  (``transport="auto"|"pickle"|"shm"`` on the executor);
+  :class:`ShardResult` — the picklable job protocol; results travel
+  home pickled, and a :class:`ShardPayload` bills the bulk bytes it
+  carries;
+- :func:`chunk_ranges` — contiguous device-range chunking for the
+  columnar fleet population path;
+- :func:`plan_chunks` — the deterministic, cost-weighted grouping of
+  shards into pool submissions;
 - :func:`owned_executor` — the call-site idiom: borrow a caller's warm
   executor or own (and always close) a fresh one.
 """
@@ -33,34 +32,19 @@ from repro.parallel.executor import (
     owned_executor,
     plan_chunks,
     resolve_jobs,
-    resolve_transport,
     SweepExecutor,
-    TRANSPORTS,
 )
 from repro.parallel.shard import (
     chunk_ranges,
     derive_seed,
-    make_range_shards,
     make_shards,
     ShardPayload,
     ShardResult,
     ShardSpec,
 )
-from repro.parallel.shm import (
-    ArenaTornWrite,
-    ArenaWindow,
-    open_window,
-    scan_segments,
-    SharedColumnArena,
-    shm_available,
-)
 
 __all__ = [
     "JOBS_ENV_VAR",
-    "TRANSPORTS",
-    "ArenaTornWrite",
-    "ArenaWindow",
-    "SharedColumnArena",
     "SweepExecutor",
     "ShardPayload",
     "ShardResult",
@@ -69,13 +53,8 @@ __all__ = [
     "derive_seed",
     "ensure_ok",
     "fork_available",
-    "make_range_shards",
     "make_shards",
-    "open_window",
     "owned_executor",
     "plan_chunks",
     "resolve_jobs",
-    "resolve_transport",
-    "scan_segments",
-    "shm_available",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "derive_seed",
     "chunk_ranges",
     "make_shards",
-    "make_range_shards",
     "ShardSpec",
     "ShardPayload",
     "ShardResult",
@@ -99,11 +98,9 @@ class ShardPayload:
     """
 
     value: Any
-    #: Payload bytes that crossed (or would cross) the transport
-    #: boundary for bulk data — the fleet's per-device columns.  The
-    #: pickle transport counts its shipped column bytes here; the shm
-    #: transport reports 0 (columns travel through the arena, and the
-    #: fold struct itself is O(1) per shard on both transports).
+    #: Bulk payload bytes that crossed (or, on the serial backend,
+    #: would cross) the pool's pipe — the fleet's per-device columns.
+    #: The O(1) fold struct that rides along is not counted.
     ipc_bytes: int = 0
 
 
@@ -171,27 +168,3 @@ def chunk_ranges(total: int, jobs: int, min_chunk: int = 1) -> List[Tuple[int, i
         start += size
     return ranges
 
-
-def make_range_shards(
-    total: int,
-    base_seed: int,
-    jobs: int,
-    min_chunk: int = 1,
-    payload: Any = None,
-) -> List[ShardSpec]:
-    """Specs for contiguous device-range chunks of ``range(total)``.
-
-    Each spec's payload is ``(start, stop, payload)``; seeds follow
-    :func:`derive_seed` on the chunk index.  Aggregations folded from
-    these shards must be chunk-boundary-independent (plain additive
-    merges) so the merged result is byte-identical at any ``jobs`` —
-    the fleet folds in :mod:`repro.analysis.fleet` are built that way.
-    Each spec's ``cost`` is its range length, feeding the executor's
-    size-weighted chunk planner.
-    """
-    ranges = chunk_ranges(total, jobs, min_chunk)
-    return make_shards(
-        [(start, stop, payload) for start, stop in ranges],
-        base_seed=base_seed,
-        costs=[float(stop - start) for start, stop in ranges],
-    )

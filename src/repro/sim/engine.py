@@ -14,7 +14,7 @@ pending, and tombstoning it afterwards is a no-op.
 The queue stays shallow: it never holds more than 12 entries in a
 traced 300-arrival ``show_floor`` round (seed 1), nor more than 18 in
 any CLI command, because a switch flood or a same-tick link burst is
-one entry (:mod:`repro.sim.link`) and a periodic daemon keeps one
+one entry (:mod:`repro.sim.link`) and a periodic timer keeps one
 pending tick (:meth:`EventEngine.schedule_every`).
 
 This module is the one place in the tree allowed to touch :mod:`heapq`
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = ["EventEngine"]
 
@@ -33,21 +33,6 @@ __all__ = ["EventEngine"]
 #: slot is ``None`` for tombstones and fired entries.  A mutable list
 #: (not a tuple or an object) so cancellation can patch it in place.
 Entry = List[Any]
-
-
-class _Periodic:
-    """The periodic timers that share one interval.
-
-    One engine entry per period runs every member in join order;
-    ``entry`` is the latest one scheduled.
-    """
-
-    __slots__ = ("members", "entry")
-
-    entry: Entry
-
-    def __init__(self) -> None:
-        self.members: List[Callable[[], None]] = []
 
 
 class EventEngine:
@@ -59,8 +44,6 @@ class EventEngine:
         self._now = 0.0
         self.rng = random.Random(seed)
         self.events_run = 0
-        # interval -> its timers; dropped when the last member cancels.
-        self._periodic: Dict[float, _Periodic] = {}
 
     @property
     def now(self) -> float:
@@ -93,45 +76,33 @@ class EventEngine:
         """Run ``callback`` now and then every ``interval`` seconds.
         Returns a canceller.
 
-        Timers with the same interval share one entry per period and
-        run in join order, so daemons on one cadence cost one event per
-        period rather than one per daemon.  A timer that joins a running
-        group ticks on the group's phase, so its second tick can come
-        sooner than one full interval after the first.  When the last
-        member cancels, the group's pending tick is tombstoned and the
-        group dropped, so a later timer starts a fresh phase.
-        Cancelling twice, or from inside the callback, is safe.
+        Each timer keeps one pending entry: the next period's tick is
+        queued before the first tick, and each tick re-arms after its
+        callback returns, so a timer's period is measured from its own
+        start.  Cancelling tombstones the pending tick; cancelling
+        twice, or from inside the callback, is safe.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
-        try:
-            group = self._periodic[interval]
-        except KeyError:
-            group = self._periodic[interval] = _Periodic()
-            group.entry = self.schedule(interval, self._tick, interval, group)
-        members = group.members
-        members.append(callback)
+        pending: Optional[Entry] = None
+
+        def tick() -> None:
+            nonlocal pending
+            callback()
+            if pending is not None:
+                pending = self.schedule(interval, tick)
+
+        pending = self.schedule(interval, tick)
         first = self.schedule(0.0, callback)
 
         def cancel() -> None:
+            nonlocal pending
             first[2] = None
-            try:
-                members.remove(callback)
-            except ValueError:
-                return
-            if not members:
-                group.entry[2] = None
-                del self._periodic[interval]
+            if pending is not None:
+                pending[2] = None
+                pending = None
 
         return cancel
-
-    def _tick(self, interval: float, group: _Periodic) -> None:
-        """One period of ``group``: run every member, then re-arm."""
-        members = group.members
-        for member in list(members):
-            member()
-        if members:
-            group.entry = self.schedule(interval, self._tick, interval, group)
 
     # -- execution -----------------------------------------------------------
 
@@ -165,7 +136,9 @@ class EventEngine:
         ``deadline`` (absolute simulated time) passes, or the queue
         drains (both return False unless the condition already holds).
         Stopping at the deadline or at a drained queue with a deadline
-        leaves the clock at the deadline.
+        moves the clock up to the deadline, never back: a pump nested in
+        one of this pump's callbacks may already have carried the clock
+        past it.
 
         The dispatch loop is inlined rather than delegating to
         :meth:`step` — this is the simulator's innermost loop and the
@@ -185,12 +158,13 @@ class EventEngine:
                 if condition is not None and condition():
                     return True
                 if not queue:
-                    if deadline is not None:
+                    if deadline is not None and deadline > self._now:
                         self._now = deadline
                     return condition is not None and condition()
                 entry = queue[0]
                 if entry[0] > limit:
-                    self._now = limit
+                    if limit > self._now:
+                        self._now = limit
                     return condition is not None and condition()
                 pop(queue)
                 callback = entry[2]

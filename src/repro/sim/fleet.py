@@ -92,8 +92,7 @@ HE_OK_V6 = 2
 #: calibration layer (see :data:`repro.clients.fleet.CENSUS_CODES`).
 OUTCOME_COLUMNS: Tuple[str, ...] = ("addressing", "dhcp4", "ra6", "dns", "he", "census")
 
-#: Every column a :class:`FleetState` holds, in canonical layout order —
-#: the order the shared-memory transport lays columns out in an arena.
+#: Every column a :class:`FleetState` holds, in canonical layout order.
 ALL_COLUMNS: Tuple[str, ...] = ("profile",) + OUTCOME_COLUMNS
 
 
@@ -170,15 +169,15 @@ class FleetState:
 
     # -- column transport ----------------------------------------------------
     #
-    # The parallel fleet path moves whole columns between processes —
-    # pickled (export/import) or through externally-owned shared-memory
-    # buffers (write_into/from_buffers).  All four are straight C-level
-    # copies in canonical ALL_COLUMNS order; none ever iterates devices.
+    # The parallel fleet path moves whole columns between processes,
+    # pickled (export/import).  All four copies below are straight
+    # C-level copies in canonical ALL_COLUMNS order; none ever iterates
+    # devices.
 
     def export_columns(self) -> Dict[str, bytes]:
         """Immutable snapshot of every column, keyed by name.
 
-        The pickle transport's bulk payload: ~``bytes_per_device`` bytes
+        The population path's bulk payload: ~``bytes_per_device`` bytes
         per device cross the pipe when a worker returns this.
         """
         return {name: bytes(self.column(name)) for name in ALL_COLUMNS}
@@ -200,8 +199,9 @@ class FleetState:
         """Copy every column into externally-owned writable buffers.
 
         ``buffers`` maps column name → a ``memoryview`` of exactly
-        ``size`` bytes (a shared-memory arena window, typically); each
-        column lands with one slice assignment.
+        ``size`` bytes; each column lands with one slice assignment.
+        No caller in the package uses it: it stays only because the
+        benchmark's tracer names it, and goes with the population path.
         """
         for name in ALL_COLUMNS:
             target = buffers[name]
@@ -214,11 +214,11 @@ class FleetState:
 
     @classmethod
     def from_buffers(cls, size: int, buffers: Mapping[str, memoryview]) -> "FleetState":
-        """Rebuild a fleet by copying columns out of external buffers.
+        """Rebuild a fleet by copying columns out of external buffers,
+        one C-level copy per column.
 
-        The read-back half of the shared-memory transport: the parent
-        materializes the merged population from arena views with one
-        C-level copy per column.
+        No caller in the package uses it: it stays only because the
+        benchmark's tracer names it, and goes with the population path.
         """
         state = cls(size)
         for name in ALL_COLUMNS:

@@ -167,9 +167,6 @@ class L2Interface:
         if prefix not in self.ipv4_prefixes:
             self.ipv4_prefixes.append(prefix)
 
-    def remove_ipv4(self, address: IPv4Address) -> None:
-        self.ipv4_addresses.discard(address)
-
     def clear_ipv4(self) -> None:
         self.ipv4_addresses.clear()
         self.ipv4_prefixes.clear()

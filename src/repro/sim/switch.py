@@ -191,7 +191,3 @@ class ManagedSwitch(Node):
         if len(data) < IPv6Packet.HEADER_LEN + payload_len:
             return False  # truncated: the full decoder would reject it
         return payload_len > 0 and data[IPv6Packet.HEADER_LEN] == 133
-
-    @property
-    def ra_daemon(self) -> Optional[RaDaemon]:
-        return self._ra_daemon

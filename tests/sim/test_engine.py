@@ -97,6 +97,26 @@ class TestRunUntil:
         assert hits == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         assert engine.now == 5.5
 
+    @pytest.mark.parametrize("later_entry", [True, False], ids=["pending", "drained"])
+    def test_nested_pump_past_the_deadline_keeps_the_clock_ahead(self, later_entry):
+        # An outer run_for(1.0) whose callback at 0.5 pumps to 2.5 must
+        # leave the clock at 2.5, not move it back to 1.0, whether an
+        # entry still waits past both deadlines or the queue drained.
+        engine = EventEngine()
+        seen = []
+
+        def nested():
+            engine.run_until(deadline=2.5)
+            seen.append(engine.now)
+
+        engine.schedule(0.5, nested)
+        if later_entry:
+            engine.schedule(3.0, lambda: None)
+        engine.run_for(1.0)
+        assert seen == [2.5]
+        assert engine.now == 2.5
+        assert engine.pending_events == int(later_entry)
+
     def test_run_for_advances_the_clock_over_a_drained_queue(self):
         engine = EventEngine()
         engine.run_for(5.0)
@@ -178,15 +198,16 @@ class TestPeriodic:
         assert engine.now == 2.0
         assert seen == []
 
-    def test_coalesced_timers_share_one_event_per_period(self):
+    def test_same_interval_timers_keep_one_event_each_per_period(self):
         engine = EventEngine()
         hits = []
         for tag in "abc":
             engine.schedule_every(1.0, lambda t=tag: hits.append(t))
         engine.run_for(2.5)
         assert hits == ["a", "b", "c"] * 3
-        # 3 first ticks, then 2 periods of 1 shared event each, not 3.
-        assert engine.events_run == 5
+        # 3 first ticks, then 2 periods of one event per timer.
+        assert engine.events_run == 9
+        assert engine.pending_events == 3
 
     def test_coalesced_cancel_removes_member(self):
         engine = EventEngine()

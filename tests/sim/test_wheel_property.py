@@ -7,8 +7,9 @@ scheduler, stripped to the scheduling semantics; randomized seeded
 workloads drive both implementations through the same operation stream
 and the observation logs must match exactly.
 
-Also covers tombstoned entries, the periodic-group purge on
-last-member cancel, and the link's same-tick entry-upgrade batching.
+Also covers tombstoned entries, periodic timers (nothing left pending
+once every timer cancels, each timer on its own phase), and the link's
+same-tick entry-upgrade batching.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class TestWheelMatchesReferenceHeap:
         engine.run_until_idle()
         assert order == ["a", "b", "c"]
 
-    def test_periodic_timers_match_reference_clocks(self):
+    def test_schedule_every_matches_reference_clocks(self):
         # schedule_every is sugar over schedule(); its ticks must land
         # on the same clock readings as hand-rolled rescheduling: a
         # first tick now, and a chain that re-arms now + interval.
@@ -183,6 +184,8 @@ class TestSlabPool:
 
 
 class TestCoalesceGroupLifecycle:
+    """Periodic timers of one interval: each keeps its own entry and phase."""
+
     def test_group_purged_when_last_member_cancels(self):
         engine = EventEngine()
         hits = []
@@ -191,7 +194,6 @@ class TestCoalesceGroupLifecycle:
         engine.run_for(1.5)
         cancel_a()
         cancel_b()
-        assert engine._periodic == {}
         assert engine.pending_events == 0
         engine.run_for(5.0)
         assert hits == ["a", "b", "a", "b"]
@@ -200,22 +202,24 @@ class TestCoalesceGroupLifecycle:
         engine = EventEngine()
         hits = []
         cancel = engine.schedule_every(1.0, lambda: hits.append("old"))
-        engine.run_for(1.2)  # group phase is now x.0-aligned
+        engine.run_for(1.2)  # the old timer's phase is x.0-aligned
         cancel()
         engine.schedule_every(1.0, lambda: hits.append(engine.now))
         engine.run_for(1.5)
-        # Fresh group: ticks at the re-join and one full interval later
-        # (t=2.2), not on the old group's x.0 phase.
+        # Fresh timer: ticks at the re-join and one full interval later
+        # (t=2.2), not on the old timer's x.0 phase.
         assert hits == ["old", "old", 1.2, 2.2]
 
     def test_joiner_ticks_at_once_then_on_the_group_phase(self):
+        # A second timer of the same interval keeps its own phase: it
+        # ticks when it joins and one full interval later.
         engine = EventEngine()
         hits = []
         engine.schedule_every(1.0, lambda: hits.append(("a", engine.now)))
         engine.run_for(0.4)
         engine.schedule_every(1.0, lambda: hits.append(("b", engine.now)))
         engine.run_for(1.0)
-        assert hits == [("a", 0.0), ("b", 0.4), ("a", 1.0), ("b", 1.0)]
+        assert hits == [("a", 0.0), ("b", 0.4), ("a", 1.0), ("b", 1.4)]
 
 
 class _CaptureNode(Node):
