@@ -5,8 +5,6 @@ library's hot paths (per the HPC guide): DNS serving, poisoning, DNS64
 synthesis, NAT64/NAT44/SIIT translation, codec and checksum costs.
 """
 
-import pytest
-
 from repro.core.intervention import InterventionConfig, PoisonedDNSServer
 from repro.dns.message import DnsMessage
 from repro.dns.rdata import RRType

@@ -1,106 +1,9 @@
-"""E1 (figure 1): the Argonne dual-stack internet edge.
-E4 (figure 4): the SC24v6 testbed build + convergence.
-"""
-
-import pytest
+"""E4 (figure 4): the SC24v6 testbed build + convergence."""
 
 from repro.clients.profiles import LINUX, MACOS, NINTENDO_SWITCH
 from repro.core.testbed import build_testbed, TestbedConfig
-from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network
-from repro.sim.engine import EventEngine
-from repro.sim.host import ServerHost
-from repro.sim.node import connect
-from repro.sim.router import Router
-from repro.sim.switch import ManagedSwitch
 
 from benchmarks.conftest import report
-
-
-def build_argonne_edge():
-    """Figure 1's shape: campus LAN → enterprise firewall → ESnet border
-    router → 'internet', dual-stacked on every hop (the /32-on-new-
-    firewall deployment)."""
-    engine = EventEngine(seed=11)
-    firewall = Router(engine, "ngfw-100g")
-    border = Router(engine, "esnet-border")
-    campus = ManagedSwitch(engine, "campus")
-    transit = ManagedSwitch(engine, "transit")
-    wan = ManagedSwitch(engine, "wan")
-
-    firewall.add_interface(
-        "inside",
-        ipv4=(IPv4Address("130.202.1.1"), IPv4Network("130.202.1.0/24")),
-        ipv6=(IPv6Address("2620:0:dc1:1::1"), IPv6Network("2620:0:dc1:1::/64")),
-    )
-    firewall.add_interface(
-        "outside",
-        ipv4=(IPv4Address("198.124.252.1"), IPv4Network("198.124.252.0/30")),
-        ipv6=(IPv6Address("2001:400:6100::1"), IPv6Network("2001:400:6100::/64")),
-    )
-    border.add_interface(
-        "inside",
-        ipv4=(IPv4Address("198.124.252.2"), IPv4Network("198.124.252.0/30")),
-        ipv6=(IPv6Address("2001:400:6100::2"), IPv6Network("2001:400:6100::/64")),
-    )
-    border.add_interface(
-        "outside",
-        ipv4=(IPv4Address("198.51.100.1"), IPv4Network("198.51.100.0/24")),
-        ipv6=(IPv6Address("2001:db8:feed::1"), IPv6Network("2001:db8:feed::/64")),
-    )
-    # Static routing both directions.
-    firewall.add_route_v4(IPv4Network("0.0.0.0/0"), "outside", IPv4Address("198.124.252.2"))
-    firewall.add_route_v6(IPv6Network("::/0"), "outside", border.ifaces["inside"].link_local)
-    border.add_route_v4(IPv4Network("130.202.0.0/16"), "inside", IPv4Address("198.124.252.1"))
-    border.add_route_v6(IPv6Network("2620:0:dc1::/48"), "inside", firewall.ifaces["outside"].link_local)
-    border.add_route_v4(IPv4Network("0.0.0.0/0"), "outside")
-    border.add_route_v6(IPv6Network("::/0"), "outside")
-
-    connect(engine, firewall.port("inside"), campus.add_port("p-fw"))
-    connect(engine, firewall.port("outside"), transit.add_port("p-fw"))
-    connect(engine, border.port("inside"), transit.add_port("p-border"))
-    connect(engine, border.port("outside"), wan.add_port("p-border"))
-
-    inside_host = ServerHost(
-        engine,
-        "beamline",
-        ipv4=IPv4Address("130.202.1.10"),
-        ipv4_network=IPv4Network("130.202.1.0/24"),
-        ipv4_gateway=IPv4Address("130.202.1.1"),
-        ipv6=IPv6Address("2620:0:dc1:1::10"),
-        ipv6_gateway=firewall.ifaces["inside"].link_local,
-    )
-    outside_host = ServerHost(
-        engine,
-        "internet-host",
-        ipv4=IPv4Address("198.51.100.80"),
-        ipv4_network=IPv4Network("198.51.100.0/24"),
-        ipv4_gateway=IPv4Address("198.51.100.1"),
-        ipv6=IPv6Address("2001:db8:feed::80"),
-        ipv6_gateway=border.ifaces["outside"].link_local,
-    )
-    connect(engine, inside_host.port("eth0"), campus.add_port("p-h"))
-    connect(engine, outside_host.port("eth0"), wan.add_port("p-h"))
-    return engine, inside_host, outside_host
-
-
-def run_fig1_edge():
-    engine, inside, outside = build_argonne_edge()
-    v4_rtt = inside.ping(IPv4Address("198.51.100.80"))
-    v6_rtt = inside.ping(IPv6Address("2001:db8:feed::80"))
-    return v4_rtt, v6_rtt
-
-
-def test_fig1_edge(benchmark):
-    v4_rtt, v6_rtt = benchmark(run_fig1_edge)
-    assert v4_rtt is not None and v6_rtt is not None
-    report(
-        "E1 / Figure 1 — Argonne dual-stack internet edge",
-        [
-            f"campus→internet IPv4 ping through 2 routers: {v4_rtt * 1000:.2f} ms (sim)",
-            f"campus→internet IPv6 ping through 2 routers: {v6_rtt * 1000:.2f} ms (sim)",
-            "dual-stack parity: both families forwarded end-to-end",
-        ],
-    )
 
 
 def run_fig4_testbed():

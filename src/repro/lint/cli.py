@@ -17,8 +17,6 @@ from repro.lint.core import all_rules, Finding, lint_paths_run, STALE_SUPPRESSIO
 
 __all__ = ["main"]
 
-DEFAULT_CACHE = Path(".repro-lint-cache.json")
-
 
 def _default_paths() -> List[Path]:
     """``src`` when run from a checkout, else the installed package dir."""
@@ -28,15 +26,9 @@ def _default_paths() -> List[Path]:
     return [Path(__file__).resolve().parent.parent]
 
 
-def _render_text(findings: List[Finding], no_hints: bool) -> None:
+def _render_text(findings: List[Finding]) -> None:
     for finding in findings:
-        if no_hints:
-            print(
-                f"{finding.path}:{finding.line}:{finding.col}: "
-                f"{finding.code} {finding.message}"
-            )
-        else:
-            print(finding.render())
+        print(finding.render())
 
 
 def _render_json(findings: List[Finding], stats: dict) -> None:
@@ -139,33 +131,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--program",
-        action="store_true",
-        help="run the whole-program RL4xx rules (call graph + reachability)",
-    )
-    parser.add_argument(
         "--flow",
         action="store_true",
-        help="run the dataflow RL6xx/RL7xx rules (taint + exception flow; "
-        "implies --program)",
+        help="also run the whole-program RL4xx rules (call graph + "
+        "reachability) and the dataflow RL6xx/RL7xx rules (taint + "
+        "exception flow)",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json", "gha"),
         default="text",
         help="report format (gha = GitHub Actions annotations)",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        default=DEFAULT_CACHE,
-        metavar="PATH",
-        help=f"incremental analysis cache file (default: {DEFAULT_CACHE})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache (parse everything fresh)",
     )
     parser.add_argument(
         "--max-seconds",
@@ -177,11 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
-    )
-    parser.add_argument(
-        "--no-hints",
-        action="store_true",
-        help="omit fix-it hints from the report",
     )
     args = parser.parse_args(argv)
 
@@ -198,28 +169,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"repro.lint: no such path: {', '.join(map(str, missing))}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        from repro.lint.program.cache import LintCache
-
-        cache = LintCache(args.cache)
-
     started = time.perf_counter()
-    run = lint_paths_run(
-        paths,
-        select=select,
-        program=args.program,
-        flow=args.flow,
-        cache=cache,
-    )
+    run = lint_paths_run(paths, select=select, flow=args.flow)
     elapsed = time.perf_counter() - started
     findings = run.findings
 
     stats = {
         "files": run.files,
-        "parsed": run.parsed,
-        "cache_hits": run.cache_hits,
-        "cache_misses": run.cache_misses,
         "elapsed_s": round(elapsed, 3),
         "findings": len(findings),
     }
@@ -229,11 +185,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.format == "gha":
         _render_gha(findings)
     else:
-        _render_text(findings, args.no_hints)
+        _render_text(findings)
 
-    timing = f"{elapsed:.2f}s, {run.files} files, {run.parsed} parsed"
-    if cache is not None:
-        timing += f", cache {run.cache_hits} hit/{run.cache_misses} miss"
+    timing = f"{elapsed:.2f}s, {run.files} files"
 
     if findings:
         codes = sorted({f.code for f in findings})

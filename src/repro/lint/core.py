@@ -18,12 +18,10 @@ report)`` that runs once over the whole-tree call graph built by
 Both are kept honest by RL001: a pragma or allowlist entry that no
 longer suppresses anything is itself a finding.
 
-``lint_paths`` is the one orchestration point: it parses each file at
-most once (single-file rules and the program summary extractor share
-the AST), consults the content-hash cache from
-:mod:`repro.lint.program.cache` when one is given, and — with
-``program=True`` — assembles the cached/fresh summaries into the call
-graph the interprocedural rules need.
+``lint_paths`` is the one orchestration point: it parses each file
+once and runs the per-file rules on its AST.  With ``flow=True`` the
+same AST is also digested into the module and flow summaries from
+which the whole-program and dataflow rules build the call graph.
 """
 
 from __future__ import annotations
@@ -86,13 +84,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "Finding":
-        return cls(
-            data["path"], data["line"], data["col"], data["code"],
-            data["message"], data.get("hint", ""),
-        )
 
 
 @dataclass
@@ -158,11 +149,11 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for whole-program (RL4xx) rules.
+    #: True for rules that judge the whole program (RL4xx, and the
+    #: dataflow rules too); they run only under ``--flow``.
     program: bool = False
     #: True for dataflow (RL6xx/RL7xx) rules — they need the composed
-    #: :class:`repro.lint.flow.interp.FlowProgram` and run only under
-    #: ``--flow`` (which implies ``--program``).
+    #: :class:`repro.lint.flow.interp.FlowProgram`.
     flow: bool = False
 
     def applies_to(self, ctx: LintContext) -> bool:
@@ -321,9 +312,6 @@ class LintRun:
 
     findings: List[Finding] = field(default_factory=list)
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    parsed: int = 0
 
 
 def _run_file_rules(
@@ -438,46 +426,31 @@ def lint_paths(
     paths: Iterable[Path],
     select: Optional[Set[str]] = None,
     *,
-    program: bool = False,
     flow: bool = False,
-    cache=None,
 ) -> List[Finding]:
     """Lint every ``.py`` file under ``paths``; deterministic order.
 
-    ``program=True`` additionally runs the whole-program RL4xx
-    rules over the assembled call graph; ``flow=True`` (which implies
-    ``program``) also runs the dataflow RL6xx/RL7xx rules over the
-    composed taint summaries.  ``cache`` is an optional
-    :class:`repro.lint.program.cache.LintCache`; unchanged files are
-    neither re-parsed nor re-checked.
+    ``flow=True`` additionally runs the whole-program RL4xx rules over
+    the assembled call graph and the dataflow RL6xx/RL7xx rules over
+    the composed taint summaries.
     """
-    return lint_paths_run(
-        paths, select, program=program, flow=flow, cache=cache
-    ).findings
+    return lint_paths_run(paths, select, flow=flow).findings
 
 
 def lint_paths_run(
     paths: Iterable[Path],
     select: Optional[Set[str]] = None,
     *,
-    program: bool = False,
     flow: bool = False,
-    cache=None,
 ) -> LintRun:
     """Like :func:`lint_paths` but returns the full :class:`LintRun`."""
-    from repro.lint.program.cache import content_hash
+    from repro.lint.flow.solver import extract_flow
     from repro.lint.program.summary import extract_summary
 
     rules = all_rules()
-    if select is not None:
-        # A selected interprocedural/dataflow rule silently implies the
-        # matching analysis depth.
-        if not flow:
-            flow = any(r.flow for r in rules if r.code in select)
-        if not program:
-            program = any(r.program for r in rules if r.code in select)
-    if flow:
-        program = True
+    if select is not None and not flow:
+        # A selected whole-program or dataflow rule implies the full depth.
+        flow = any(r.program for r in rules if r.code in select)
     file_rules = [r for r in rules if not r.program]
     program_rules = [r for r in rules if r.program and not r.flow]
     flow_rules = [r for r in rules if r.flow]
@@ -494,50 +467,19 @@ def lint_paths_run(
     used_allowlist: Dict[str, Set[str]] = {}
 
     for path in files:
-        data = path.read_bytes()
-        file_hash = content_hash(data) if cache is not None else ""
-        entry = cache.get(path, file_hash) if cache is not None else None
-        if (
-            entry is not None
-            and (not program or entry.get("summary") is not None)
-            and (not flow or entry.get("flow") is not None)
-        ):
-            findings.extend(Finding.from_json(f) for f in entry["findings"])
-            pragma_maps[str(path)] = {
-                int(k): set(v) for k, v in entry["pragmas"].items()
-            }
-            used_pragmas[str(path)] = {
-                (int(line), code) for line, code in entry["used_pragmas"]
-            }
-            used_allowlist[str(path)] = set(entry["used_allowlist"])
-            if program and entry.get("summary") is not None:
-                from repro.lint.program.summary import ModuleSummary
-
-                summary = ModuleSummary.from_json(entry["summary"])
-                summaries[summary.module] = summary
-            if flow and entry.get("flow") is not None:
-                from repro.lint.flow.model import ModuleFlow
-
-                flow_mod = ModuleFlow.from_json(entry["flow"])
-                flows[flow_mod.module] = flow_mod
-            continue
-
-        source = data.decode("utf-8")
+        source = path.read_bytes().decode("utf-8")
         tree, error = _parse(path, source)
-        run.parsed += 1
         if tree is None:
             if error is not None:
                 findings.append(error)
             pragma_maps[str(path)] = {}
             continue
         ctx = _make_context(path, source, tree)
-        file_findings = _run_file_rules(ctx, file_rules)
-        findings.extend(file_findings)
+        findings.extend(_run_file_rules(ctx, file_rules))
         pragma_maps[str(path)] = ctx.pragmas
         used_pragmas[str(path)] = set(ctx.used_pragmas)
         used_allowlist[str(path)] = set(ctx.used_allowlist)
-        summary = None
-        if program or cache is not None:
+        if flow:
             summary = extract_summary(
                 ctx.module,
                 str(path),
@@ -546,57 +488,31 @@ def lint_paths_run(
                 pragmas=ctx.pragmas,
                 statement_starts=ctx.statement_starts,
             )
-            if program:
-                summaries[summary.module] = summary
-        flow_mod = None
-        if flow or cache is not None:
-            # Flow summaries ride in every cache entry so a plain
-            # --program run still leaves the cache warm for --flow.
-            from repro.lint.flow.solver import extract_flow
-
+            summaries[summary.module] = summary
             flow_mod = extract_flow(
                 ctx.module, tree, statement_starts=ctx.statement_starts
             )
-            if flow:
-                flows[flow_mod.module] = flow_mod
-        if cache is not None:
-            cache.put(
-                path,
-                file_hash,
-                {
-                    "findings": [f.to_json() for f in file_findings],
-                    "pragmas": {str(k): sorted(v) for k, v in ctx.pragmas.items()},
-                    "used_pragmas": sorted(
-                        [line, code] for line, code in ctx.used_pragmas
-                    ),
-                    "used_allowlist": sorted(ctx.used_allowlist),
-                    "summary": summary.to_json() if summary is not None else None,
-                    "flow": flow_mod.to_json() if flow_mod is not None else None,
-                },
-            )
+            flows[flow_mod.module] = flow_mod
 
     checked_codes = {r.code for r in file_rules}
-    if program and summaries:
+    if summaries:
         from repro.lint.allowlist import allowed_codes_for
+        from repro.lint.flow.interp import build_flow_program
         from repro.lint.program.analyzer import build_program, ProgramReporter
 
         context = build_program(summaries)
         reporter = ProgramReporter(allowed_codes_for)
         for rule in program_rules:
             rule.check_program(context, reporter)
-        if flow and flows:
-            from repro.lint.flow.interp import build_flow_program
-
-            flow_program = build_flow_program(context, flows)
-            for rule in flow_rules:
-                rule.check_flow(flow_program, reporter)
-            checked_codes.update(r.code for r in flow_rules)
+        flow_program = build_flow_program(context, flows)
+        for rule in flow_rules:
+            rule.check_flow(flow_program, reporter)
         findings.extend(reporter.findings)  # type: ignore[arg-type]
         for path_str, used in reporter.used_pragmas.items():
             used_pragmas.setdefault(path_str, set()).update(used)
         for path_str, used_codes in reporter.used_allowlist.items():
             used_allowlist.setdefault(path_str, set()).update(used_codes)
-        checked_codes.update(r.code for r in program_rules)
+        checked_codes.update(r.code for r in rules if r.program)
 
     if select is None or STALE_SUPPRESSION_CODE in select:
         findings.extend(
@@ -612,11 +528,6 @@ def lint_paths_run(
 
     if select is not None:
         findings = [f for f in findings if f.code in select or f.code == "RL000"]
-
-    if cache is not None:
-        run.cache_hits = cache.hits
-        run.cache_misses = cache.misses
-        cache.save()
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     run.findings = findings

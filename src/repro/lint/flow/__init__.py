@@ -5,7 +5,7 @@ Layers, bottom up:
 - :mod:`repro.lint.flow.cfg` — per-function control-flow graphs from
   stdlib ``ast`` (branches, loops, try/except/finally, with, jumps);
 - :mod:`repro.lint.flow.solver` — forward worklist solver over a small
-  may-taint lattice producing JSON-cacheable per-function summaries;
+  may-taint lattice producing per-function summaries;
 - :mod:`repro.lint.flow.model` — the summary data model and the taint
   kind/sink vocabulary;
 - :mod:`repro.lint.flow.interp` — interprocedural composition through

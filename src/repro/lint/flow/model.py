@@ -1,12 +1,10 @@
-"""The cacheable product of the intraprocedural solver.
+"""The product of the intraprocedural solver.
 
 One :class:`FunctionFlow` per function records everything the
-interprocedural composition (:mod:`repro.lint.flow.interp`) needs —
-and *only* JSON-serializable data, because flow summaries ride in the
-same content-hash cache as the program summaries: a warm run rebuilds
-the whole-tree taint analysis without touching a single AST.
+interprocedural composition (:mod:`repro.lint.flow.interp`) needs, so
+composition works from these summaries alone, never from an AST.
 
-Tokens are 2-tuples (encoded as 2-lists in JSON):
+Tokens are 2-tuples:
 
 - ``("kind", K)`` — a concrete taint kind produced in this function
   (``time`` / ``entropy`` / ``id`` / ``setorder``);
@@ -57,14 +55,6 @@ SINK_LABELS: Dict[str, str] = {
 }
 
 
-def _tokens_to_json(tokens: List[Token]) -> List[List[str]]:
-    return [list(t) for t in tokens]
-
-
-def _tokens_from_json(data: List[List[str]]) -> List[Token]:
-    return [(t[0], t[1]) for t in data]
-
-
 @dataclass
 class FunctionFlow:
     """Dataflow digest of one function (methods and nested defs too)."""
@@ -92,57 +82,6 @@ class FunctionFlow:
     #: block (they silently discard an in-flight exception).
     finally_jumps: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_json(self) -> Dict[str, Any]:
-        calls = {}
-        for sid, site in self.calls.items():
-            entry = dict(site)
-            entry["recv"] = _tokens_to_json(site["recv"])
-            entry["args"] = [_tokens_to_json(a) for a in site["args"]]
-            entry["kwargs"] = {
-                k: _tokens_to_json(v) for k, v in site["kwargs"].items()
-            }
-            calls[sid] = entry
-        sinks = []
-        for sink in self.sinks:
-            entry = dict(sink)
-            entry["tokens"] = _tokens_to_json(sink["tokens"])
-            sinks.append(entry)
-        return {
-            "qualname": self.qualname,
-            "params": list(self.params),
-            "returns": _tokens_to_json(self.returns),
-            "calls": calls,
-            "sinks": sinks,
-            "handlers": [dict(h) for h in self.handlers],
-            "finally_jumps": [dict(j) for j in self.finally_jumps],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FunctionFlow":
-        calls = {}
-        for sid, site in data["calls"].items():
-            entry = dict(site)
-            entry["recv"] = _tokens_from_json(site["recv"])
-            entry["args"] = [_tokens_from_json(a) for a in site["args"]]
-            entry["kwargs"] = {
-                k: _tokens_from_json(v) for k, v in site["kwargs"].items()
-            }
-            calls[sid] = entry
-        sinks = []
-        for sink in data["sinks"]:
-            entry = dict(sink)
-            entry["tokens"] = _tokens_from_json(sink["tokens"])
-            sinks.append(entry)
-        return cls(
-            qualname=data["qualname"],
-            params=list(data["params"]),
-            returns=_tokens_from_json(data["returns"]),
-            calls=calls,
-            sinks=sinks,
-            handlers=[dict(h) for h in data["handlers"]],
-            finally_jumps=[dict(j) for j in data["finally_jumps"]],
-        )
-
 
 @dataclass
 class ModuleFlow:
@@ -150,19 +89,3 @@ class ModuleFlow:
 
     module: str
     functions: Dict[str, FunctionFlow] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "functions": {q: f.to_json() for q, f in self.functions.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ModuleFlow":
-        return cls(
-            module=data["module"],
-            functions={
-                q: FunctionFlow.from_json(f)
-                for q, f in data["functions"].items()
-            },
-        )

@@ -1,8 +1,8 @@
-"""Whole-program analysis: symbol tables, call graph, incremental cache.
+"""Whole-program analysis: symbol tables and the call graph.
 
 This package turns per-file lint into interprocedural analysis.  Each
 source file is digested into a :class:`~repro.lint.program.summary.
-ModuleSummary` (cached by content hash); summaries assemble into a
+ModuleSummary`; summaries assemble into a
 :class:`~repro.lint.program.callgraph.ProgramIndex` and
 :class:`~repro.lint.program.callgraph.CallGraph`; the
 :class:`~repro.lint.program.analyzer.ProgramContext` on top knows which
@@ -15,7 +15,6 @@ context (see :mod:`repro.lint.rules.shard_safety` and
 from __future__ import annotations
 
 from repro.lint.program.analyzer import build_program, ProgramContext, ProgramReporter
-from repro.lint.program.cache import analyzer_signature, content_hash, LintCache
 from repro.lint.program.callgraph import CallGraph, func_id, ProgramIndex
 from repro.lint.program.summary import extract_summary, ModuleSummary
 
@@ -23,9 +22,6 @@ __all__ = [
     "build_program",
     "ProgramContext",
     "ProgramReporter",
-    "LintCache",
-    "analyzer_signature",
-    "content_hash",
     "CallGraph",
     "ProgramIndex",
     "func_id",

@@ -76,8 +76,7 @@ class ProgramReporter:
     """Findings sink with pragma/allowlist suppression and usage tracking.
 
     Mirrors :meth:`repro.lint.core.LintContext.add`, but works from the
-    cached summary's pragma map so suppression behaves identically on
-    cold and warm runs.
+    summary's pragma map, since program rules see summaries, not ASTs.
     """
 
     def __init__(self, allowed_codes_for: Callable[[Path], Set[str]]) -> None:

@@ -1,8 +1,7 @@
 """Project-wide symbol resolution and the call graph.
 
 Function nodes are identified as ``"<module>::<qualname>"``.  Edges are
-built from the per-module summaries alone — no ASTs — which is what
-keeps a warm-cache whole-tree analysis in the tens of milliseconds.
+built from the per-module summaries alone — no ASTs.
 
 Resolution is deliberately asymmetric about precision:
 

@@ -1,19 +1,16 @@
 """Per-module extraction: everything the whole-program analyzer needs.
 
-One :class:`ModuleSummary` is a JSON-serializable digest of one source
-file — symbols, imports, call references, and *candidate* findings
-(module-state mutations, RNG constructions, attribute writes, …) with
-their source locations.  Candidates carry no verdict: whether a
-mutation is a shard-safety violation depends on reachability from the
-worker entry points, which only the assembled program knows.
+One :class:`ModuleSummary` is a digest of one source file — symbols,
+imports, call references, and *candidate* findings (module-state
+mutations, RNG constructions, attribute writes, …) with their source
+locations.  Candidates carry no verdict: whether a mutation is a
+shard-safety violation depends on reachability from the worker entry
+points, which only the assembled program knows.
 
-Summaries are what the content-hash cache persists: a warm run never
-re-parses an unchanged file, it rebuilds the call graph from these
-digests alone.  That is the design constraint shaping this module —
-every location a program rule might report must be recorded here, at
-extraction time, together with the first line of its enclosing
-statement (so ``# repro: allow[...]`` pragmas keep working without the
-AST).
+Program rules judge these digests, not the AST, so every location a
+program rule might report is recorded here, at extraction time,
+together with the first line of its enclosing statement (so
+``# repro: allow[...]`` pragmas keep working).
 """
 
 from __future__ import annotations
@@ -23,17 +20,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 __all__ = [
-    "SUMMARY_SCHEMA",
     "FunctionSummary",
     "ClassSummary",
     "ModuleSummary",
     "extract_summary",
 ]
-
-#: Bump when the extraction output changes shape — invalidates cached
-#: summaries (the lint-package content hash normally does this
-#: automatically; the constant documents the contract).
-SUMMARY_SCHEMA = 2
 
 #: Module-level value kinds treated as shared mutable state.
 _MUTABLE_CONSTRUCTORS = {
@@ -126,33 +117,6 @@ class ModuleSummary:
     def in_package(self, prefixes: Sequence[str]) -> bool:
         return any(
             self.module == p or self.module.startswith(p + ".") for p in prefixes
-        )
-
-    # -- JSON round-trip (the cache stores summaries as plain dicts) ---------
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": {q: vars(f) for q, f in self.functions.items()},
-            "classes": {n: vars(c) for n, c in self.classes.items()},
-            "imports": self.imports,
-            "module_globals": self.module_globals,
-            "pragmas": {str(k): v for k, v in self.pragmas.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            functions={
-                q: FunctionSummary(**f) for q, f in data["functions"].items()
-            },
-            classes={n: ClassSummary(**c) for n, c in data["classes"].items()},
-            imports=dict(data["imports"]),
-            module_globals=dict(data["module_globals"]),
-            pragmas={int(k): list(v) for k, v in data["pragmas"].items()},
         )
 
 
@@ -584,7 +548,7 @@ def extract_summary(
     pragmas: Optional[Dict[int, Set[str]]] = None,
     statement_starts: Optional[Dict[int, int]] = None,
 ) -> ModuleSummary:
-    """Digest one parsed module into its cacheable summary."""
+    """Digest one parsed module into its summary."""
     return _Extractor(
         module,
         path,

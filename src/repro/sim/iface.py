@@ -25,7 +25,7 @@ from repro.net.addresses import (
     solicited_node_multicast,
 )
 from repro.net.arp import ArpOp, ArpPacket
-from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ethernet import EtherType
 from repro.net.icmpv6 import (
     decode_icmpv6,
     encode_icmpv6,

@@ -260,6 +260,8 @@ class HostStack(Node):
         # whose learned prefixes were applied; see _on_ra.
         self._ra_applied: Optional[Tuple[int, int]] = None
         self.ipv4_config: Optional[Ipv4Config] = None
+        # DHCP resolvers kept from an RFC 8925 v6-only grant.
+        self._dhcp_dns: List[IPv4Address] = []
         self.clat: Optional[Clat] = None
         self.v6only_wait: Optional[int] = None
         self.static_v6_default: Optional[IPv6Address] = None
@@ -276,6 +278,8 @@ class HostStack(Node):
         self._ping_ident = itertools.count(0x0100)
         self.dhcp_client: Optional[DhcpClient] = None
         self._xid = itertools.count(0x10000 + (zlib.crc32(name.encode()) & 0xFFFF))
+        # Why the last active TCP open failed; None after a success.
+        self.last_connect_error: Optional[str] = None
 
     # -- node plumbing -----------------------------------------------------------
 
@@ -363,7 +367,6 @@ class HostStack(Node):
             # server configured even while v6-only).
             self.v6only_wait = result.v6only_wait
             self.deconfigure_ipv4()
-            self.ipv4_config = None
             self._dhcp_dns = list(result.dns_servers)
             if self.config.clat_capable:
                 self.enable_clat()
@@ -372,7 +375,7 @@ class HostStack(Node):
     def dhcp_dns_servers(self) -> List[IPv4Address]:
         if self.ipv4_config is not None:
             return list(self.ipv4_config.dns_servers)
-        return list(getattr(self, "_dhcp_dns", []))
+        return list(self._dhcp_dns)
 
     # -- CLAT -----------------------------------------------------------------
 

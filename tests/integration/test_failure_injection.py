@@ -120,7 +120,9 @@ class TestGatewayReboot:
         testbed.run_for(1.0)
         client.resolver.flush_cache()
         # New prefix acquired alongside the (now stale) old one.
-        assert any(a in testbed.gateway.gua_prefix for a in client.host.ipv6_global_addresses())
+        addresses = client.host.ipv6_global_addresses()
+        assert any(a in testbed.gateway.gua_prefix for a in addresses)
+        assert any(a in old_prefix for a in addresses)
         outcome = client.fetch("sc24.supercomputing.org")
         assert outcome.ok, outcome.detail
 

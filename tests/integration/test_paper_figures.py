@@ -1,8 +1,9 @@
 """End-to-end reproduction of every figure in the paper's evaluation.
 
 Each test is one experiment from the DESIGN.md index (E1-E16): it builds
-the figure-4 testbed, attaches the device the paper tested, and asserts
-the *shape* of the paper's observation.
+the figure-4 testbed (E1: the Argonne edge of figure 1), attaches the
+device the paper tested, and asserts the *shape* of the paper's
+observation.
 """
 
 import pytest
@@ -31,9 +32,100 @@ from repro.core.testbed import (
     VTC_V4,
 )
 from repro.dns.rdata import RRType
-from repro.net.addresses import IPv4Address, IPv6Address, is_gua, is_ula
+from repro.net.addresses import (
+    IPv4Address,
+    IPv4Network,
+    IPv6Address,
+    IPv6Network,
+    is_gua,
+    is_ula,
+)
 from repro.services.captive import connectivity_probe, ProbeOutcome
 from repro.services.testipv6 import run_test_ipv6
+from repro.sim.engine import EventEngine
+from repro.sim.host import ServerHost
+from repro.sim.node import connect
+from repro.sim.router import Router
+from repro.sim.switch import ManagedSwitch
+
+
+def build_argonne_edge():
+    """Figure 1's shape: campus LAN → enterprise firewall → ESnet border
+    router → 'internet', dual-stacked on every hop (the /32-on-new-
+    firewall deployment)."""
+    engine = EventEngine(seed=11)
+    firewall = Router(engine, "ngfw-100g")
+    border = Router(engine, "esnet-border")
+    campus = ManagedSwitch(engine, "campus")
+    transit = ManagedSwitch(engine, "transit")
+    wan = ManagedSwitch(engine, "wan")
+
+    firewall.add_interface(
+        "inside",
+        ipv4=(IPv4Address("130.202.1.1"), IPv4Network("130.202.1.0/24")),
+        ipv6=(IPv6Address("2620:0:dc1:1::1"), IPv6Network("2620:0:dc1:1::/64")),
+    )
+    firewall.add_interface(
+        "outside",
+        ipv4=(IPv4Address("198.124.252.1"), IPv4Network("198.124.252.0/30")),
+        ipv6=(IPv6Address("2001:400:6100::1"), IPv6Network("2001:400:6100::/64")),
+    )
+    border.add_interface(
+        "inside",
+        ipv4=(IPv4Address("198.124.252.2"), IPv4Network("198.124.252.0/30")),
+        ipv6=(IPv6Address("2001:400:6100::2"), IPv6Network("2001:400:6100::/64")),
+    )
+    border.add_interface(
+        "outside",
+        ipv4=(IPv4Address("198.51.100.1"), IPv4Network("198.51.100.0/24")),
+        ipv6=(IPv6Address("2001:db8:feed::1"), IPv6Network("2001:db8:feed::/64")),
+    )
+    # Static routing both directions.
+    firewall.add_route_v4(IPv4Network("0.0.0.0/0"), "outside", IPv4Address("198.124.252.2"))
+    firewall.add_route_v6(IPv6Network("::/0"), "outside", border.ifaces["inside"].link_local)
+    border.add_route_v4(IPv4Network("130.202.0.0/16"), "inside", IPv4Address("198.124.252.1"))
+    border.add_route_v6(IPv6Network("2620:0:dc1::/48"), "inside", firewall.ifaces["outside"].link_local)
+    border.add_route_v4(IPv4Network("0.0.0.0/0"), "outside")
+    border.add_route_v6(IPv6Network("::/0"), "outside")
+
+    connect(engine, firewall.port("inside"), campus.add_port("p-fw"))
+    connect(engine, firewall.port("outside"), transit.add_port("p-fw"))
+    connect(engine, border.port("inside"), transit.add_port("p-border"))
+    connect(engine, border.port("outside"), wan.add_port("p-border"))
+
+    inside_host = ServerHost(
+        engine,
+        "beamline",
+        ipv4=IPv4Address("130.202.1.10"),
+        ipv4_network=IPv4Network("130.202.1.0/24"),
+        ipv4_gateway=IPv4Address("130.202.1.1"),
+        ipv6=IPv6Address("2620:0:dc1:1::10"),
+        ipv6_gateway=firewall.ifaces["inside"].link_local,
+    )
+    outside_host = ServerHost(
+        engine,
+        "internet-host",
+        ipv4=IPv4Address("198.51.100.80"),
+        ipv4_network=IPv4Network("198.51.100.0/24"),
+        ipv4_gateway=IPv4Address("198.51.100.1"),
+        ipv6=IPv6Address("2001:db8:feed::80"),
+        ipv6_gateway=border.ifaces["outside"].link_local,
+    )
+    connect(engine, inside_host.port("eth0"), campus.add_port("p-h"))
+    connect(engine, outside_host.port("eth0"), wan.add_port("p-h"))
+    return engine, inside_host, outside_host
+
+
+class TestFig1Edge:
+    """E1: the Argonne edge forwards both families end to end, through
+    the firewall and the border router, at the same simulated cost."""
+
+    def test_dual_stack_pings_cross_both_routers(self):
+        _, inside, _ = build_argonne_edge()
+        v4_rtt = inside.ping(IPv4Address("198.51.100.80"))
+        v6_rtt = inside.ping(IPv6Address("2001:db8:feed::80"))
+        assert v4_rtt * 1000 == pytest.approx(12.0)
+        assert v6_rtt * 1000 == pytest.approx(12.0)
 
 
 class TestFig2Echolink:

@@ -1,23 +1,20 @@
 """Unit tests for the dataflow engine: CFG shape, the intraprocedural
 taint solver (loops, try/finally, short-circuit joins), interprocedural
-summary composition, summary caching, and the headline guarantee —
-the interprocedural fixture is provably invisible to RL101-105.
+summary composition, and the headline guarantee — the interprocedural
+fixture is provably invisible to RL101-105.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
 from repro.lint import lint_paths
-from repro.lint.core import lint_paths_run
 from repro.lint.flow.cfg import build_cfg
 from repro.lint.flow.interp import build_flow_program
-from repro.lint.flow.model import FunctionFlow, ModuleFlow
+from repro.lint.flow.model import FunctionFlow
 from repro.lint.flow.solver import extract_flow, solve_function
 from repro.lint.program.analyzer import build_program
-from repro.lint.program.cache import LintCache
 from repro.lint.program.summary import extract_summary
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -172,10 +169,6 @@ def test_sorted_scrubs_set_order():
         "    return out\n"
     )
     assert ("kind", "setorder") in flow.returns
-    clean = _solve(
-        "def f(s: set):\n"
-        "    return sorted(s)\n"
-    )
     # The sanitize marker lives on the call site; composition applies it.
     fp = _flow_program({"m": "def f(s: set):\n    return sorted(s)\n"})
     assert fp.ret_kinds["m::f"] == set()
@@ -245,18 +238,6 @@ def test_finally_jump_local_loop_exempt():
         "        return 0\n"
     )
     assert [j["kind"] for j in bad.finally_jumps] == ["return"]
-
-
-def test_summary_json_round_trip():
-    tree = ast.parse(
-        "def f(trace, x):\n"
-        "    t = id(x)\n"
-        "    trace.record(t)\n"
-        "    return t\n"
-    )
-    mf = extract_flow("m", tree)
-    restored = ModuleFlow.from_json(json.loads(json.dumps(mf.to_json())))
-    assert restored.to_json() == mf.to_json()
 
 
 # -- interprocedural composition ---------------------------------------------
@@ -357,50 +338,3 @@ def test_interprocedural_fixture_invisible_to_syntactic_rules():
     assert syntactic == set(), f"RL1xx unexpectedly fired: {syntactic}"
     flow_codes = {f.code for f in lint_paths([path], flow=True)}
     assert flow_codes == {"RL601"}
-
-
-# -- caching -----------------------------------------------------------------
-
-
-def test_flow_summaries_cached_and_invalidated(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# repro-lint-module: repro.sim.cachefix\n"
-        "def emit(trace, x):\n"
-        "    trace.record(id(x))\n"
-    )
-    cache_path = tmp_path / "cache.json"
-
-    cold = lint_paths_run([target], flow=True, cache=LintCache(cache_path))
-    assert cold.parsed == 1
-    assert [f.code for f in cold.findings] == ["RL601"]
-
-    warm = lint_paths_run([target], flow=True, cache=LintCache(cache_path))
-    assert warm.parsed == 0, "unchanged file must come from the cache"
-    assert [f.code for f in warm.findings] == ["RL601"]
-
-    # Edit the file: the entry must invalidate and re-analyze.
-    target.write_text(
-        "# repro-lint-module: repro.sim.cachefix\n"
-        "def emit(trace, x):\n"
-        "    trace.record(x)\n"
-    )
-    edited = lint_paths_run([target], flow=True, cache=LintCache(cache_path))
-    assert edited.parsed == 1
-    assert edited.findings == []
-
-
-def test_program_run_leaves_cache_warm_for_flow(tmp_path):
-    """A --program run computes flow summaries too, so a later --flow
-    run over the unchanged tree is fully warm (zero re-parses)."""
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# repro-lint-module: repro.sim.warmfix\n"
-        "def emit(trace, x):\n"
-        "    trace.record(id(x))\n"
-    )
-    cache_path = tmp_path / "cache.json"
-    lint_paths_run([target], program=True, cache=LintCache(cache_path))
-    warm = lint_paths_run([target], flow=True, cache=LintCache(cache_path))
-    assert warm.parsed == 0
-    assert [f.code for f in warm.findings] == ["RL601"]

@@ -1,9 +1,9 @@
-"""Whole-program analysis units: call graph, resolution, cache, CLI.
+"""Whole-program analysis units: call graph, resolution, CLI.
 
 Fixture modules are built in-memory through :func:`extract_summary` so
 each test states its tree in a few lines; the CLI-facing behaviours
-(``--format``, ``--max-seconds``, warm-cache runs) go through real
-subprocesses like CI does.
+(``--format``, ``--max-seconds``) go through real subprocesses like CI
+does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.lint.program import (
     CallGraph,
     extract_summary,
     func_id,
-    LintCache,
     ProgramIndex,
 )
 
@@ -119,60 +118,6 @@ def test_worker_entry_discovery_and_cone():
     assert func_id("repro.sweeps.m", "helper") not in program.worker_entries
 
 
-# -- incremental cache --------------------------------------------------------
-
-
-def test_cache_warm_run_skips_parsing_and_reproduces_findings(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text(
-        "# repro-lint-module: repro.sim.fixture\n"
-        "import time\n"
-        "\n"
-        "\n"
-        "def now() -> float:\n"
-        "    return time.time()\n",
-        encoding="utf-8",
-    )
-    cache_path = tmp_path / "cache.json"
-    cold = lint_paths_run([target], program=True, cache=LintCache(cache_path))
-    assert cold.parsed == 1 and cold.cache_hits == 0
-    assert any(f.code == "RL101" for f in cold.findings)
-    warm = lint_paths_run([target], program=True, cache=LintCache(cache_path))
-    assert warm.parsed == 0 and warm.cache_hits == 1
-    assert warm.findings == cold.findings
-
-
-def test_cache_invalidated_by_content_change(tmp_path):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1\n", encoding="utf-8")
-    cache_path = tmp_path / "cache.json"
-    first = lint_paths_run([target], program=True, cache=LintCache(cache_path))
-    assert first.findings == []
-    target.write_text(
-        "# repro-lint-module: repro.sim.fixture\n"
-        "import time\n"
-        "\n"
-        "\n"
-        "def now() -> float:\n"
-        "    return time.time()\n",
-        encoding="utf-8",
-    )
-    second = lint_paths_run([target], program=True, cache=LintCache(cache_path))
-    assert second.parsed == 1 and second.cache_hits == 0
-    assert any(f.code == "RL101" for f in second.findings)
-
-
-def test_cache_dropped_when_analyzer_changes(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    original = LintCache(cache_path, signature="analyzer-v1")
-    original.put(Path("x.py"), "hash-1", {"findings": []})
-    original.save()
-    same = LintCache(cache_path, signature="analyzer-v1")
-    assert same.get(Path("x.py"), "hash-1") is not None
-    changed = LintCache(cache_path, signature="analyzer-v2")
-    assert changed.get(Path("x.py"), "hash-1") is None
-
-
 def test_stale_allowlist_entry_reported(monkeypatch):
     from repro.lint import allowlist
 
@@ -188,7 +133,7 @@ def test_stale_allowlist_entry_reported(monkeypatch):
 
 def test_cli_json_format():
     result = _run_cli(
-        "--no-cache", "--program", "--format", "json", str(CORPUS / "bad_rl101.py")
+        "--flow", "--format", "json", str(CORPUS / "bad_rl101.py")
     )
     assert result.returncode == 1
     payload = json.loads(result.stdout)
@@ -196,13 +141,13 @@ def test_cli_json_format():
     codes = {f["code"] for f in payload["findings"]}
     assert "RL101" in codes
     assert payload["stats"]["files"] == 1
-    for key in ("parsed", "elapsed_s", "findings"):
+    for key in ("elapsed_s", "findings"):
         assert key in payload["stats"]
 
 
 def test_cli_gha_format():
     result = _run_cli(
-        "--no-cache", "--program", "--format", "gha",
+        "--flow", "--format", "gha",
         str(CORPUS / "bad_rl101.py"), str(CORPUS / "bad_rl001.py"),
     )
     assert result.returncode == 1
@@ -219,17 +164,7 @@ def test_cli_gha_format():
 def test_cli_max_seconds_gate(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n", encoding="utf-8")
-    result = _run_cli("--no-cache", "--max-seconds", "0", str(clean))
+    result = _run_cli("--max-seconds", "0", str(clean))
     assert result.returncode == 3
-    result = _run_cli("--no-cache", "--max-seconds", "600", str(clean))
+    result = _run_cli("--max-seconds", "600", str(clean))
     assert result.returncode == 0
-
-
-def test_cli_cache_round_trip(src_lint):
-    """A CLI run over the cache the cold analysis of src left parses
-    nothing and stays clean."""
-    warm = _run_cli(
-        str(REPO_ROOT / "src"), "--program", "--cache", str(src_lint.cache_path)
-    )
-    assert warm.returncode == 0, warm.stdout
-    assert ", 0 parsed" in warm.stdout

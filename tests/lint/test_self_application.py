@@ -2,13 +2,12 @@
 clean (whole-program rules included), and the CLI must fail loudly on
 the deliberately-broken corpus.
 
-The tree is analysed cold once, in process, by the ``src_lint`` fixture;
-the CLI tests read that analysis back from its cache, so both entry
-points are checked for the price of one whole-tree analysis.
+The suite analyses the whole tree once, through the CLI with every rule.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -26,11 +25,8 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    # Tests must not leave a cache file in the checkout: without an
-    # explicit --cache (under tmp_path), run uncached.
-    cache = [] if "--cache" in args else ["--no-cache"]
     return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *cache, *args],
+        [sys.executable, "-m", "repro.lint", *args],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
@@ -39,17 +35,10 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_src_tree_lints_clean_via_cli(src_lint):
-    result = _run_cli(
-        str(REPO_ROOT / "src"), "--flow", "--cache", str(src_lint.cache_path)
-    )
+def test_src_tree_lints_clean_via_cli():
+    result = _run_cli(str(REPO_ROOT / "src"), "--flow", "--format", "json")
     assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
-    assert "repro.lint: clean" in result.stdout
-    assert ", 0 parsed" in result.stdout, result.stdout
-
-
-def test_src_tree_lints_clean_in_process(src_lint):
-    assert src_lint.findings == []
+    assert json.loads(result.stdout)["findings"] == []
 
 
 def test_broken_corpus_fails_with_every_code():
@@ -69,7 +58,8 @@ def test_cli_select_filters_codes():
 
 
 def test_cli_select_program_rule_implies_program():
-    """Selecting an RL4xx code runs the whole-program analysis."""
+    """Selecting an RL4xx code runs the whole-program analysis (at the
+    ``--flow`` depth, the only one that builds the program)."""
     result = _run_cli("--select", "RL402", str(CORPUS / "bad_rl402.py"))
     assert result.returncode == 1
     assert "RL402" in result.stdout
@@ -87,11 +77,9 @@ def test_cli_list_rules():
 
 
 def test_cli_list_rules_json():
-    import json as _json
-
     result = _run_cli("--list-rules", "--format", "json")
     assert result.returncode == 0
-    inventory = _json.loads(result.stdout)
+    inventory = json.loads(result.stdout)
     codes = [entry["code"] for entry in inventory["rules"]]
     assert codes == sorted(rule.code for rule in all_rules())
     by_code = {entry["code"]: entry for entry in inventory["rules"]}

@@ -18,7 +18,6 @@ import heapq
 import random
 
 from repro.sim.engine import EventEngine
-from repro.sim.link import Link
 from repro.sim.node import connect, Node
 
 
