@@ -2,7 +2,8 @@
 clean (whole-program rules included), and the CLI must fail loudly on
 the deliberately-broken corpus.
 
-The suite analyses the whole tree once, through the CLI with every rule.
+The whole tree is analysed with every rule through both entry points:
+in process with :func:`lint_paths`, and through the CLI.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import all_rules
+from repro.lint import all_rules, lint_paths
 
 REPO_ROOT = Path(__file__).parents[2]
 CORPUS = Path(__file__).parent / "corpus"
@@ -39,6 +40,10 @@ def test_src_tree_lints_clean_via_cli():
     result = _run_cli(str(REPO_ROOT / "src"), "--flow", "--format", "json")
     assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
     assert json.loads(result.stdout)["findings"] == []
+
+
+def test_src_tree_lints_clean_in_process():
+    assert lint_paths([REPO_ROOT / "src"], flow=True) == []
 
 
 def test_broken_corpus_fails_with_every_code():
