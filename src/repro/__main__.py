@@ -168,7 +168,7 @@ def cmd_experiments(args) -> int:
     for label, passed in results:
         print(f"  [{'PASS' if passed else 'FAIL'}] {label}")
         ok = ok and passed
-    print("full suite: pytest tests/  ·  full figures: pytest benchmarks/ --benchmark-only -s")
+    print("every experiment, asserted: PYTHONPATH=src python -m pytest tests/ (see EXPERIMENTS.md)")
     return 0 if ok else 1
 
 

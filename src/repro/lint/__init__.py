@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.lint.core import (
     all_rules,
     Finding,
-    lint_file,
     lint_paths,
     lint_paths_run,
     LintContext,
@@ -36,7 +35,6 @@ __all__ = [
     "LintRun",
     "Rule",
     "all_rules",
-    "lint_file",
     "lint_paths",
     "lint_paths_run",
     "module_name_for",

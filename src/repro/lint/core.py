@@ -39,7 +39,6 @@ __all__ = [
     "register_rule",
     "all_rules",
     "module_name_for",
-    "lint_file",
     "lint_paths",
     "LintRun",
 ]
@@ -266,28 +265,6 @@ def _make_context(path: Path, source: str, tree: ast.Module) -> LintContext:
         pragmas=_collect_pragmas(source),
         statement_starts=_collect_statement_starts(tree),
     )
-
-
-def lint_file(
-    path: Path,
-    rules: Optional[Sequence[Rule]] = None,
-    select: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Run every applicable per-file rule over one file."""
-    source = path.read_text(encoding="utf-8")
-    tree, error = _parse(path, source)
-    if tree is None:
-        return [error] if error is not None else []
-    ctx = _make_context(path, source, tree)
-    for rule in rules if rules is not None else all_rules():
-        if rule.program:
-            continue
-        if select is not None and rule.code not in select:
-            continue
-        if rule.applies_to(ctx):
-            rule.check(ctx)
-    ctx.findings.sort(key=lambda f: (f.line, f.col, f.code))
-    return ctx.findings
 
 
 def iter_python_files(paths: Iterable[Path]) -> List[Path]:

@@ -19,6 +19,20 @@ MIRROR_V4 = IPv4Address("216.218.228.115")
 MIRROR_V6 = IPv6Address("2001:470:1:18::115")
 
 
+def blackhole_forwarded_v6(testbed):
+    """Silently eat every IPv6 packet the gateway would forward, but keep
+    its own NDP and local traffic, so clients still believe they have
+    IPv6: the realistic breakage."""
+    deliver = testbed.gateway.lan_iface.on_ipv6
+
+    def selective(packet):
+        if packet.dst in testbed.gateway.lan_iface.ipv6_addresses:
+            return deliver(packet)
+        return None
+
+    testbed.gateway.lan_iface.on_ipv6 = selective
+
+
 class TestRace:
     def test_preferred_candidate_wins_when_healthy(self, world):
         testbed, client = world
@@ -32,17 +46,7 @@ class TestRace:
         """Break native v6 forwarding: the race must fall back to v4
         after ~one attempt delay, not a full TCP timeout."""
         testbed, client = world
-
-        # Sever v6 at the gateway: drop all native v6 forwarding.
-        original = testbed.gateway._lan_ipv6
-
-        def v6_blackhole(packet):
-            if packet.dst in testbed.gateway.lan_iface.ipv6_addresses:
-                return original(packet)
-            return None  # silently eat forwarded v6 (blackhole)
-
-        testbed.gateway._lan_ipv6 = v6_blackhole
-        testbed.gateway.lan_iface.on_ipv6 = v6_blackhole
+        blackhole_forwarded_v6(testbed)
 
         result = happy_eyeballs_connect(
             client.host, [MIRROR_V6, MIRROR_V4], 80, attempt_delay=0.25, timeout=3.0
@@ -50,8 +54,9 @@ class TestRace:
         assert result.ok
         assert result.winner == MIRROR_V4
         assert result.attempts == [MIRROR_V6, MIRROR_V4]
-        # Converged in roughly one stagger delay, far below the timeout.
-        assert result.elapsed < 1.0
+        # Converged in one stagger delay plus the v4 handshake, far below
+        # the timeout.
+        assert result.elapsed == pytest.approx(0.258)
         result.connection.close()
 
     def test_all_candidates_dead(self, world):
@@ -92,16 +97,7 @@ class TestFetchIntegration:
 
     def test_fetch_happy_eyeballs_falls_back_fast(self, world):
         testbed, client = world
-        # Blackhole only *forwarded* v6 (keep NDP/local so the stack
-        # still believes it has v6 — the realistic breakage).
-        original = testbed.gateway._lan_ipv6
-
-        def selective(packet):
-            if packet.dst in testbed.gateway.lan_iface.ipv6_addresses:
-                return original(packet)
-            return None
-
-        testbed.gateway.lan_iface.on_ipv6 = selective
+        blackhole_forwarded_v6(testbed)
         start = testbed.engine.now
         outcome = client.fetch("test-ipv6.com", happy_eyeballs=True)
         elapsed = testbed.engine.now - start
@@ -110,6 +106,13 @@ class TestFetchIntegration:
         assert elapsed < 1.5
 
     def test_sequential_fetch_still_works(self, world):
+        """Without Happy Eyeballs the same breakage costs the full 3 s
+        TCP timeout on the v6 candidate before v4 is tried."""
         testbed, client = world
+        blackhole_forwarded_v6(testbed)
+        start = testbed.engine.now
         outcome = client.fetch("test-ipv6.com", happy_eyeballs=False)
+        elapsed = testbed.engine.now - start
         assert outcome.ok
+        assert outcome.family == "ipv4"
+        assert elapsed > 3.0

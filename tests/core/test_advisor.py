@@ -42,12 +42,13 @@ class TestAdvisor:
     def test_dead_resolver_advice(self, testbed):
         testbed.pi_healthy.port("eth0")._link.disconnect()
         advisory = run_for(testbed, NINTENDO_SWITCH, "switch")
-        # Total failure: v4 fetches now land nowhere (ip6.me redirect
-        # still resolves via poison but page loads... ip6.me is alive,
-        # only AAAA service died) — the switch still reaches ip6.me, so
-        # expect the no-IPv6 advice plus the resolver warning.
-        titles = " / ".join(a.title for a in advisory.advice)
-        assert "AAAA" in titles or "IPv6" in titles
+        # Only the AAAA service died: the switch still reaches ip6.me
+        # through the poison, so expect the no-IPv6 advice plus the
+        # resolver warning.
+        assert [a.title for a in advisory.advice] == [
+            "This device has no IPv6 connectivity",
+            "Resolver cannot answer AAAA queries",
+        ]
 
     def test_render_is_ordered_by_severity(self, testbed):
         advisory = run_for(testbed, NINTENDO_SWITCH, "switch")

@@ -27,8 +27,11 @@ from repro.core.testbed import (
     CONCENTRATOR_V4,
     PI_HEALTHY_V6,
     PI_POISON_V4,
+    PI_POOL_FIRST,
+    PI_POOL_LAST,
     SC24_WEB_V4,
     TestbedConfig,
+    ULA_PREFIX,
     VTC_V4,
 )
 from repro.dns.rdata import RRType
@@ -140,7 +143,7 @@ class TestFig2Echolink:
         assert result.connected and result.family == "ipv4"
         census = testbed.census()
         # The laptop has v6 addresses, so the naive count includes it...
-        assert census.naive_ipv6_only_count() >= 1
+        assert census.naive_ipv6_only_count() == 1
         # ...but it is not an IPv6-only client.
         assert census.accurate_ipv6_only_count() == 0
 
@@ -151,7 +154,7 @@ class TestFig3GatewayQuirks:
 
     def test_dead_rdnss_without_workarounds(self, testbed_raw):
         client = testbed_raw.add_client(LINUX, "lin")
-        assert client.host.slaac.rdnss[:2] == [
+        assert client.host.slaac.rdnss == [
             IPv6Address("fd00:976a::9"),
             IPv6Address("fd00:976a::10"),
         ]
@@ -177,9 +180,10 @@ class TestFig3GatewayQuirks:
         assert router.address == testbed.gateway.lan_iface.link_local
 
     def test_prefix_rotation_on_reboot(self, testbed):
-        before = testbed.gateway.gua_prefix
-        after = testbed.gateway.reboot()
-        assert before != after
+        """Three reboots, four distinct GUA /64s."""
+        prefixes = [testbed.gateway.gua_prefix]
+        prefixes += [testbed.gateway.reboot() for _ in range(3)]
+        assert prefixes == [IPv6Network(f"2607:fb90:9bda:a40{i}::/64") for i in range(4)]
 
 
 class TestFig4Testbed:
@@ -194,6 +198,23 @@ class TestFig4Testbed:
     def test_pi_dhcp_is_the_only_working_pool(self, testbed):
         client = testbed.add_client(NINTENDO_SWITCH, "sw")
         assert client.host.ipv4_config.address < IPv4Address("192.168.12.100")
+
+    def test_every_client_class_converges(self, testbed):
+        """One testbed, the three client classes of the figure."""
+        mac = testbed.add_client(MACOS, "mac")
+        lin = testbed.add_client(LINUX, "lin")
+        nsw = testbed.add_client(NINTENDO_SWITCH, "nsw")
+        # RFC 8925: option 108 granted instead of a lease; a ULA and a GUA.
+        assert mac.host.v6only_wait is not None and mac.host.ipv4_config is None
+        assert sorted(map(is_ula, mac.host.ipv6_global_addresses())) == [False, True]
+        # Dual-stack: a Pi-pool lease and the same two IPv6 addresses.
+        assert PI_POOL_FIRST <= lin.host.ipv4_config.address <= PI_POOL_LAST
+        assert len(lin.host.ipv6_global_addresses()) == 2
+        # IPv4-only: a Pi-pool lease and no IPv6 at all.
+        assert PI_POOL_FIRST <= nsw.host.ipv4_config.address <= PI_POOL_LAST
+        assert not nsw.host.ipv6_global_addresses()
+        # Snooping is dropping the gateway's own DHCP pool.
+        assert testbed.switch.snooper.dropped > 0
 
 
 class TestFig5ErroneousScore:
@@ -215,7 +236,7 @@ class TestFig5ErroneousScore:
         client = testbed_fig5.add_client(WINDOWS_10_V6_DISABLED, "w10-nov6")
         report = run_test_ipv6(client, testbed_fig5.mirror)
         breakdown = score_rfc8925_aware(report, testbed_fig5.scoring_context())
-        assert breakdown.score < 10
+        assert (breakdown.score, breakdown.classified_as) == (6, "ipv4-only or degraded")
 
     def test_final_design_scores_low_instead(self, testbed):
         """With the poison re-pointed at ip6.me (the §V change), the same
@@ -260,6 +281,9 @@ class TestFig7WindowsXP:
     def test_xp_reaches_v4_only_site_over_v6(self, testbed):
         client = testbed.add_client(WINDOWS_XP, "xp")
         assert client.dns_server_order() == [PI_POISON_V4]  # poisoned!
+        # The figure's ipconfig: connection-specific suffix and a ULA.
+        assert client.search_domains() == ["rfc8925.com"]
+        assert any(a in ULA_PREFIX for a in client.host.ipv6_global_addresses())
         outcome = client.fetch("sc24.supercomputing.org")
         assert outcome.ok
         assert outcome.landed_on == "sc24.supercomputing.org"
@@ -352,6 +376,8 @@ class TestFig9SuffixPoisoning:
         # name, not a fabricated one.
         assert str(result.queried_name) == "vpn.anl.gov"
         assert result.records[0].rdata.address == IPv4Address("23.153.8.71")
+        # The suffixed query's NXDOMAIN was passed through, not poisoned.
+        assert testbed.poisoner.passed_negative == 1
         # And v4-only clients are still intervened:
         switch = testbed.add_client(NINTENDO_SWITCH, "sw")
         assert switch.fetch("sc24.supercomputing.org").landed_on == "ip6.me"
@@ -369,6 +395,11 @@ class TestFig10RdnssPreference:
 
     def test_w10_gets_real_records(self, testbed):
         client = testbed.add_client(WINDOWS_10, "w10")
+        assert client.dns_server_order() == [
+            IPv6Address("fd00:976a::9"),
+            IPv6Address("fd00:976a::10"),
+            PI_POISON_V4,
+        ]
         result = client.resolver.resolve("vpn.anl.gov", RRType.A)
         assert result.records[0].rdata.address == IPv4Address("130.202.228.253")
 
@@ -376,7 +407,13 @@ class TestFig10RdnssPreference:
         """The contrast case the paper calls out for 'some versions of
         Windows 11'."""
         client = testbed.add_client(WINDOWS_11, "w11")
-        client.resolver.resolve("some-name.anl.gov", RRType.A)
+        assert client.dns_server_order() == [
+            PI_POISON_V4,
+            IPv6Address("fd00:976a::9"),
+            IPv6Address("fd00:976a::10"),
+        ]
+        result = client.resolver.resolve("vpn.anl.gov", RRType.A)
+        assert result.records[0].rdata.address == IPv4Address("23.153.8.71")
         assert testbed.poisoner.poison_answers > 0
 
 
@@ -411,9 +448,15 @@ class TestE14ScoringFix:
         context = testbed.scoring_context()
         mac = testbed.add_client(MACOS, "mac")
         dual = testbed.add_client(WINDOWS_10, "w10")
-        mac_score = score_rfc8925_aware(run_test_ipv6(mac, testbed.mirror), context)
-        dual_score = score_rfc8925_aware(run_test_ipv6(dual, testbed.mirror), context)
-        assert mac_score.score == 10 and "rfc8925" in mac_score.classified_as
+        mac_report = run_test_ipv6(mac, testbed.mirror)
+        dual_report = run_test_ipv6(dual, testbed.mirror)
+        # Stock logic cannot tell them apart (the paper's complaint)...
+        assert score_stock(mac_report).score == score_stock(dual_report).score == 10
+        # ...the fixed scorer can.
+        mac_score = score_rfc8925_aware(mac_report, context)
+        dual_score = score_rfc8925_aware(dual_report, context)
+        assert mac_score.score == 10
+        assert mac_score.classified_as == "rfc8925 (IPv6-only with CLAT)"
         assert dual_score.score == 9 and dual_score.classified_as == "dual-stack"
 
     def test_future_windows11_rfc8925_build(self, testbed):
@@ -436,10 +479,14 @@ class TestE15NoImpact:
         a = with_poison.add_client(profile, "dev")
         b = without.add_client(profile, "dev")
         for site in ("sc24.supercomputing.org", "ip6.me", "test-ipv6.com"):
+            start_on, start_off = with_poison.engine.now, without.engine.now
             oa = a.fetch(site)
             ob = b.fetch(site)
             assert oa.landed_on == ob.landed_on == site
             assert oa.family == ob.family
+            # The poisoned path is never consulted, so the simulated fetch
+            # takes exactly as long.
+            assert with_poison.engine.now - start_on == without.engine.now - start_off
 
     def test_only_v4_only_clients_hit_the_poison(self, testbed):
         testbed.add_client(MACOS, "mac").fetch("sc24.supercomputing.org")
@@ -453,11 +500,19 @@ class TestE16Rollback:
     """E16: the removal playbook cleanly reverts the intervention."""
 
     def test_full_cycle(self, testbed):
+        """Remove, roll back, redeploy: a fresh IPv4-only device lands on
+        ip6.me, then the real site, then ip6.me twice."""
+
+        def landing(name):
+            client = testbed.add_client(NINTENDO_SWITCH, name)
+            return client.fetch("sc24.supercomputing.org").landed_on
+
+        assert landing("sw0") == "ip6.me"
         playbook = testbed.remove_intervention_playbook()
         run = playbook.run()
         assert run.ok
-        healthy_client = testbed.add_client(NINTENDO_SWITCH, "sw1")
-        assert healthy_client.fetch("sc24.supercomputing.org").landed_on == "sc24.supercomputing.org"
+        assert landing("sw1") == "sc24.supercomputing.org"
         playbook.rollback(run)
-        poisoned_client = testbed.add_client(NINTENDO_SWITCH, "sw2")
-        assert poisoned_client.fetch("sc24.supercomputing.org").landed_on == "ip6.me"
+        assert landing("sw2") == "ip6.me"
+        assert testbed.deploy_intervention_playbook().run().ok
+        assert landing("sw3") == "ip6.me"

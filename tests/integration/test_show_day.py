@@ -1,6 +1,7 @@
 """A full SC24v6 show day, end to end: build-out, device influx, an
 issue report, the rollback drill, redeploy, and the closing census —
-the paper's §IV-§VII narrative as one continuous system test."""
+the paper's §IV-§VII narrative as one continuous system test — and
+the show floor at scale (S1)."""
 
 import pytest
 
@@ -158,3 +159,35 @@ class TestClosing:
         for client in testbed.clients:
             if client.name in rdnss_clients and client.host.ipv4_config:
                 assert str(client.host.ipv4_config.address) not in poisoned_clients
+
+
+#: S1's show-floor mix: (profile, attendees), fifty in all.
+SHOW_FLOOR = (
+    (IOS, 12),
+    (ANDROID, 10),
+    (MACOS, 8),
+    (WINDOWS_10, 8),
+    (WINDOWS_11, 5),
+    (LINUX, 4),
+    (NINTENDO_SWITCH, 3),
+)
+
+
+class TestShowFloorScale:
+    def test_fifty_attendees_browse_once(self):
+        """S1: "viable at scale" (§VII).  Every fetch lands somewhere,
+        exactly the Switches are intervened, and the accurate census and
+        the option-108 grants both count the 30 RFC 8925 phones and Macs."""
+        testbed = build_testbed(TestbedConfig())
+        profiles = [profile for profile, count in SHOW_FLOOR for _ in range(count)]
+        clients = [testbed.add_client(p, f"attendee-{i}") for i, p in enumerate(profiles)]
+        outcomes = [client.fetch("sc24.supercomputing.org") for client in clients]
+        assert len(outcomes) == 50 and all(outcome.ok for outcome in outcomes)
+        intervened = [
+            client.profile
+            for client, outcome in zip(clients, outcomes)
+            if outcome.landed_on == "ip6.me"
+        ]
+        assert intervened == [NINTENDO_SWITCH] * 3
+        assert testbed.census().accurate_ipv6_only_count() == 12 + 10 + 8
+        assert testbed.dhcp_server.option_108_grants == 30

@@ -6,6 +6,6 @@ class Codec:
     def __init__(self, wire: bytes) -> None:
         self.wire = wire
 
-    def decode(self) -> bytes:
+    def payload(self) -> bytes:
         self.cached = self.wire[2:]
         return self.cached

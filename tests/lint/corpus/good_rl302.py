@@ -9,6 +9,6 @@ class Codec:
         self.wire = wire
         self.cached = None
 
-    def decode(self) -> bytes:
+    def payload(self) -> bytes:
         self.cached = self.wire[2:]
         return self.cached

@@ -50,10 +50,17 @@ def _flow_program(sources: dict):
 
 def test_cfg_if_else_joins():
     cfg = build_cfg(ast.parse("a = 1\nif a:\n    b = 1\nelse:\n    b = 2\nc = b\n").body)
-    # Entry block must reach both arms; both arms must reach the join.
-    assert cfg.entry in {p for b in cfg.blocks.values() for p in ()} or True
-    join_preds = [bid for bid, preds in cfg.preds.items() if len(preds) >= 2]
-    assert join_preds, "if/else must create a join with 2+ predecessors"
+    # The entry block branches into both arms; both arms reach the join.
+    (join,) = [
+        bid
+        for bid, block in cfg.blocks.items()
+        if [ast.unparse(item) for item in block.items] == ["c = b"]
+    ]
+    arms = cfg.blocks[cfg.entry].succ
+    assert len(arms) == 2
+    for arm in arms:
+        assert join in cfg.blocks[arm].succ
+    assert cfg.preds[join] == arms
 
 
 def test_cfg_while_has_back_edge():

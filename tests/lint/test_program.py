@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.lint.core import lint_paths_run
@@ -23,8 +20,8 @@ from repro.lint.program import (
     func_id,
     ProgramIndex,
 )
+from tests.lint.cli_runner import REPO_ROOT, run_cli
 
-REPO_ROOT = Path(__file__).parents[2]
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -32,22 +29,6 @@ def summarize(module: str, source: str, is_package: bool = False):
     return extract_summary(
         module, f"{module.replace('.', '/')}.py", ast.parse(source),
         is_package=is_package,
-    )
-
-
-def _run_cli(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=cwd,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
     )
 
 
@@ -132,7 +113,7 @@ def test_stale_allowlist_entry_reported(monkeypatch):
 
 
 def test_cli_json_format():
-    result = _run_cli(
+    result = run_cli(
         "--flow", "--format", "json", str(CORPUS / "bad_rl101.py")
     )
     assert result.returncode == 1
@@ -146,7 +127,7 @@ def test_cli_json_format():
 
 
 def test_cli_gha_format():
-    result = _run_cli(
+    result = run_cli(
         "--flow", "--format", "gha",
         str(CORPUS / "bad_rl101.py"), str(CORPUS / "bad_rl001.py"),
     )
@@ -164,7 +145,7 @@ def test_cli_gha_format():
 def test_cli_max_seconds_gate(tmp_path):
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n", encoding="utf-8")
-    result = _run_cli("--max-seconds", "0", str(clean))
+    result = run_cli("--max-seconds", "0", str(clean))
     assert result.returncode == 3
-    result = _run_cli("--max-seconds", "600", str(clean))
+    result = run_cli("--max-seconds", "600", str(clean))
     assert result.returncode == 0

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_rules, lint_file, lint_paths
+from repro.lint import all_rules, lint_paths
 
 CORPUS = Path(__file__).parent / "corpus"
 ALL_CODES = sorted(rule.code for rule in all_rules())
@@ -33,14 +33,16 @@ def test_corpus_covers_every_rule():
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_positive_fixture_triggers(code):
+    """Each bad fixture fires its own code and no other, so a rule that
+    starts firing on another rule's fixture fails here."""
     found = codes_in(CORPUS / f"bad_{code.lower()}.py")
-    assert code in found, f"bad_{code.lower()}.py did not trigger {code} (got {found})"
+    assert found == {code}, f"bad_{code.lower()}.py should trigger only {code} (got {found})"
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_negative_fixture_clean(code):
     found = codes_in(CORPUS / f"good_{code.lower()}.py")
-    assert code not in found, f"good_{code.lower()}.py unexpectedly triggered {code}"
+    assert not found, f"good_{code.lower()}.py should be clean (got {found})"
 
 
 def test_rule_codes_follow_families():
@@ -54,7 +56,7 @@ def test_rule_codes_follow_families():
 
 def test_findings_report_location_and_hint():
     findings = [
-        f for f in lint_file(CORPUS / "bad_rl101.py") if f.code == "RL101"
+        f for f in lint_paths([CORPUS / "bad_rl101.py"]) if f.code == "RL101"
     ]
     assert findings, "expected an RL101 finding"
     finding = findings[0]

@@ -9,35 +9,16 @@ in process with :func:`lint_paths`, and through the CLI.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from repro.lint import all_rules, lint_paths
+from tests.lint.cli_runner import REPO_ROOT, run_cli
 
-REPO_ROOT = Path(__file__).parents[2]
 CORPUS = Path(__file__).parent / "corpus"
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "repro.lint", *args],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
 def test_src_tree_lints_clean_via_cli():
-    result = _run_cli(str(REPO_ROOT / "src"), "--flow", "--format", "json")
+    result = run_cli(str(REPO_ROOT / "src"), "--flow", "--format", "json")
     assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
     assert json.loads(result.stdout)["findings"] == []
 
@@ -48,30 +29,30 @@ def test_src_tree_lints_clean_in_process():
 
 def test_broken_corpus_fails_with_every_code():
     bad_files = sorted(str(p) for p in CORPUS.glob("bad_*.py"))
-    result = _run_cli("--flow", *bad_files)
+    result = run_cli("--flow", *bad_files)
     assert result.returncode == 1
     for rule in all_rules():
         assert rule.code in result.stdout, f"{rule.code} missing from CLI output"
 
 
 def test_cli_select_filters_codes():
-    result = _run_cli("--select", "RL301", str(CORPUS / "bad_rl301.py"))
+    result = run_cli("--select", "RL301", str(CORPUS / "bad_rl301.py"))
     assert result.returncode == 1
     assert "RL301" in result.stdout
-    result = _run_cli("--select", "RL101", str(CORPUS / "bad_rl301.py"))
+    result = run_cli("--select", "RL101", str(CORPUS / "bad_rl301.py"))
     assert result.returncode == 0
 
 
 def test_cli_select_program_rule_implies_program():
     """Selecting an RL4xx code runs the whole-program analysis (at the
     ``--flow`` depth, the only one that builds the program)."""
-    result = _run_cli("--select", "RL402", str(CORPUS / "bad_rl402.py"))
+    result = run_cli("--select", "RL402", str(CORPUS / "bad_rl402.py"))
     assert result.returncode == 1
     assert "RL402" in result.stdout
 
 
 def test_cli_list_rules():
-    result = _run_cli("--list-rules")
+    result = run_cli("--list-rules")
     assert result.returncode == 0
     for rule in all_rules():
         assert rule.code in result.stdout
@@ -82,7 +63,7 @@ def test_cli_list_rules():
 
 
 def test_cli_list_rules_json():
-    result = _run_cli("--list-rules", "--format", "json")
+    result = run_cli("--list-rules", "--format", "json")
     assert result.returncode == 0
     inventory = json.loads(result.stdout)
     codes = [entry["code"] for entry in inventory["rules"]]
@@ -95,23 +76,11 @@ def test_cli_list_rules_json():
 
 
 def test_cli_missing_path_is_usage_error():
-    result = _run_cli("does/not/exist.py")
+    result = run_cli("does/not/exist.py")
     assert result.returncode == 2
 
 
 def test_repro_lint_subcommand_forwards():
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--list-rules"],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = run_cli("lint", "--list-rules", module="repro")
     assert result.returncode == 0
     assert "RL101" in result.stdout

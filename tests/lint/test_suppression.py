@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint import lint_file, module_name_for
+from repro.lint import lint_paths, module_name_for
 from repro.lint.allowlist import allowed_codes_for, ALLOWLIST
 
 
 def _lint_source(tmp_path: Path, source: str, name: str = "fixture.py") -> set:
     path = tmp_path / name
     path.write_text(source)
-    return {finding.code for finding in lint_file(path)}
+    return {finding.code for finding in lint_paths([path])}
 
 
 BANNED_CALL = (

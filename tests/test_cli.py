@@ -19,6 +19,9 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+        # The footer points at the tier-1 suite, which must exist.
+        suite = out.splitlines()[-1].split("pytest ", 1)[1].split()[0]
+        assert (Path(__file__).parents[1] / suite).is_dir()
 
     def test_matrix(self, capsys):
         assert main(["matrix"]) == 0
