@@ -7,7 +7,8 @@ Commands:
 - ``fleet``       — the same trajectory at fleet scale, as IPv4 demand
 - ``scores``      — mirror scores per device class, stock vs fixed
 - ``demo``        — the quickstart walk-through
-- ``experiments`` — one-line status for every paper experiment (E1-E16)
+- ``experiments`` — a quick PASS/FAIL check of six paper experiments (E4, E5,
+  E6, E7, E9, E10); ``PYTHONPATH=src python -m pytest tests/`` asserts them all
 - ``lint``        — determinism & wire-contract static analysis (repro.lint)
 - ``sanitize``    — runtime determinism sanitizer (hash-salt + sharding diff)
 """
@@ -129,7 +130,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    """Run a fast pass of every paper experiment's key assertion."""
+    """Check the key assertion of six paper experiments (E4, E5, E6, E7,
+    E9, E10); the tier-1 suite asserts every experiment."""
     del args
     from repro.clients.profiles import (
         MACOS,
@@ -245,7 +247,11 @@ def main(argv=None) -> int:
     p_demo = sub.add_parser("demo", help="the quickstart walk-through")
     p_demo.set_defaults(fn=cmd_demo)
 
-    p_exp = sub.add_parser("experiments", help="fast pass over the paper experiments")
+    p_exp = sub.add_parser(
+        "experiments",
+        help="quick check of E4, E5, E6, E7, E9 and E10; "
+        "PYTHONPATH=src python -m pytest tests/ asserts every experiment",
+    )
     p_exp.set_defaults(fn=cmd_experiments)
 
     # ``lint`` is handled above (verbatim forwarding); registered here

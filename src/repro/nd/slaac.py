@@ -22,7 +22,7 @@ from repro.net.addresses import (
     MacAddress,
     slaac_address,
 )
-from repro.net.icmpv6 import RouterAdvertisement, RouterPreference
+from repro.net.icmpv6 import PrefixInformation, RouterAdvertisement, RouterPreference
 
 __all__ = ["LearnedPrefix", "LearnedRouter", "SlaacState"]
 
@@ -70,7 +70,19 @@ class SlaacState:
         #: not lifetime refresh) so consumers can skip re-applying
         #: addresses when a periodic RA changed nothing.
         self.epoch = 0
-        self._last_ra: Optional[RouterAdvertisement] = None
+        # Per router link-local, the last RA applied from it in full:
+        # the RA object, its router record (None when the RA does not
+        # make its sender a default router), the (prefix record, PIO)
+        # pairs it refreshed, and the epoch before it was applied.
+        self._refreshes: Dict[
+            IPv6Address,
+            Tuple[
+                RouterAdvertisement,
+                Optional[LearnedRouter],
+                List[Tuple[LearnedPrefix, PrefixInformation]],
+                int,
+            ],
+        ] = {}
 
     # -- RA intake ----------------------------------------------------------
 
@@ -78,6 +90,25 @@ class SlaacState:
         """Apply one received RA from ``router_source`` (its link-local)."""
         now = self._clock()
         self.ras_processed += 1
+        # A periodic RA is one shared object per router (the decode is
+        # memoised on the flooded packet), so a repeat is known by
+        # identity.  If this router's last application of the same
+        # object changed no prefix, and no prefix has changed since
+        # (the epoch), applying it again could only move lifetimes on
+        # the records it refreshed: its RDNSS and DNSSL entries are
+        # merged already, and only RAs from this router touch its
+        # router record or the prefixes it advertises.
+        refresh = self._refreshes.get(router_source)
+        if refresh is not None and refresh[0] is ra and refresh[3] == self.epoch:
+            router = refresh[1]
+            if router is not None:
+                router.lifetime_until = now + ra.router_lifetime
+            for learned, pio in refresh[2]:
+                learned.valid_until = now + pio.valid_lifetime
+                learned.preferred_until = now + pio.preferred_lifetime
+            return
+        epoch = self.epoch
+        router = None
         if ra.router_lifetime > 0:
             # Update in place on refresh: periodic RAs dominate the RA
             # stream, and re-allocating a record per refresh is pure
@@ -88,7 +119,7 @@ class SlaacState:
                 router.preference = ra.preference
                 router.lifetime_until = now + ra.router_lifetime
             else:
-                self.routers[router_source] = LearnedRouter(
+                router = self.routers[router_source] = LearnedRouter(
                     address=router_source,
                     lladdr=ra.source_lladdr,
                     preference=ra.preference,
@@ -96,6 +127,7 @@ class SlaacState:
                 )
         else:
             self.routers.pop(router_source, None)
+        refreshed: List[Tuple[LearnedPrefix, PrefixInformation]] = []
         for pio in ra.prefixes:
             if pio.valid_lifetime == 0:
                 if self.prefixes.pop(pio.prefix, None) is not None:
@@ -110,6 +142,7 @@ class SlaacState:
             ):
                 learned.valid_until = now + pio.valid_lifetime
                 learned.preferred_until = now + pio.preferred_lifetime
+                refreshed.append((learned, pio))
                 continue
             address = None
             if pio.autonomous and pio.prefix.prefixlen == 64:
@@ -122,17 +155,18 @@ class SlaacState:
                 learned_from=router_source,
             )
             self.epoch += 1
-        # Periodic RAs are cache-shared decode objects: an identical
-        # repeat can only re-offer RDNSS/DNSSL entries already merged,
-        # so the membership scans are skipped for it.
-        if ra is not self._last_ra:
-            self._last_ra = ra
-            for server in ra.rdnss_servers:
-                if server not in self.rdnss:
-                    self.rdnss.append(server)
-            for domain in ra.search_domains:
-                if domain not in self.search_domains:
-                    self.search_domains.append(domain)
+        for server in ra.rdnss_servers:
+            if server not in self.rdnss:
+                self.rdnss.append(server)
+        for domain in ra.search_domains:
+            if domain not in self.search_domains:
+                self.search_domains.append(domain)
+        # Recording the epoch from before this application means only
+        # an application that changed no prefix can be replayed: after
+        # one that did, the next repeat takes this full path again (and
+        # is a pure refresh, unless the RA contradicts itself, say by
+        # withdrawing a prefix it also advertises).
+        self._refreshes[router_source] = (ra, router, refreshed, epoch)
 
     # -- queries --------------------------------------------------------------
 

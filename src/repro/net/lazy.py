@@ -33,11 +33,12 @@ representation.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.net.addresses import IPv4Address, IPv6Address, MacAddress
 from repro.net.checksum import internet_checksum, verify_checksum
 from repro.net.ethernet import EthernetFrame
+from repro.net.icmpv6 import decode_icmpv6
 from repro.net.ipv4 import IPv4Packet
 from repro.net.ipv6 import IPv6Packet
 
@@ -343,6 +344,7 @@ class LazyIPv6Packet:
         "_src",
         "_dst",
         "_payload",
+        "_icmpv6",
         "next_header",
         "hop_limit",
         "traffic_class",
@@ -368,6 +370,7 @@ class LazyIPv6Packet:
         self._src: Optional[IPv6Address] = None
         self._dst: Optional[IPv6Address] = None
         self._payload: Optional[bytes] = None
+        self._icmpv6: Any = None
 
     @classmethod
     def decode(cls, data: bytes) -> "LazyIPv6Packet":
@@ -394,6 +397,18 @@ class LazyIPv6Packet:
         if payload is None:
             payload = self._payload = self._wire[40:]
         return payload
+
+    def icmpv6(self) -> Any:
+        """The ICMPv6 message this packet carries, checksum-verified by
+        :func:`decode_icmpv6` on the first call and kept.  The decode
+        cache hands every receiver of a flooded frame this same packet,
+        so receivers after the first get the message without decoding
+        or probing the ICMPv6 decode cache.  A malformed message raises
+        :class:`ValueError` on every call."""
+        message = self._icmpv6
+        if message is None:
+            message = self._icmpv6 = decode_icmpv6(self.payload, self.src, self.dst)
+        return message
 
     def encode(self) -> bytes:
         return self._wire

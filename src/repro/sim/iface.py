@@ -5,13 +5,14 @@ link, the ARP and NDP neighbor caches and the pending-packet queues
 used while resolution is in flight.  Hosts, routers and the 5G gateway
 all embed one per port, so neighbor behaviour (gleaning, solicited
 replies, queue flush on resolution) is identical everywhere — as it is
-across real stacks.
+across real stacks — except that a host never sees an IPv4 broadcast
+to a UDP port it has no socket on, so never gleans from one.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from repro.net.addresses import (
     IPv4Address,
@@ -27,7 +28,6 @@ from repro.net.addresses import (
 from repro.net.arp import ArpOp, ArpPacket
 from repro.net.ethernet import EtherType
 from repro.net.icmpv6 import (
-    decode_icmpv6,
     encode_icmpv6,
     NeighborAdvertisement,
     NeighborSolicitation,
@@ -57,6 +57,8 @@ _ETHERTYPE_ARP = int(EtherType.ARP)
 _ETHERTYPE_IPV4 = int(EtherType.IPV4)
 _ETHERTYPE_IPV6 = int(EtherType.IPV6)
 _IPPROTO_ICMPV6 = int(IPProto.ICMPV6)
+#: The IPv4 protocol byte of UDP, as the raw header carries it.
+_IPPROTO_UDP_WIRE = bytes([int(IPProto.UDP)])
 
 # Pre-encoded EtherType wire bytes, keyed by int (IntEnum keys hash the
 # same), for the zero-object frame build in _send_frame.
@@ -102,6 +104,12 @@ class L2Interface:
       decides local-delivery vs forwarding);
     - ``on_ra(ra, source)`` — a Router Advertisement arrived (hosts feed
       SLAAC; routers ignore).
+
+    A host passes its bound UDP ports as ``udp_ports`` (its live socket
+    table, shared, not copied), and the interface then drops an IPv4
+    broadcast to any other UDP port straight off the header.  Router
+    and gateway interfaces pass none and keep every such frame: the
+    gateway's DHCP server listens on port 67 without a socket.
     """
 
     def __init__(
@@ -110,12 +118,14 @@ class L2Interface:
         port: Port,
         mac: MacAddress,
         is_router: bool = False,
+        udp_ports: Optional[Mapping[int, object]] = None,
     ) -> None:
         self.engine = engine
         self.port = port
         self.mac = mac
         self._mac_bytes = mac.to_bytes()
         self.is_router = is_router
+        self.udp_ports = udp_ports
         self.link_local = link_local_from_mac(mac)
         self.ipv4_addresses: Set[IPv4Address] = set()
         self.ipv6_addresses: Set[IPv6Address] = {self.link_local}
@@ -206,6 +216,17 @@ class L2Interface:
             return
         ethertype = (raw[12] << 8) | raw[13]
         if ethertype == _ETHERTYPE_IPV4:
+            # An IPv4 broadcast to a UDP port no socket is bound to
+            # (another attendee's DHCP exchange) costs a host one header
+            # read.  Past the MAC filter only broadcast starts with 0xff;
+            # the port sits after the IHL-sized header.  The full path
+            # would drop the datagram too, so all the host forgoes is
+            # gleaning the sender's MAC.
+            ports = self.udp_ports
+            if ports is not None and raw[0] == 0xFF and raw[23:24] == _IPPROTO_UDP_WIRE:
+                start = 16 + ((raw[14] & 0x0F) << 2)
+                if int.from_bytes(raw[start : start + 2], "big") not in ports:
+                    return
             self._handle_ipv4(raw)
         elif ethertype == _ETHERTYPE_IPV6:
             self._handle_ipv6(raw)
@@ -252,7 +273,7 @@ class L2Interface:
         """Returns True when the message was NDP and fully consumed."""
         src = packet.src
         try:
-            message = decode_icmpv6(packet.payload, src, packet.dst)
+            message = packet.icmpv6()
         except ValueError:
             return True
         # Exact-type dispatch, ordered by observed frequency (periodic

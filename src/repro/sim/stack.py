@@ -36,9 +36,10 @@ from repro.net.addresses import (
     solicited_node_multicast,
 )
 from repro.net.icmp import IcmpMessage, IcmpType
-from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message, Icmpv6Type
+from repro.net.icmpv6 import encode_icmpv6, Icmpv6Message, Icmpv6Type
 from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
+from repro.net.lazy import LazyIPv6Packet
 
 # Plain ints for the per-packet protocol demux (IntEnum __eq__ is
 # measurably slower on the hot path — see repro.sim.iface).
@@ -251,7 +252,8 @@ class HostStack(Node):
         self.config = config or StackConfig()
         self.mac = mac
         port = self.add_port("eth0")
-        self.iface = L2Interface(engine, port, mac)
+        self._udp_sockets: Dict[int, UdpSocket] = {}
+        self.iface = L2Interface(engine, port, mac, udp_ports=self._udp_sockets)
         self.iface.on_ipv4 = self._deliver_ipv4
         self.iface.on_ipv6 = self._deliver_ipv6
         self.iface.on_ra = self._on_ra
@@ -265,7 +267,6 @@ class HostStack(Node):
         self.clat: Optional[Clat] = None
         self.v6only_wait: Optional[int] = None
         self.static_v6_default: Optional[IPv6Address] = None
-        self._udp_sockets: Dict[int, UdpSocket] = {}
         self._tcp_listeners: Dict[int, Callable[[TcpConnection], None]] = {}
         # Keyed by the address *object* (local port, remote addr, remote
         # port): address hashes derive from the integer value, so the
@@ -736,8 +737,7 @@ class HostStack(Node):
         if not self.config.ipv4_enabled and self.clat is None:
             return
         # ``packet.dst`` is a lazy-decode property; one read serves the
-        # whole locality check (this runs once per client per flooded
-        # frame, so the DHCP join chatter multiplies every lookup here).
+        # whole locality check.
         dst = packet.dst
         addresses = self.iface.ipv4_addresses
         local = (
@@ -752,10 +752,11 @@ class HostStack(Node):
 
     def _deliver_udp(self, src: AnyAddress, dst: AnyAddress, data: bytes) -> None:
         # The destination port comes straight off the header, so a
-        # datagram to a port nothing is bound to (every other host's
-        # DHCP broadcast) is dropped before it is decoded or its
-        # checksum summed.  A header too short to hold a port can only
-        # name an unbound one, or fail the decode below.
+        # datagram to a port nothing is bound to is dropped before it
+        # is decoded or its checksum summed.  (An IPv4 broadcast to such
+        # a port never gets here: the NIC drops it.)  A header too short
+        # to hold a port can only name an unbound one, or fail the
+        # decode below.
         sock = self._udp_sockets.get(int.from_bytes(data[2:4], "big"))
         if sock is None:
             return
@@ -788,7 +789,7 @@ class HostStack(Node):
             elif message.icmp_type == IcmpType.ECHO_REPLY:
                 self._ping_replies[(message.echo_ident, message.echo_seq)] = self.engine.now
 
-    def _deliver_ipv6(self, packet: IPv6Packet) -> None:
+    def _deliver_ipv6(self, packet: LazyIPv6Packet) -> None:
         if not self.config.ipv6_enabled:
             return
         dst = packet.dst
@@ -820,7 +821,7 @@ class HostStack(Node):
             return
         if packet.next_header == _IPPROTO_ICMPV6:
             try:
-                message = decode_icmpv6(packet.payload, packet.src, packet.dst)
+                message = packet.icmpv6()
             except ValueError:
                 return
             if not isinstance(message, Icmpv6Message):

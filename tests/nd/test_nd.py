@@ -1,5 +1,9 @@
 """SLAAC state, RA daemons and RFC 6724 address selection."""
 
+import dataclasses
+import random
+
+import pytest
 
 from repro.nd.addrsel import (
     CandidateAddress,
@@ -10,7 +14,15 @@ from repro.nd.addrsel import (
 from repro.nd.ra import RaDaemon, RaDaemonConfig
 from repro.nd.slaac import SlaacState
 from repro.net.addresses import IPv4Address, IPv6Address, IPv6Network, MacAddress
-from repro.net.icmpv6 import PrefixInformation, RdnssOption, RouterAdvertisement, RouterPreference
+from repro.net.icmpv6 import (
+    DnsslOption,
+    LinkLayerAddressOption,
+    NdOptionType,
+    PrefixInformation,
+    RdnssOption,
+    RouterAdvertisement,
+    RouterPreference,
+)
 
 MAC = MacAddress.parse("00:00:59:aa:c6:ab")
 GW_LL = IPv6Address("fe80::50:ff:fe00:1")
@@ -138,6 +150,105 @@ class TestSlaac:
         state.process_ra(gateway_ra(), GW_LL)
         state.process_ra(switch_ra(), SW_LL)
         assert state.rdnss.count(IPv6Address("fd00:976a::9")) == 1
+
+
+class TestRaRefresh:
+    """A repeated RA refreshes lifetimes in place; the state must equal
+    that of applying every RA in full."""
+
+    ROUTERS = (GW_LL, SW_LL, IPv6Address("fe80::3"))
+    PREFIXES = (
+        IPv6Network("2607:fb90:9bda:a425::/64"),
+        IPv6Network("fd00:976a::/64"),
+        IPv6Network("2001:db8:1::/64"),
+        IPv6Network("2001:db8:100::/56"),
+    )
+    RDNSS = (IPv6Address("fd00:976a::9"), IPv6Address("fd00:976a::10"), IPv6Address("2001:db8::53"))
+    DOMAINS = ("rfc8925.com", "sc24.org")
+
+    def _pio(self, rng, prefix, valid):
+        return PrefixInformation(
+            prefix,
+            autonomous=rng.random() < 0.8,
+            valid_lifetime=valid,
+            preferred_lifetime=valid // 2,
+        )
+
+    def _ra(self, rng, pios, router_lifetime=None):
+        if router_lifetime is None:
+            router_lifetime = rng.choice((0, 40, 600, 1800))
+        options = list(pios)
+        options.append(RdnssOption(tuple(rng.sample(self.RDNSS, rng.randint(1, 2)))))
+        if rng.random() < 0.5:
+            options.append(DnsslOption((rng.choice(self.DOMAINS),)))
+        if rng.random() < 0.5:
+            mac = MacAddress(rng.randrange(1 << 40))
+            options.append(LinkLayerAddressOption(NdOptionType.SOURCE_LINK_LAYER_ADDRESS, mac))
+        return RouterAdvertisement(
+            router_lifetime=router_lifetime,
+            preference=rng.choice(list(RouterPreference)),
+            options=tuple(options),
+        )
+
+    def _step(self, rng, state, last, latest):
+        """One (RA, router) to send, drawn from the kinds of RA stream a
+        host sees: mostly repeats of one object, with the changes that
+        must not be mistaken for a repeat.  ``last`` maps each router to
+        the RA it sent last; ``latest`` is the last (RA, router) sent."""
+        kinds = ("repeat", "other_router", "equal_copy", "new", "router_gone", "prefix_gone")
+        kind = rng.choices(kinds + ("handover",), weights=(8, 1, 2, 2, 1, 1, 1))[0]
+        router = rng.choice(self.ROUTERS)
+        if kind == "repeat" and router in last:
+            return last[router], router
+        if kind == "other_router" and latest is not None:
+            ra, sender = latest
+            return ra, rng.choice([r for r in self.ROUTERS if r != sender])
+        if kind == "equal_copy" and router in last:
+            return dataclasses.replace(last[router]), router
+        if kind == "router_gone":
+            return self._ra(rng, (), router_lifetime=0), router
+        if kind in ("prefix_gone", "handover") and state.prefixes:
+            prefix, learned = rng.choice(sorted(state.prefixes.items(), key=str))
+            if kind == "prefix_gone":
+                return self._ra(rng, [self._pio(rng, prefix, 0)]), router
+            taker = rng.choice([r for r in self.ROUTERS if r != learned.learned_from])
+            return self._ra(rng, [self._pio(rng, prefix, rng.choice((60, 1800)))]), taker
+        # Drawn with replacement: an RA may name a prefix twice.
+        pios = [
+            self._pio(rng, prefix, rng.choice((0, 60, 300, 1800)))
+            for prefix in rng.choices(self.PREFIXES, k=rng.randint(0, 3))
+        ]
+        return self._ra(rng, pios), router
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refresh_matches_full_application(self, seed):
+        rng = random.Random(seed)
+        clock = FakeClock()
+        state = SlaacState(MAC, clock)
+        reference = SlaacState(MAC, clock)
+        last = {}
+        latest = None
+        repeats = 0
+        for step in range(400):
+            clock.now += rng.choice((0, 1, 10, 45, 200, 1000))
+            ra, router = self._step(rng, state, last, latest)
+            repeats += last.get(router) is ra
+            last[router] = ra
+            latest = (ra, router)
+            state.process_ra(ra, router)
+            # The reference forgets its refresh records, so every RA takes
+            # the full path.
+            reference._refreshes.clear()
+            reference.process_ra(ra, router)
+            where = f"seed {seed} step {step}"
+            assert state.routers == reference.routers, where
+            assert list(state.prefixes.items()) == list(reference.prefixes.items()), where
+            assert state.rdnss == reference.rdnss, where
+            assert state.search_domains == reference.search_domains, where
+            assert state.epoch == reference.epoch, where
+            assert state.addresses() == reference.addresses(), where
+            assert state.default_router() == reference.default_router(), where
+        assert repeats > 100
 
 
 class TestRaDaemon:

@@ -1,16 +1,21 @@
 """Host-stack edge cases: socket management, CLAT data paths, interface
-pending-queue expiry, proxy ARP/ND, the NIC receive filter and the UDP
-port demux."""
+pending-queue expiry, proxy ARP/ND, the NIC receive filter, its
+broadcast port check and the UDP port demux."""
+
+import sys
 
 import pytest
 
-from repro.clients.profiles import MACOS
-from repro.core.testbed import build_testbed, TestbedConfig
+import repro.sim.iface
+from repro.clients.profiles import MACOS, NINTENDO_SWITCH, WINDOWS_10
+from repro.core.testbed import build_testbed, PI_DHCP_V4, TestbedConfig
 from repro.nd.ra import RaDaemonConfig
+from repro.net import icmpv6
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network
 from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.udp import UdpDatagram
 from repro.sim.host import Host, ServerHost
+from repro.sim.iface import IPV4_BROADCAST
 from repro.sim.node import connect
 from repro.sim.router import Router
 from repro.sim.switch import ManagedSwitch
@@ -171,6 +176,33 @@ class TestNicFilter:
         engine.run_for(0.1)
         assert [raw[6:12] for raw in decoded] == [router.ifaces["lan"].mac.to_bytes()]
 
+    def test_ra_flood_is_decoded_once_for_every_host(self, engine, monkeypatch):
+        # Count decode_icmpv6 wherever it was imported from.
+        calls = []
+        decode = icmpv6.decode_icmpv6
+
+        def counting(data, src, dst, verify=True):
+            calls.append(data)
+            return decode(data, src, dst, verify)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "decode_icmpv6", None) is decode:
+                monkeypatch.setattr(module, "decode_icmpv6", counting)
+        prefix = IPv6Network("2001:db8:4ad::/64")
+        switch = ManagedSwitch(engine, "sw")
+        router = Router(engine, "ra-flood")
+        router.add_interface("lan", ipv6=(IPv6Address("2001:db8:4ad::1"), prefix))
+        connect(engine, router.port("lan"), switch.add_port("p0"))
+        hosts = [Host(engine, f"flood-{n}") for n in range(5)]
+        for n, host in enumerate(hosts, 1):
+            connect(engine, host.port("eth0"), switch.add_port(f"p{n}"))
+        router.enable_ra("lan", RaDaemonConfig(prefixes=(prefix,)))
+        engine.run_for(0.1)
+        assert len(calls) == 1
+        for host in hosts:
+            (address,) = host.slaac.global_addresses()
+            assert address in prefix
+
     def test_removed_address_leaves_its_group_unless_another_shares_it(self, v6lan):
         engine, router, solicitations, (a, b, c) = v6lan
         # fd00::3 has the same low 24 bits, so the same group, as 2001:db8::3.
@@ -184,6 +216,70 @@ class TestNicFilter:
         a.send_udp(50000, IPv6Address("2001:db8::103"), 9, b"x")
         engine.run_for(0.1)
         assert decoded == []
+
+
+class TestBroadcastPortCheck:
+    """A host's NIC drops an IPv4 broadcast to a UDP port no socket is
+    bound to off the header; a bound port and a router keep it."""
+
+    @pytest.fixture
+    def ipv4_decodes(self, monkeypatch):
+        """The wire bytes of every IPv4 packet an interface decodes."""
+        calls = []
+        decode = repro.sim.iface.decode_ipv4_cached
+
+        def recording(data):
+            calls.append(bytes(data))
+            return decode(data)
+
+        monkeypatch.setattr(repro.sim.iface, "decode_ipv4_cached", recording)
+        return calls
+
+    def test_host_drops_broadcast_to_unbound_port_before_decoding(self, lan, ipv4_decodes):
+        engine, a, b = lan
+        a.send_udp(50000, IPV4_BROADCAST, 6000, b"x")
+        engine.run_for(0.1)
+        assert ipv4_decodes == []
+        assert IPv4Address("10.0.0.1") not in b.iface.v4_neighbors
+
+    def test_bound_port_still_decodes_and_gleans(self, lan, ipv4_decodes):
+        engine, a, b = lan
+        sock = b.udp_open(6000)
+        a.send_udp(50000, IPV4_BROADCAST, 6000, b"y")
+        engine.run_for(0.1)
+        assert len(ipv4_decodes) == 1
+        assert [payload for _, _, payload in sock.inbox] == [b"y"]
+        assert b.iface.v4_neighbors[IPv4Address("10.0.0.1")] == a.mac
+
+    def test_router_decodes_broadcast_to_any_port(self, engine, ipv4_decodes):
+        network = IPv4Network("10.0.0.0/24")
+        switch = ManagedSwitch(engine, "sw")
+        host = ServerHost(engine, "h", ipv4=IPv4Address("10.0.0.1"), ipv4_network=network)
+        router = Router(engine, "rtr")
+        lan = router.add_interface("lan", ipv4=(IPv4Address("10.0.0.254"), network))
+        connect(engine, host.port("eth0"), switch.add_port("p1"))
+        connect(engine, router.port("lan"), switch.add_port("p2"))
+        host.send_udp(50000, IPV4_BROADCAST, 6000, b"x")
+        engine.run_for(0.1)
+        assert len(ipv4_decodes) == 1
+        assert lan.v4_neighbors[IPv4Address("10.0.0.1")] == host.mac
+
+    def test_only_its_own_dhcp_exchange_teaches_a_host_the_server(self):
+        """Hosts stop gleaning the DHCP Pi's MAC from OFFERs and ACKs
+        broadcast to other attendees; each attendee, including a
+        macOS client granted option 108, learns it from its own."""
+        testbed = build_testbed(TestbedConfig())
+        idle = testbed.add_client(WINDOWS_10, "idle", bring_up=False)
+        bystanders = (idle.host, testbed.pi_poison, testbed.pi_healthy)
+        for profile, name in ((WINDOWS_10, "w10"), (MACOS, "mac"), (NINTENDO_SWITCH, "nsw")):
+            client = testbed.add_client(profile, name)
+            assert client.host.iface.v4_neighbors[PI_DHCP_V4] == testbed.pi_dhcp.mac
+            for host in bystanders:
+                assert PI_DHCP_V4 not in host.iface.v4_neighbors
+        (mac,) = [client for client in testbed.clients if client.profile is MACOS]
+        assert mac.host.v6only_wait is not None
+        idle.bring_up()
+        assert idle.host.iface.v4_neighbors[PI_DHCP_V4] == testbed.pi_dhcp.mac
 
 
 class TestUdpDemux:
