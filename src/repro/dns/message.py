@@ -1,11 +1,21 @@
 """The DNS message: header, question and resource-record sections
 (RFC 1035 §4.1), with name compression on encode.
+
+Every query that misses a server's response cache pays a decode and an
+encode, so the records built on that path skip the generated
+``__init__`` of a frozen dataclass, which makes one
+``object.__setattr__`` call per field: the decoders and
+:meth:`DnsMessage.response` build each record with ``object.__new__``
+and one write of every field into the instance dict, as
+:meth:`DnsName.decode` does.  No record here has a ``__post_init__``,
+so no check is skipped, and the records stay frozen.  Every other
+caller uses the public constructors.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.dns.name import DnsName, NameCompressor
@@ -30,6 +40,19 @@ def unpack_header(data: bytes) -> Tuple[int, int, int, int, int, int]:
     return _HEADER.unpack_from(data, 0)
 
 
+def _flags(header: "DnsHeader") -> int:
+    """The header's flag bits as one 16-bit word."""
+    return (
+        (0x8000 if header.is_response else 0)
+        | ((header.opcode & 0xF) << 11)
+        | (0x0400 if header.authoritative else 0)
+        | (0x0200 if header.truncated else 0)
+        | (0x0100 if header.recursion_desired else 0)
+        | (0x0080 if header.recursion_available else 0)
+        | (header.rcode & 0xF)
+    )
+
+
 @dataclass(frozen=True)
 class DnsHeader:
     """The 12-byte DNS header."""
@@ -50,23 +73,15 @@ class DnsHeader:
     WIRE_LEN = 12
 
     def encode(self) -> bytes:
-        flags = (
-            (0x8000 if self.is_response else 0)
-            | ((self.opcode & 0xF) << 11)
-            | (0x0400 if self.authoritative else 0)
-            | (0x0200 if self.truncated else 0)
-            | (0x0100 if self.recursion_desired else 0)
-            | (0x0080 if self.recursion_available else 0)
-            | (self.rcode & 0xF)
-        )
         return pack_header(
-            self.ident, flags, self.qdcount, self.ancount, self.nscount, self.arcount
+            self.ident, _flags(self), self.qdcount, self.ancount, self.nscount, self.arcount
         )
 
     @classmethod
     def decode(cls, data: bytes) -> "DnsHeader":
         ident, flags, qd, an, ns, ar = unpack_header(data)
-        return cls(
+        header = object.__new__(cls)
+        header.__dict__.update(
             ident=ident,
             is_response=bool(flags & 0x8000),
             opcode=(flags >> 11) & 0xF,
@@ -80,6 +95,7 @@ class DnsHeader:
             nscount=ns,
             arcount=ar,
         )
+        return header
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,9 @@ class DnsQuestion:
         if offset + 4 > len(message):
             raise ValueError("truncated DNS question")
         rrtype, rrclass = struct.unpack("!HH", message[offset : offset + 4])
-        return cls(name, rrtype, rrclass), offset + 4
+        question = object.__new__(cls)
+        question.__dict__.update(name=name, rrtype=rrtype, rrclass=rrclass)
+        return question, offset + 4
 
     def __str__(self) -> str:
         try:
@@ -144,7 +162,9 @@ class ResourceRecord:
         if offset + rdlength > len(message):
             raise ValueError("truncated RDATA")
         rdata = decode_rdata(rrtype, message, offset, rdlength)
-        return cls(name, rrtype, ttl, rdata, rrclass), offset + rdlength
+        record = object.__new__(cls)
+        record.__dict__.update(name=name, rrtype=rrtype, ttl=ttl, rdata=rdata, rrclass=rrclass)
+        return record, offset + rdlength
 
     def __str__(self) -> str:
         try:
@@ -191,20 +211,30 @@ class DnsMessage:
         recursion_available: bool = True,
     ) -> "DnsMessage":
         """Build the response to this query, echoing id and question."""
-        return DnsMessage(
-            header=DnsHeader(
-                ident=self.header.ident,
-                is_response=True,
-                authoritative=authoritative,
-                recursion_desired=self.header.recursion_desired,
-                recursion_available=recursion_available,
-                rcode=rcode,
-            ),
+        header = object.__new__(DnsHeader)
+        header.__dict__.update(
+            ident=self.header.ident,
+            is_response=True,
+            opcode=0,
+            authoritative=authoritative,
+            truncated=False,
+            recursion_desired=self.header.recursion_desired,
+            recursion_available=recursion_available,
+            rcode=rcode,
+            qdcount=0,
+            ancount=0,
+            nscount=0,
+            arcount=0,
+        )
+        response = object.__new__(DnsMessage)
+        response.__dict__.update(
+            header=header,
             questions=tuple(self.questions),
             answers=tuple(answers),
             authorities=tuple(authorities),
             additionals=tuple(additionals),
         )
+        return response
 
     # -- accessors ------------------------------------------------------------
 
@@ -232,15 +262,17 @@ class DnsMessage:
         if cached is not None:
             return cached
         compressor = NameCompressor()
-        out = bytearray()
-        header = replace(
-            self.header,
-            qdcount=len(self.questions),
-            ancount=len(self.answers),
-            nscount=len(self.authorities),
-            arcount=len(self.additionals),
+        header = self.header
+        out = bytearray(
+            pack_header(
+                header.ident,
+                _flags(header),
+                len(self.questions),
+                len(self.answers),
+                len(self.authorities),
+                len(self.additionals),
+            )
         )
-        out += header.encode()
         compressor.note_position(len(out))
         for q in self.questions:
             out += q.encode(compressor)
@@ -274,10 +306,12 @@ class DnsMessage:
                 rr, offset = ResourceRecord.decode(data, offset)
                 records.append(rr)
             sections.append(records)
-        return cls(
+        message = object.__new__(cls)
+        message.__dict__.update(
             header=header,
             questions=tuple(questions),
             answers=tuple(sections[0]),
             authorities=tuple(sections[1]),
             additionals=tuple(sections[2]),
         )
+        return message

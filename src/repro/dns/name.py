@@ -9,6 +9,7 @@ value type, its parse cache and the per-instance wire cache on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["DnsName", "NameCompressor"]
@@ -38,7 +39,9 @@ def decode_labels(data: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
 
     Returns the lowercased label tuple and the offset just past the
     name's in-place encoding.  Handles pointer chains with loop
-    protection (RFC 1035 §4.1.4).
+    protection (RFC 1035 §4.1.4).  The labels are interned, so the
+    names that every decode of the same query or reply yields, and the
+    query-log entries that keep them, share one copy of each label.
     """
     labels: List[str] = []
     end = -1
@@ -67,7 +70,7 @@ def decode_labels(data: bytes, offset: int) -> Tuple[Tuple[str, ...], int]:
         else:
             if pos + 1 + length > len(data):
                 raise ValueError("truncated DNS label")
-            labels.append(data[pos + 1 : pos + 1 + length].decode("ascii").lower())
+            labels.append(intern(data[pos + 1 : pos + 1 + length].decode("ascii").lower()))
             if len(labels) > 128:
                 raise ValueError("too many labels")
             pos += 1 + length

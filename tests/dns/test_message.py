@@ -1,8 +1,10 @@
 """DNS messages: header flags, sections, full-message round trips."""
 
+import dataclasses
+
 import pytest
 
-from repro.dns.message import DnsHeader, DnsMessage, DnsQuestion, ResourceRecord
+from repro.dns.message import DnsHeader, DnsMessage, DnsQuestion, ResourceRecord, unpack_header
 from repro.dns.name import DnsName
 from repro.dns.rdata import (
     A,
@@ -186,3 +188,187 @@ class TestFullMessage:
         message = DnsMessage(header=DnsHeader(ident=1))
         with pytest.raises(ValueError):
             message.question
+
+
+# --------------------------------------------------------------------------
+# Records built without the generated __init__
+# --------------------------------------------------------------------------
+
+_NAME = DnsName("sc24.supercomputing.org")
+_QUESTION = DnsQuestion(_NAME, RRType.AAAA)
+_ANSWER = ResourceRecord(_NAME, RRType.AAAA, 300, AAAA(IPv6Address("64:ff9b::be5c:9e04")))
+_SOA = ResourceRecord(
+    DnsName("supercomputing.org"),
+    RRType.SOA,
+    60,
+    SOA(DnsName("ns1.supercomputing.org"), DnsName("hostmaster.supercomputing.org"), 7),
+)
+
+#: Messages built with the public constructors, their header counts
+#: those of their sections: what decoding their wire must rebuild.
+_BUILT = {
+    "query": DnsMessage(
+        header=DnsHeader(ident=0x2A, qdcount=1),
+        questions=(_QUESTION,),
+    ),
+    "positive answer": DnsMessage(
+        header=DnsHeader(
+            ident=0x2A,
+            is_response=True,
+            authoritative=True,
+            recursion_available=True,
+            qdcount=1,
+            ancount=1,
+        ),
+        questions=(_QUESTION,),
+        answers=(_ANSWER,),
+    ),
+    "NXDOMAIN with an SOA": DnsMessage(
+        header=DnsHeader(
+            ident=0xBEEF,
+            is_response=True,
+            authoritative=True,
+            recursion_desired=False,
+            rcode=RCode.NXDOMAIN,
+            qdcount=1,
+            nscount=1,
+        ),
+        questions=(DnsQuestion(DnsName("nx.supercomputing.org"), RRType.A),),
+        authorities=(_SOA,),
+    ),
+    "every flag and section": DnsMessage(
+        header=DnsHeader(
+            ident=0xFFFF,
+            is_response=True,
+            opcode=2,
+            authoritative=True,
+            truncated=True,
+            recursion_desired=True,
+            recursion_available=True,
+            rcode=RCode.REFUSED,
+            qdcount=1,
+            ancount=1,
+            nscount=1,
+            arcount=1,
+        ),
+        questions=(_QUESTION,),
+        answers=(_ANSWER,),
+        authorities=(_SOA,),
+        additionals=(_ANSWER,),
+    ),
+}
+
+
+def _fields(record):
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _records(record):
+    """``record`` and every record it holds, header and owner names included."""
+    if isinstance(record, DnsMessage):
+        held = (record.header,) + tuple(record.questions) + tuple(record.answers)
+        held += tuple(record.authorities) + tuple(record.additionals)
+        return [record] + [inner for part in held for inner in _records(part)]
+    if isinstance(record, (DnsQuestion, ResourceRecord)):
+        return [record, record.name]
+    return [record]
+
+
+def assert_built_like(built, expected):
+    """``built`` equals ``expected`` field by field, record by record, and
+    is frozen.  Every field must sit in the instance dict: a dataclass
+    keeps each default on the class too, so a field a fast path forgot
+    to write would still read as its default."""
+    pairs = list(zip(_records(built), _records(expected)))
+    assert len(pairs) == len(_records(expected)) == len(_records(built))
+    for record, reference in pairs:
+        assert type(record) is type(reference)
+        assert _fields(record) == _fields(reference)
+        assert {f.name for f in dataclasses.fields(record)} <= set(vars(record))
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+    assert built == expected and hash(built) == hash(expected)
+
+
+class TestDirectlyBuiltRecords:
+    @pytest.mark.parametrize("case", sorted(_BUILT))
+    def test_decode_builds_what_the_constructors_build(self, case):
+        expected = _BUILT[case]
+        assert_built_like(DnsMessage.decode(expected.encode()), expected)
+
+    @pytest.mark.parametrize("case", sorted(_BUILT))
+    def test_decoded_header_and_records_alone(self, case):
+        expected = _BUILT[case]
+        wire = expected.encode()
+        assert_built_like(DnsHeader.decode(wire), expected.header)
+        question, offset = DnsQuestion.decode(wire, DnsHeader.WIRE_LEN)
+        assert_built_like(question, expected.questions[0])
+        if expected.answers:
+            record, _ = ResourceRecord.decode(wire, offset)
+            assert_built_like(record, expected.answers[0])
+
+    @pytest.mark.parametrize("recursion_desired", [True, False])
+    def test_response_builds_what_the_constructors_build(self, recursion_desired):
+        query = DnsMessage.query(
+            _NAME, RRType.AAAA, ident=0x1234, recursion_desired=recursion_desired
+        )
+        response = query.response(
+            answers=[_ANSWER],
+            rcode=RCode.NXDOMAIN,
+            authoritative=True,
+            authorities=[_SOA],
+            additionals=[_ANSWER],
+            recursion_available=False,
+        )
+        expected = DnsMessage(
+            header=DnsHeader(
+                ident=0x1234,
+                is_response=True,
+                authoritative=True,
+                recursion_desired=recursion_desired,
+                recursion_available=False,
+                rcode=RCode.NXDOMAIN,
+            ),
+            questions=(_QUESTION,),
+            answers=(_ANSWER,),
+            authorities=(_SOA,),
+            additionals=(_ANSWER,),
+        )
+        assert_built_like(response, expected)
+        assert all(
+            type(section) is tuple
+            for section in (response.answers, response.authorities, response.additionals)
+        )
+
+    def test_response_defaults(self):
+        query = DnsMessage.decode(_BUILT["query"].encode())
+        expected = DnsMessage(
+            header=DnsHeader(ident=0x2A, is_response=True, recursion_available=True),
+            questions=(_QUESTION,),
+        )
+        assert_built_like(query.response(), expected)
+
+
+class TestEncodeCounts:
+    def test_counts_come_from_the_sections_not_the_header(self):
+        decoded = DnsMessage.decode(_BUILT["positive answer"].encode())
+        extra = ResourceRecord(_NAME, RRType.AAAA, 300, AAAA(IPv6Address("64:ff9b::1")))
+        grown = dataclasses.replace(decoded, answers=decoded.answers + (extra,))
+        assert grown.header.ancount == 1
+        wire = grown.encode()
+        assert unpack_header(wire)[2:] == (1, 2, 0, 0)
+        assert DnsMessage.decode(wire).answers == (_ANSWER, extra)
+
+    def test_header_counts_never_reach_the_wire(self):
+        message = DnsMessage(
+            header=DnsHeader(ident=3, qdcount=9, ancount=8, nscount=7, arcount=6),
+            questions=(_QUESTION,),
+            authorities=(_SOA,),
+        )
+        wire = message.encode()
+        assert unpack_header(wire) == (3, 0x0100, 1, 0, 1, 0)
+
+    def test_flags_match_the_header_encoding(self):
+        for expected in _BUILT.values():
+            assert expected.encode()[:12] == expected.header.encode()

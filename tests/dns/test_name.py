@@ -1,5 +1,7 @@
 """DNS names: normalization, wire format, compression pointers."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -130,6 +132,22 @@ class TestWireFormat:
         assert str(name) == str(parsed) and name.labels == parsed.labels
         assert name.encode() == parsed.encode() == wire.lower()
         assert {parsed: True}.get(name)
+
+    def test_decodes_share_each_label_string(self):
+        wire = DnsName("sc24.supercomputing.org").encode()
+        first, _ = DnsName.decode(bytes(bytearray(wire)), 0)
+        second, _ = DnsName.decode(bytes(bytearray(wire)), 0)
+        assert first.labels == second.labels == ("sc24", "supercomputing", "org")
+        assert all(a is b for a, b in zip(first.labels, second.labels))
+        assert first.labels[1] is sys.intern("supercomputing")
+
+    def test_pointer_and_mixed_case_decodes_share_label_strings(self):
+        # "Supercomputing.ORG" at 0, then "SC24" + a pointer to it.
+        data = b"\x0eSupercomputing\x03ORG\x00\x04SC24\xc0\x00"
+        plain, _ = DnsName.decode(DnsName("sc24.supercomputing.org").encode(), 0)
+        pointed, _ = DnsName.decode(data, 20)
+        assert pointed == plain
+        assert all(a is b for a, b in zip(pointed.labels, plain.labels))
 
 
 class TestCompressor:

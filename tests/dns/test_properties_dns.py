@@ -197,3 +197,85 @@ def test_servers_echo_transaction_id(name, ident, rrtype):
     for server in (poisoned, rpz):
         raw = server.handle_query(DnsMessage.query(name, rrtype, ident=ident).encode())
         assert DnsMessage.decode(raw).header.ident == ident
+
+
+# --------------------------------------------------------------------------
+# Every answer re-encodes to its own bytes
+# --------------------------------------------------------------------------
+
+#: Owners every generated zone holds, so that every example draws each
+#: kind of answer the property must cover.
+_FIXED = ("v4", "v6", "empty", "deep")
+_hosts = st.lists(
+    st.tuples(
+        label.filter(lambda host: host not in _FIXED),
+        st.sampled_from(["a", "aaaa", "both", "cname"]),
+        v4_addrs,
+        v6_addrs,
+    ),
+    max_size=8,
+    unique_by=lambda host: host[0],
+)
+_ANSWER_KINDS = {
+    "poison A",
+    "RPZ rewrite",
+    "synthesized AAAA",
+    "native AAAA",
+    "NODATA with SOA",
+    "NXDOMAIN with SOA",
+}
+
+
+@given(hosts=_hosts, probe=label, ident=idents)
+@settings(max_examples=60, deadline=None)
+def test_every_answer_re_encodes_to_its_own_bytes(hosts, probe, ident):
+    """INVARIANT: ``DnsMessage.decode(wire).encode() == wire`` for every
+    answer of the poisoner, the DNS64 and the RPZ server, first asked
+    and replayed.  The forwarders decode the DNS64's reply and encode
+    the answer they build from it, so byte-identical output rests on
+    this."""
+    zone = Zone("z.test")
+    zone.add_a("v4.z.test", "198.51.100.5")
+    zone.add_aaaa("v6.z.test", "2001:db8::5")
+    zone.add_a("deep.empty.z.test", "198.51.100.6")
+    for host, kind, v4, v6 in hosts:
+        owner = f"{host}.z.test"
+        if kind == "cname":
+            zone.add_cname(owner, "v4.z.test")
+        if kind in ("a", "both"):
+            zone.add_a(owner, str(v4))
+        if kind in ("aaaa", "both"):
+            zone.add_aaaa(owner, str(v6))
+    poison = IPv4Address("23.153.8.71")
+    dns64 = DNS64Resolver([zone])
+    poisoned = PoisonedDNSServer(InterventionConfig(poison_address=poison), dns64.handle_query)
+    rpz = RPZPolicyServer(RpzConfig(poison_address=poison), dns64.handle_query)
+    names = [f"{host}.z.test" for host, *_ in hosts]
+    names += ["v4.z.test", "v6.z.test", "empty.z.test", f"{probe}.nx.z.test"]
+    seen = set()
+    for round_ident in (ident, ident ^ 0x5A5A):
+        for name in names:
+            for rrtype in (RRType.A, RRType.AAAA):
+                for server in (poisoned, rpz, dns64):
+                    before = (rpz.rewritten, dns64.synthesized, dns64.passed_through)
+                    query = DnsMessage.query(name, rrtype, ident=round_ident)
+                    wire = server.handle_query(query.encode())
+                    response = DnsMessage.decode(wire)
+                    assert response.encode() == wire, (server.name, name, rrtype)
+                    answers = response.answers_of_type(rrtype)
+                    negative = [rr.rrtype for rr in response.authorities] == [RRType.SOA]
+                    if negative and response.rcode == RCode.NXDOMAIN:
+                        seen.add("NXDOMAIN with SOA")
+                    elif negative and response.rcode == RCode.NOERROR and not answers:
+                        seen.add("NODATA with SOA")
+                    elif rrtype == RRType.A and server is poisoned:
+                        assert [rr.rdata.address for rr in answers] == [poison]
+                        seen.add("poison A")
+                    elif rrtype == RRType.A and rpz.rewritten > before[0]:
+                        assert [rr.rdata.address for rr in answers] == [poison]
+                        seen.add("RPZ rewrite")
+                    elif rrtype == RRType.AAAA and dns64.synthesized > before[1]:
+                        seen.add("synthesized AAAA")
+                    elif rrtype == RRType.AAAA and dns64.passed_through > before[2]:
+                        seen.add("native AAAA")
+    assert seen == _ANSWER_KINDS
