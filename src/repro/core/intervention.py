@@ -125,9 +125,6 @@ class PoisonedDNSServer(ForwardingDnsServer):
         # the server= line forwards everything else.
         return question.rrtype != RRType.A or self._exempt(question.name)
 
-    def _cache_policy(self) -> object:
-        return (super()._cache_policy(), self.config)
-
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question
         if self._forwards(question):

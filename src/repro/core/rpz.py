@@ -75,9 +75,6 @@ class RPZPolicyServer(ForwardingDnsServer):
         # only while the upstream repeats the reply it was built from.
         return True
 
-    def _cache_policy(self) -> object:
-        return (super()._cache_policy(), self.config)
-
     def _from_reply(
         self, query: DnsMessage, reply: DnsMessage, client: Optional[object]
     ) -> DnsMessage:

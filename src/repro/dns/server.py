@@ -13,7 +13,7 @@ UDP port 53 on a simulated host.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro._compat import slotted_dataclass
 from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
@@ -23,8 +23,9 @@ from repro.dns.zone import Zone
 
 __all__ = ["DnsServer", "ForwardingDnsServer", "QueryLogEntry"]
 
-#: A cache epoch: the policy part and the version of each zone.
-_Epoch = Tuple[object, Tuple[int, ...]]
+#: A cache epoch: the policy part, ``(policy_epoch, config)``, and the
+#: version of each zone.
+_Epoch = Tuple[Tuple[int, Any], Tuple[int, ...]]
 
 
 @slotted_dataclass(frozen=True)
@@ -78,8 +79,13 @@ class DnsServer:
     included), so a hit skips query *decoding* entirely; the ident is
     patched into the template on each hit.  Every record carries the
     cache epoch it was last known valid under: a policy part
-    (:attr:`policy_epoch`, plus a subclass's config) and the zone
-    versions.  One of two validity rules applies:
+    (:attr:`policy_epoch` and :attr:`config`) and the zone versions.
+    The server memoizes its epoch, and only the writers of its inputs
+    clear the memo: :meth:`bump_policy_epoch`, assigning :attr:`config`,
+    :meth:`add_zone` and each zone's own mutation.  So a hit reads the
+    memo and compares it with the record's epoch by identity first, by
+    equality only after the memo was rebuilt.  One of two validity rules
+    applies:
 
     - the *zone* rule: an answer built from this server's own data holds
       while the epoch does.  After zone writes it still holds, and is
@@ -114,20 +120,47 @@ class DnsServer:
         self.query_log: List[QueryLogEntry] = []
         #: Least recently used first.
         self._response_cache: "OrderedDict[bytes, _CachedResponse]" = OrderedDict()
-        #: Bump (via :meth:`bump_policy_epoch`) whenever out-of-band
-        #: policy affecting responses changes.
-        self.policy_epoch = 0
+        self._policy_epoch = 0
+        self._config: Any = None
+        #: The cache epoch, or ``None`` once one of its inputs changed.
+        self._epoch: Optional[_Epoch] = None
         self.cache_hits = 0
         self.cache_misses = 0
         #: Set by :meth:`respond` when a zone lookup followed a CNAME.
         self._chased = False
+        for zone in self._zones:
+            zone._watch(self)
+
+    @property
+    def policy_epoch(self) -> int:
+        """Advanced by :meth:`bump_policy_epoch`, its one writer."""
+        return self._policy_epoch
+
+    @property
+    def config(self) -> Any:
+        """What answers depend on besides zone data: the DNS64's,
+        poisoner's or RPZ server's configuration, ``None`` here.
+        Assigning it invalidates every cached response."""
+        return self._config
+
+    @config.setter
+    def config(self, config: Any) -> None:
+        self._config = config
+        self._epoch = None
 
     def add_zone(self, zone: Zone) -> None:
         self._zones.append(zone)
+        zone._watch(self)
+        self._epoch = None
 
     def bump_policy_epoch(self) -> None:
         """Invalidate all cached responses after a policy change."""
-        self.policy_epoch += 1
+        self._policy_epoch += 1
+        self._epoch = None
+
+    def _forget_epoch(self) -> None:
+        """Called by a served zone after each of its mutations."""
+        self._epoch = None
 
     def zone_for(self, name) -> Optional[Zone]:
         """The most specific zone covering ``name``."""
@@ -150,8 +183,8 @@ class DnsServer:
         cache = self._response_cache
         cached = cache.get(key)
         if cached is not None:
-            epoch = self._cache_epoch()
-            if cached.epoch == epoch or self._still_holds(cached, epoch):
+            epoch = self._epoch or self._cache_epoch()
+            if cached.epoch is epoch or self._still_holds(cached, epoch):
                 cache.move_to_end(key)
                 return self._hit(cached, wire, client)
         try:
@@ -165,17 +198,19 @@ class DnsServer:
         return self._record(key, query, client)
 
     def _still_holds(self, cached: _CachedResponse, epoch: _Epoch) -> bool:
-        """The zone rule across zone writes: whether ``cached``, stamped
-        with an older epoch, still answers under ``epoch``.  If it does,
-        it is re-stamped with ``epoch``."""
-        labels = cached.labels
-        policy, versions = epoch
-        stamped_policy, stamped_versions = cached.epoch
-        if labels is None or policy != stamped_policy or len(versions) != len(stamped_versions):
-            return False
-        for zone, stamped in zip(self._zones, stamped_versions):
-            if zone.touched(labels) > stamped:
+        """Whether ``cached``, stamped with another epoch object than the
+        memo ``epoch``, still answers under it: the two are equal, or the
+        zone rule holds across zone writes.  If it does, it is re-stamped
+        with ``epoch``, so the next hit matches by identity."""
+        if cached.epoch != epoch:
+            labels = cached.labels
+            policy, versions = epoch
+            stamped_policy, stamped_versions = cached.epoch
+            if labels is None or policy != stamped_policy or len(versions) != len(stamped_versions):
                 return False
+            for zone, stamped in zip(self._zones, stamped_versions):
+                if zone.touched(labels) > stamped:
+                    return False
         cached.epoch = epoch
         return True
 
@@ -251,15 +286,14 @@ class DnsServer:
             return answer
         return bytes(wire[:2]) + answer[2:]
 
-    def _cache_policy(self) -> object:
-        """The policy part of the cache epoch: whatever answers depend on
-        besides zone data.  Subclasses add their config."""
-        return self.policy_epoch
-
     def _cache_epoch(self) -> _Epoch:
         """Validity token compared on every hit: the policy part and the
-        zone versions."""
-        return (self._cache_policy(), tuple(zone.version for zone in self._zones))
+        zone versions, memoized until one of them changes."""
+        epoch = self._epoch
+        if epoch is None:
+            policy = (self._policy_epoch, self._config)
+            epoch = self._epoch = (policy, tuple(zone.version for zone in self._zones))
+        return epoch
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         """Typed-message counterpart of :meth:`handle_query`."""

@@ -9,13 +9,17 @@ mechanism.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.dns.message import ResourceRecord
 from repro.dns.name import DnsName
 from repro.dns.rdata import A, AAAA, CNAME, RCode, RRType, SOA
 from repro.net.addresses import IPv4Address, IPv6Address
+
+if TYPE_CHECKING:
+    from repro.dns.server import DnsServer
 
 __all__ = ["Zone", "ZoneError", "LookupResult"]
 
@@ -59,6 +63,13 @@ class Zone:
       :attr:`version` of the last such mutation (see :meth:`touched`).
     * ``_rrtypes`` lists the record types present at each owner, so a
       mutation touches only the types at its one name.
+
+    Every mutation goes through :meth:`_mutated`, the one writer of the
+    read-only :attr:`version`.  It also clears the memoized cache epoch
+    of every server serving the zone, so a server's response cache never
+    re-reads the versions on a hit.  The zone holds those servers as weak
+    references, in registration order, and drops a server's reference
+    once the server is gone.
     """
 
     def __init__(self, origin, soa: Optional[SOA] = None) -> None:
@@ -72,9 +83,21 @@ class Zone:
         self._rrtypes: Dict[Tuple[str, ...], List[int]] = {}
         self._below: Dict[Tuple[str, ...], int] = {}
         self._touched: Dict[Tuple[str, ...], int] = {}
-        #: Bumped on every mutation; response caches key on it.
-        self.version = 0
+        self._version = 0
+        #: The servers serving this zone (see :meth:`_watch`).
+        self._watchers: List["weakref.ref[DnsServer]"] = []
         self.add(self.origin, RRType.SOA, self.soa, ttl=3600)
+
+    @property
+    def version(self) -> int:
+        """Advanced by every mutation; response caches key on it."""
+        return self._version
+
+    def _watch(self, server: "DnsServer") -> None:
+        """Clear ``server``'s cache epoch memo on every later mutation,
+        for as long as ``server`` lives."""
+        self._watchers = [ref for ref in self._watchers if ref() is not None]
+        self._watchers.append(weakref.ref(server))
 
     # -- building -----------------------------------------------------------
 
@@ -93,8 +116,7 @@ class Zone:
         elif rrtype not in rrtypes:
             rrtypes.append(rrtype)
         self._records.setdefault((dname, rrtype), []).append(record)
-        self.version += 1
-        self._count(dname, 1)
+        self._mutated(dname, 1)
         return self
 
     def add_a(self, name, address, ttl: int = 300) -> "Zone":
@@ -120,16 +142,24 @@ class Zone:
         if not rrtypes:
             del self._rrtypes[dname.labels]
         if removed:
-            self.version += 1
-            self._count(dname, -removed)
+            self._mutated(dname, -removed)
         return removed
 
-    def _count(self, owner: DnsName, delta: int) -> None:
-        """Add ``delta`` records to ``owner`` and each ancestor up to the
-        origin, and stamp each of them with the current version."""
+    def _mutated(self, owner: DnsName, delta: int) -> None:
+        """Record one mutation that added ``delta`` records at ``owner``:
+        advance :attr:`version`, clear the cache epoch memo of each
+        watching server, add ``delta`` to ``owner`` and each ancestor up
+        to the origin, and stamp each of them with the new version."""
+        self._version = version = self._version + 1
+        live = []
+        for ref in self._watchers:
+            server = ref()
+            if server is not None:
+                server._forget_epoch()
+                live.append(ref)
+        self._watchers = live
         below = self._below
         touched = self._touched
-        version = self.version
         labels = owner.labels
         for start in range(len(labels) - len(self.origin.labels) + 1):
             node = labels[start:]

@@ -74,9 +74,6 @@ class DNS64Resolver(DnsServer):
 
     _CACHE_COUNTERS = ("synthesized", "passed_through")
 
-    def _cache_policy(self) -> object:
-        return (super()._cache_policy(), self.config)
-
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question
         if question.rrtype != RRType.AAAA:

@@ -7,11 +7,16 @@ The traced pass counts the paper's outcomes (option-108 grants, poisoned
 A answers, DNS64-synthesized AAAA answers) and the work behind them.
 Those counters and the traced output digest come from the first traced
 pair, so they depend on the seed alone, not on the host or ``--seconds``.
-This prints one ``workload metric: reference → observed`` line per entry
-that differs from ``tests/golden/bench_counters.json`` and exits 1 if any
-does.  It always writes the observed set to ``bench-counters.json``; a
-change meant to move a counter copies that file over the reference and
-says why in CHANGES.md.  Timings are not gated here.
+This compares the workloads the results file holds a traced run of, so a
+run of one workload (``bench/run.py --workload dns_intervention --trace 1``)
+is gated on that workload alone and the others are named as not run.  It
+prints one ``workload metric: reference → observed`` line per entry that
+differs from ``tests/golden/bench_counters.json`` and exits 1 if any does,
+or if no workload ran traced; a workload whose run gave no result differs
+in every entry.  It always writes ``bench-counters.json``: the observed
+entries, and the reference's for the workloads not run.  A change meant
+to move a counter copies that file over the reference and says why in
+CHANGES.md.  Timings are not gated here.
 """
 
 from __future__ import annotations
@@ -68,11 +73,12 @@ def extract(results: Dict[str, Any]) -> Counters:
 
 
 def compare(reference: Counters, observed: Counters) -> List[str]:
-    """One ``workload metric: reference → observed`` line per difference."""
+    """One ``workload metric: reference → observed`` line per difference,
+    over the observed workloads."""
     lines = []
-    for workload in sorted(set(reference) | set(observed)):
+    for workload in sorted(observed):
         expected = reference.get(workload, {})
-        got = observed.get(workload, {})
+        got = observed[workload]
         for name in sorted(set(expected) | set(got)):
             want, have = expected.get(name, "missing"), got.get(name, "missing")
             if want != have:
@@ -86,8 +92,15 @@ def main() -> int:
         print("usage: python3 tests/bench_counters.py BENCH_RUN_OUT.json", file=sys.stderr)
         return 2
     observed = extract(json.loads(Path(args[0]).read_text(encoding="utf-8")))
-    OBSERVED.write_text(json.dumps(observed, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    differences = compare(json.loads(REFERENCE.read_text(encoding="utf-8")), observed)
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    merged = {**reference, **observed}
+    OBSERVED.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if not observed:
+        print(f"bench counters: {args[0]} holds no traced workload", file=sys.stderr)
+        return 1
+    for workload in sorted(set(reference) - set(observed)):
+        print(f"{workload}: not run")
+    differences = compare(reference, observed)
     for line in differences:
         print(line)
     if differences:
@@ -98,7 +111,10 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"bench counters: every entry matches {REFERENCE.relative_to(ROOT)}")
+    print(
+        f"bench counters: every entry of {', '.join(sorted(observed))} matches "
+        f"{REFERENCE.relative_to(ROOT)}"
+    )
     return 0
 
 

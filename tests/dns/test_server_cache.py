@@ -4,7 +4,9 @@ moment the zone data an answer reads or the intervention policy
 changes, and bounded by evicting the least recently used answer."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 from unittest.mock import patch
 
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervention import InterventionConfig, PoisonedDNSServer
+from repro.core.rpz import RpzConfig, RPZPolicyServer
+from repro.core.testbed import Testbed, TestbedConfig
 from repro.dns.message import DnsMessage
 from repro.dns.rdata import TXT, RRType
 from repro.dns.server import DnsServer, ForwardingDnsServer
@@ -123,8 +127,65 @@ class TestPerNameValidity:
         zone.add_a("other.example.test", "192.0.2.99")
         assert server.handle_query(wire) == first
         assert (server.cache_misses, server.cache_hits) == (1, 1)
-        # Re-stamped, so the next hit matches the epoch outright.
-        assert server._response_cache[wire[2:]].epoch == server._cache_epoch()
+        # Re-stamped with the memo, so the next hit matches it by identity.
+        assert server._response_cache[wire[2:]].epoch is server._cache_epoch()
+
+
+class TestEpochMemo:
+    """The epoch a hit compares is memoized; only its inputs' writers
+    clear the memo, and zones hold their servers weakly."""
+
+    def test_a_hit_matches_the_memo_by_identity(self):
+        server = DnsServer([make_zone()])
+        wire = query_wire("web.example.test", RRType.A)
+        server.handle_query(wire)
+        server.handle_query(wire)
+        assert server._response_cache[wire[2:]].epoch is server._epoch is not None
+
+    def test_epoch_inputs_are_read_only(self):
+        zone = make_zone()
+        server = DnsServer([zone])
+        with pytest.raises(AttributeError):
+            server.policy_epoch = 7
+        with pytest.raises(AttributeError):
+            zone.version = 7
+        server.bump_policy_epoch()
+        zone.add_a("new.example.test", "192.0.2.77")
+        assert (server.policy_epoch, zone.version) == (1, 4)
+
+    def test_a_write_to_a_zone_two_servers_serve_clears_both_memos(self):
+        testbed = Testbed(TestbedConfig())
+        servers = (testbed.dns64, testbed.carrier_dns_server)
+        wire = query_wire("sc24.supercomputing.org", RRType.A)
+        for server in servers:
+            server.handle_query(wire)
+            assert server._epoch is not None
+        zone = next(z for z in testbed.zones if z.covers("sc24.supercomputing.org"))
+        zone.add_a("new.supercomputing.org", "192.0.2.77")
+        for server in servers:
+            assert server._epoch is None
+            _assert_epoch_is_fresh(server, testbed.zones)
+
+    def test_a_dropped_server_is_collected_while_its_zone_lives(self):
+        zone = make_zone()
+        server = DNS64Resolver([zone])
+        server.handle_query(query_wire("web.example.test", RRType.AAAA))
+        dropped = weakref.ref(server)
+        del server
+        gc.collect()
+        assert dropped() is None
+        zone.add_a("new.example.test", "192.0.2.77")
+        assert zone._watchers == []
+
+    def test_a_fresh_server_per_query_does_not_grow_the_watcher_list(self):
+        zone = make_zone()
+        server = DnsServer([zone])
+        wire = query_wire("web.example.test", RRType.A)
+        for _ in range(50):
+            fresh = DnsServer([zone])
+            assert fresh.handle_query(wire) == server.handle_query(wire)
+        # The previous fresh server was alive when the last one registered.
+        assert [ref() for ref in zone._watchers] == [server, None, fresh]
 
 
 class TestEviction:
@@ -191,7 +252,9 @@ class TestSharedLogEntries:
 # names cover an existing name, a nonexistent one, an empty non-terminal
 # (sub), a CNAME (alias) and a name outside every zone until its zone is
 # added; the written names add descendants (x.*), the apex and an
-# unrelated name.
+# unrelated name.  The poisoner and the RPZ server forward to a DNS64
+# serving every zone the writes reach, so their upstream's answers move
+# with the writes as the testbed's do.
 
 _ORIGIN = "example.test"
 _QUERIED_NAMES = (
@@ -206,11 +269,24 @@ _WRITTEN_NAMES = (
     f"other.{_ORIGIN}",
 )
 _TARGETS = (f"web.{_ORIGIN}", f"v4.{_ORIGIN}", f"nx.{_ORIGIN}", "www.elsewhere.test")
-_DNS64_CONFIGS = (
-    Dns64Config(),
-    Dns64Config(always_synthesize=True),
-    Dns64Config(prefix=IPv6Network("2001:db8:64::/96")),
-)
+#: The three configs a swap chooses from, for each kind that has a config.
+_CONFIGS = {
+    "dns64": (
+        Dns64Config(),
+        Dns64Config(always_synthesize=True),
+        Dns64Config(prefix=IPv6Network("2001:db8:64::/96")),
+    ),
+    "poisoner": (
+        InterventionConfig(poison_address=IPv4Address("23.153.8.71")),
+        InterventionConfig(poison_address=IPv4Address("23.153.8.71"), exempt_domains=(_ORIGIN,)),
+        InterventionConfig(poison_address=IPv4Address("192.0.2.71"), poison_ttl=30),
+    ),
+    "rpz": (
+        RpzConfig(poison_address=IPv4Address("23.153.8.71")),
+        RpzConfig(poison_address=IPv4Address("23.153.8.71"), exempt_domains=(f"sub.{_ORIGIN}",)),
+        RpzConfig(poison_address=IPv4Address("192.0.2.71"), poison_ttl=30),
+    ),
+}
 
 
 def _cache_zones():
@@ -240,7 +316,19 @@ def _make_server(kind, zones, config, upstream):
         return DnsServer(zones)
     if kind == "dns64":
         return DNS64Resolver(zones, config)
-    return ForwardingDnsServer(upstream, zones)
+    if kind == "forwarder":
+        return ForwardingDnsServer(upstream, zones)
+    # Neither answers from its zones, but their versions are in its epoch.
+    server = (PoisonedDNSServer if kind == "poisoner" else RPZPolicyServer)(config, upstream)
+    for zone in zones:
+        server.add_zone(zone)
+    return server
+
+
+def _assert_epoch_is_fresh(server, zones):
+    """The memoized epoch equals one rebuilt from its inputs."""
+    rebuilt = ((server.policy_epoch, server.config), tuple(zone.version for zone in zones))
+    assert server._cache_epoch() == rebuilt
 
 
 def _write(zones, how, name, target, outer):
@@ -287,7 +375,7 @@ _cache_operations = st.lists(
         _write_op,
         _write_op,
         st.just(("bump",)),
-        st.tuples(st.just("config"), st.integers(min_value=0, max_value=len(_DNS64_CONFIGS) - 1)),
+        st.tuples(st.just("config"), st.integers(min_value=0, max_value=2)),
         st.tuples(st.just("add_zone"), st.integers(min_value=0, max_value=1)),
     ),
     max_size=60,
@@ -298,7 +386,7 @@ def _log(server):
     return [(e.name, e.rrtype, e.rcode, e.answered_from, e.client) for e in server.query_log]
 
 
-@pytest.mark.parametrize("kind", ("zone", "dns64", "forwarder"))
+@pytest.mark.parametrize("kind", ("zone", "dns64", "forwarder", "poisoner", "rpz"))
 @given(operations=_cache_operations)
 @example(
     # A write elsewhere keeps the hit; a write at the name, below it or
@@ -345,14 +433,37 @@ def _log(server):
         ("query", f"v4.{_ORIGIN}", RRType.AAAA, 7, None),
     ]
 )
+@example(
+    # A swap to the config in place rebuilds an equal epoch, which the
+    # records then match by equality and are re-stamped with.
+    operations=[
+        ("query", f"v4.{_ORIGIN}", RRType.A, 1, None),
+        ("query", "www.elsewhere.test", RRType.AAAA, 2, None),
+        ("config", 0),
+        ("query", f"v4.{_ORIGIN}", RRType.A, 3, "alice"),
+        ("query", "www.elsewhere.test", RRType.AAAA, 4, None),
+        ("write", "remove", "www.elsewhere.test", f"web.{_ORIGIN}", False),
+        ("query", "www.elsewhere.test", RRType.AAAA, 5, None),
+        ("query", f"v4.{_ORIGIN}", RRType.A, 6, None),
+    ]
+)
 @settings(max_examples=150, deadline=None)
 def test_cache_is_transparent_under_writes(kind, operations):
     """Every answer, the query log and every ``_CACHE_COUNTERS`` counter
-    equal those of answering each query on a fresh server."""
+    equal those of answering each query on a fresh server, and after
+    every operation each server's memoized epoch equals one rebuilt from
+    scratch."""
     main, addable = zones = _cache_zones()
-    upstream = DnsServer([_upstream_zone()]).handle_query
+    if kind in ("poisoner", "rpz"):
+        upstream_zones = [main, *addable]
+        upstream_server = DNS64Resolver(upstream_zones)
+    else:
+        upstream_zones = [_upstream_zone()]
+        upstream_server = DnsServer(upstream_zones)
+    upstream = upstream_server.handle_query
     served = [main]
-    config = _DNS64_CONFIGS[0]
+    configs = _CONFIGS.get(kind, (None,))
+    config = configs[0]
     with patch.object(DnsServer, "_CACHE_LIMIT", 8):
         server = _make_server(kind, served, config, upstream)
         fresh_log = []
@@ -372,11 +483,13 @@ def test_cache_is_transparent_under_writes(kind, operations):
             elif operation[0] == "bump":
                 server.bump_policy_epoch()
             elif operation[0] == "config":
-                config = _DNS64_CONFIGS[operation[1]]
-                if kind == "dns64":
+                if kind in _CONFIGS:
+                    config = configs[operation[1]]
                     server.config = config
             else:
                 served.append(addable[operation[1]])
                 server.add_zone(addable[operation[1]])
+            _assert_epoch_is_fresh(server, served)
+            _assert_epoch_is_fresh(upstream_server, upstream_zones)
     assert _log(server) == fresh_log
     assert {counter: getattr(server, counter) for counter in fresh_counters} == fresh_counters
