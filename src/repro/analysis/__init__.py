@@ -1,5 +1,5 @@
-"""Experiment analysis: the device-outcome matrix, fleet-refresh
-adoption sweeps and report rendering."""
+"""Experiment analysis: the device-outcome matrix and the fleet-refresh
+adoption sweeps."""
 
 from repro.analysis.adoption import (
     AdoptionPoint,
@@ -14,12 +14,6 @@ from repro.analysis.fleet import (
     run_fleet_adoption_sweep_stats,
 )
 from repro.analysis.matrix import DeviceOutcome, matrix_table, run_device_matrix
-from repro.analysis.report import (
-    census_markdown,
-    device_matrix_markdown,
-    markdown_table,
-    score_markdown,
-)
 
 __all__ = [
     "DeviceOutcome",
@@ -33,8 +27,4 @@ __all__ = [
     "FleetSweepInfo",
     "run_fleet_adoption_sweep",
     "run_fleet_adoption_sweep_stats",
-    "census_markdown",
-    "device_matrix_markdown",
-    "markdown_table",
-    "score_markdown",
 ]

@@ -84,7 +84,7 @@ def _measure_profiles(spec: ShardSpec) -> List[DeviceOutcome]:
     """Worker: a fresh testbed, one client per profile in the chunk.
 
     This is the *object* worker — it retains every ``DeviceOutcome``
-    because its callers (report rendering, tests) consume the structured
+    because its callers (the matrix table, tests) consume the structured
     rows.  The accumulation is bounded by the profile catalogue (a few
     dozen rows), never by fleet size; fleet-bounded aggregation goes
     through :mod:`repro.analysis.fleet`.

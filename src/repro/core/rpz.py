@@ -14,11 +14,10 @@ the intervention page for every *real* name they look up.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro._compat import slotted_dataclass
 from repro.dns.message import DnsMessage, DnsQuestion, ResourceRecord
-from repro.dns.name import DnsName
 from repro.dns.rdata import A, RCode, RRType
 from repro.dns.server import ForwardingDnsServer
 from repro.net.addresses import IPv4Address
@@ -37,20 +36,6 @@ class RpzConfig:
 
     poison_address: IPv4Address
     poison_ttl: int = 60
-    exempt_domains: Sequence[str] = ()
-
-    def bind_zone_snippet(self) -> str:
-        """The equivalent BIND9 RPZ zone body, for documentation."""
-        lines = [
-            "$TTL 60",
-            "@ SOA rpz.localhost. hostmaster.localhost. 1 3600 600 86400 60",
-            "@ NS rpz.localhost.",
-            f"* A {self.poison_address}",
-        ]
-        for domain in self.exempt_domains:
-            lines.append(f"{domain}. CNAME rpz-passthru.")
-            lines.append(f"*.{domain}. CNAME rpz-passthru.")
-        return "\n".join(lines)
 
 
 class RPZPolicyServer(ForwardingDnsServer):
@@ -83,7 +68,6 @@ class RPZPolicyServer(ForwardingDnsServer):
             question.rrtype == RRType.A
             and reply.rcode == RCode.NOERROR
             and any(rr.rrtype == RRType.A for rr in reply.answers)
-            and not self._exempt(question.name)
         ):
             self.rewritten += 1
             record = ResourceRecord(
@@ -95,8 +79,3 @@ class RPZPolicyServer(ForwardingDnsServer):
             # The fix: nonexistent names stay nonexistent.
             self.passed_negative += 1
         return super()._from_reply(query, reply, client)
-
-    def _exempt(self, name: DnsName) -> bool:
-        return any(
-            name.is_subdomain_of(DnsName(domain)) for domain in self.config.exempt_domains
-        )

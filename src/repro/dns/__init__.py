@@ -30,7 +30,6 @@ from repro.dns.rdata import (
 from repro.dns.resolver import DnsTransportError, ResolutionResult, ResolverConfig, StubResolver
 from repro.dns.server import DnsServer, ForwardingDnsServer
 from repro.dns.zone import Zone, ZoneError
-from repro.dns.zonefile import parse_zone_text, zone_to_text, ZoneFileError
 
 __all__ = [
     "DnsName",
@@ -60,7 +59,4 @@ __all__ = [
     "DnsTransportError",
     "DnsServer",
     "ForwardingDnsServer",
-    "ZoneFileError",
-    "parse_zone_text",
-    "zone_to_text",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.dns.cache import DnsCache
@@ -83,9 +83,6 @@ class ResolverConfig:
     timeout: float = 2.0
     attempts: int = 2
     max_cname_depth: int = 8
-
-    def with_servers(self, servers: Sequence[ServerAddress]) -> "ResolverConfig":
-        return replace(self, servers=tuple(servers))
 
 
 @dataclass
@@ -149,18 +146,8 @@ class StubResolver:
         """Resolve without any suffix processing."""
         return self._resolve_exact(DnsName(name), rrtype)
 
-    def lookup_addresses(self, name) -> "DualStackAnswer":
-        """Query AAAA then A (as dual-stack OSes do) and return both."""
-        aaaa = self.resolve(name, RRType.AAAA)
-        a = self.resolve(name, RRType.A)
-        return DualStackAnswer(aaaa=aaaa, a=a)
-
     def flush_cache(self) -> None:
         self._cache.flush()
-
-    @property
-    def cache(self) -> DnsCache:
-        return self._cache
 
     # -- internals -----------------------------------------------------------
 
@@ -241,23 +228,3 @@ class StubResolver:
                     server_used=server,
                 )
         raise DnsTransportError("; ".join(errors) or "no servers responded")
-
-
-@dataclass
-class DualStackAnswer:
-    """Paired AAAA + A results, the raw material for address selection."""
-
-    aaaa: ResolutionResult
-    a: ResolutionResult
-
-    @property
-    def ipv6_addresses(self) -> List[IPv6Address]:
-        return [a for a in self.aaaa.addresses() if isinstance(a, IPv6Address)]
-
-    @property
-    def ipv4_addresses(self) -> List[IPv4Address]:
-        return [a for a in self.a.addresses() if isinstance(a, IPv4Address)]
-
-    @property
-    def any_answer(self) -> bool:
-        return bool(self.ipv6_addresses or self.ipv4_addresses)

@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 #: Packages whose behaviour must be a pure function of the seed.  The
-#: parallel engine and the analysis/report layer are included: their
-#: output *is* the artifact the byte-identical guarantee covers.
+#: parallel engine and the analysis layer are included: their output
+#: *is* the artifact the byte-identical guarantee covers.
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
     "repro.net",

@@ -224,15 +224,6 @@ def multicast_mac_for_ipv6(group: IPv6Address) -> MacAddress:
     return MacAddress((0x3333 << 32) | low32)
 
 
-@lru_cache(maxsize=None)
-def multicast_mac_for_ipv4(group: IPv4Address) -> MacAddress:
-    """Map an IPv4 multicast group to its ``01:00:5e`` MAC (RFC 1112)."""
-    if not group.is_multicast:
-        raise ValueError(f"{group} is not an IPv4 multicast group")
-    low23 = int(group) & 0x7FFFFF
-    return MacAddress((0x01005E << 24) | low23)
-
-
 # --------------------------------------------------------------------------
 # RFC 6052 IPv4-embedded IPv6 addresses
 # --------------------------------------------------------------------------
@@ -322,9 +313,6 @@ def is_nat64_synthesized(addr: IPv6Address, prefix: IPv6Network = WELL_KNOWN_NAT
 
 _ULA = IPv6Network("fc00::/7")
 _GUA = IPv6Network("2000::/3")
-_TEREDO = IPv6Network("2001::/32")
-_6TO4 = IPv6Network("2002::/16")
-_V4MAPPED = IPv6Network("::ffff:0:0/96")
 
 
 def is_ula(addr: IPv6Address) -> bool:
@@ -339,18 +327,6 @@ def is_ula(addr: IPv6Address) -> bool:
 def is_gua(addr: IPv6Address) -> bool:
     """True for globally-routable unicast (``2000::/3``)."""
     return addr in _GUA
-
-
-def is_teredo(addr: IPv6Address) -> bool:
-    return addr in _TEREDO
-
-
-def is_6to4(addr: IPv6Address) -> bool:
-    return addr in _6TO4
-
-
-def is_v4mapped(addr: IPv6Address) -> bool:
-    return addr in _V4MAPPED
 
 
 _LOOPBACK_V6 = IPv6Address("::1")

@@ -163,13 +163,6 @@ class TestReport:
     def max_score(self) -> int:
         return 10
 
-    def summary(self) -> str:
-        lines = [f"test-ipv6 mirror report for {self.client_name}: {self.stock_score}/{self.max_score}"]
-        for s in self.subtests:
-            mark = "PASS" if s.passed else "FAIL"
-            lines.append(f"  [{mark}] {s.name:22s} family={s.family_seen or '-':4s} {s.detail}")
-        return "\n".join(lines)
-
 
 def run_test_ipv6(client, mirror: TestIpv6Mirror) -> TestReport:
     """Run the ten subtests from ``client`` (a

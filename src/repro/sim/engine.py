@@ -184,14 +184,6 @@ class EventEngine:
         """Advance simulated time by ``duration`` seconds."""
         self.run_until(condition=None, deadline=self._now + duration, max_events=max_events)
 
-    def run_until_idle(self, max_events: int = 1_000_000) -> None:
-        """Drain every queued event (periodic tasks make this unbounded —
-        use :meth:`run_for` when RA daemons or lease timers are active)."""
-        for _ in range(max_events):
-            if not self.step():
-                return
-        raise RuntimeError(f"run_until_idle exceeded {max_events} events")
-
     @property
     def pending_events(self) -> int:
         """Live (non-cancelled) entries still queued.  O(n), but only

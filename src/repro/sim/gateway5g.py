@@ -259,7 +259,7 @@ class MobileGateway5G(Node):
         if packet.dst == self.config.wan_ipv4_nat64:
             try:
                 translated = self.nat64.translate_in(packet)
-            except TranslationError:
+            except (TranslationError, ValueError):
                 return
             self.lan_iface.send_ipv6(translated)
             return
@@ -274,7 +274,7 @@ class MobileGateway5G(Node):
                     return
             try:
                 translated = self.nat44.translate_in(packet)
-            except TranslationError:
+            except (TranslationError, ValueError):
                 return
             self.lan_iface.send_ipv4(translated)
 

@@ -13,14 +13,13 @@ import zlib
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro._compat import slotted_dataclass
-from repro.nd.ra import RaDaemon, RaDaemonConfig
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network, MacAddress
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message, Icmpv6Type
 from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
 from repro.sim.engine import EventEngine
-from repro.sim.iface import ALL_NODES_V6, L2Interface
+from repro.sim.iface import L2Interface
 from repro.sim.node import Node, Port
 
 __all__ = ["Router", "AclRule"]
@@ -56,7 +55,6 @@ class Router(Node):
         self.routes_v4: List[Tuple[IPv4Network, str, Optional[IPv4Address]]] = []
         self.routes_v6: List[Tuple[IPv6Network, str, Optional[IPv6Address]]] = []
         self.acl: List[AclRule] = []
-        self._ra_daemons: Dict[str, RaDaemon] = {}
         self.forwarded_v4 = 0
         self.forwarded_v6 = 0
         self.acl_drops = 0
@@ -91,26 +89,6 @@ class Router(Node):
 
     def add_route_v6(self, prefix: IPv6Network, iface: str, next_hop: Optional[IPv6Address] = None) -> None:
         self.routes_v6.append((prefix, iface, next_hop))
-
-    def enable_ra(self, iface_name: str, config: RaDaemonConfig) -> RaDaemon:
-        iface = self.ifaces[iface_name]
-        daemon = RaDaemon(config, iface.mac)
-        self._ra_daemons[iface_name] = daemon
-
-        def emit() -> None:
-            ra = daemon.build_ra()
-            payload = encode_icmpv6(ra, iface.link_local, ALL_NODES_V6)
-            packet = IPv6Packet(
-                src=iface.link_local,
-                dst=ALL_NODES_V6,
-                next_header=IPProto.ICMPV6,
-                payload=payload,
-                hop_limit=255,
-            )
-            iface.send_ipv6(packet)
-
-        self.engine.schedule_every(config.interval, emit)
-        return daemon
 
     # -- frame handling -----------------------------------------------------------
 

@@ -809,7 +809,7 @@ class HostStack(Node):
         ):
             try:
                 translated = self.clat.inbound(packet)
-            except TranslationError:
+            except (TranslationError, ValueError):
                 return
             self._demux_ipv4(translated)
             return

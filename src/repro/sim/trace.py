@@ -2,13 +2,13 @@
 
 Every port can mirror its traffic into a :class:`PacketTrace`; entries
 carry the raw frame bytes plus a parsed one-line summary, giving the
-experiments a pcap-equivalent to assert against (e.g. "no poisoned A
-answer ever reached the Windows 10 client").
+experiments a capture to assert against (e.g. "no poisoned A answer
+ever reached the Windows 10 client").
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro._compat import slotted_dataclass
 from repro.net.ethernet import EthernetFrame, EtherType
@@ -84,68 +84,8 @@ class PacketTrace:
             TraceEntry(self._clock(), node, port, direction, frame, summarize_frame(frame))
         )
 
-    def filter(
-        self,
-        node: Optional[str] = None,
-        direction: Optional[str] = None,
-        contains: Optional[str] = None,
-    ) -> List[TraceEntry]:
-        out = self.entries
-        if node is not None:
-            out = [e for e in out if e.node == node]
-        if direction is not None:
-            out = [e for e in out if e.direction == direction]
-        if contains is not None:
-            out = [e for e in out if contains in e.summary]
-        return list(out)
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def dump(self, limit: int = 50) -> str:
         return "\n".join(str(e) for e in self.entries[-limit:])
-
-    # -- pcap export ----------------------------------------------------------
-
-    PCAP_MAGIC = 0xA1B2C3D4
-    LINKTYPE_ETHERNET = 1
-
-    def to_pcap(self, direction: Optional[str] = "rx") -> bytes:
-        """Serialize the capture as a classic libpcap file (readable by
-        Wireshark/tcpdump).
-
-        By default only ``rx`` entries are written so frames seen at
-        both ends of a link are not duplicated; pass ``None`` for
-        everything.  Timestamps are the simulation clock.
-        """
-        import struct as _struct
-
-        out = bytearray(
-            _struct.pack(
-                "!IHHiIII",
-                self.PCAP_MAGIC,
-                2,  # major
-                4,  # minor
-                0,  # thiszone
-                0,  # sigfigs
-                65535,  # snaplen
-                self.LINKTYPE_ETHERNET,
-            )
-        )
-        for entry in self.entries:
-            if direction is not None and entry.direction != direction:
-                continue
-            seconds = int(entry.time)
-            micros = int(round((entry.time - seconds) * 1_000_000))
-            out += _struct.pack(
-                "!IIII", seconds, micros, len(entry.frame), len(entry.frame)
-            )
-            out += entry.frame
-        return bytes(out)
-
-    def save_pcap(self, path, direction: Optional[str] = "rx") -> int:
-        """Write :meth:`to_pcap` output to ``path``; returns bytes written."""
-        data = self.to_pcap(direction)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return len(data)

@@ -75,18 +75,6 @@ class TestPoisonedServer:
         response = ask(server, "nothere.ip6.me", RRType.AAAA)
         assert response.rcode == RCode.NXDOMAIN
 
-    def test_exempt_domains_pass_through(self):
-        upstream = make_upstream()
-        server = PoisonedDNSServer(
-            InterventionConfig(poison_address=POISON, exempt_domains=("ip6.me",)),
-            upstream.handle_query,
-        )
-        response = ask(server, "ip6.me", RRType.A)
-        assert response.answers_of_type(RRType.A)[0].rdata.address == POISON
-        # (ip6.me's real A *is* the poison address — check the counter
-        # instead to prove the answer came from upstream.)
-        assert server.poison_answers == 0
-
     def test_dead_upstream_servfail_for_aaaa(self):
         server = PoisonedDNSServer(
             InterventionConfig(poison_address=POISON), lambda wire: None
@@ -102,13 +90,6 @@ class TestPoisonedServer:
         server, _ = poisoned
         response = ask(server, "anything.example", RRType.A)
         assert response.answers[0].ttl == server.config.poison_ttl
-
-    def test_dnsmasq_config_lines(self):
-        config = InterventionConfig(poison_address=POISON, exempt_domains=("helpdesk.anl.gov",))
-        lines = config.dnsmasq_lines("192.168.12.251")
-        assert "address=/#/23.153.8.71" in lines
-        assert "server=192.168.12.251" in lines
-        assert "server=/helpdesk.anl.gov/192.168.12.251" in lines
 
     def test_query_log_records_poison_source(self, poisoned):
         server, _ = poisoned
@@ -138,28 +119,10 @@ class TestRpzServer:
             "2001:4810:0:3::71"
         )
 
-    def test_exempt_domain(self):
-        upstream = make_upstream()
-        server = RPZPolicyServer(
-            RpzConfig(poison_address=POISON, exempt_domains=("supercomputing.org",)),
-            upstream.handle_query,
-        )
-        response = ask(server, "sc24.supercomputing.org", RRType.A)
-        assert response.answers_of_type(RRType.A)[0].rdata.address == IPv4Address(
-            "190.92.158.4"
-        )
-        assert server.rewritten == 0
-
     def test_dead_upstream(self):
         server = RPZPolicyServer(RpzConfig(poison_address=POISON), lambda wire: None)
         response = ask(server, "x.example", RRType.A)
         assert response.rcode == RCode.SERVFAIL
-
-    def test_bind_zone_snippet(self):
-        config = RpzConfig(poison_address=POISON, exempt_domains=("anl.gov",))
-        snippet = config.bind_zone_snippet()
-        assert f"* A {POISON}" in snippet
-        assert "rpz-passthru" in snippet
 
 
 # --------------------------------------------------------------------------
@@ -377,12 +340,12 @@ _CONFIGS = {
     "poisoner": [
         InterventionConfig(poison_address=POISON),
         InterventionConfig(poison_address=OTHER_POISON),
-        InterventionConfig(poison_address=POISON, exempt_domains=("known.test",)),
+        InterventionConfig(poison_address=POISON, poison_ttl=30),
     ],
     "rpz": [
         RpzConfig(poison_address=POISON),
         RpzConfig(poison_address=OTHER_POISON, poison_ttl=30),
-        RpzConfig(poison_address=POISON, exempt_domains=("web.known.test",)),
+        RpzConfig(poison_address=POISON, poison_ttl=30),
     ],
     "forwarder": [None],
 }

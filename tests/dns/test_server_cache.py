@@ -278,12 +278,12 @@ _CONFIGS = {
     ),
     "poisoner": (
         InterventionConfig(poison_address=IPv4Address("23.153.8.71")),
-        InterventionConfig(poison_address=IPv4Address("23.153.8.71"), exempt_domains=(_ORIGIN,)),
+        InterventionConfig(poison_address=IPv4Address("23.153.8.71"), poison_ttl=30),
         InterventionConfig(poison_address=IPv4Address("192.0.2.71"), poison_ttl=30),
     ),
     "rpz": (
         RpzConfig(poison_address=IPv4Address("23.153.8.71")),
-        RpzConfig(poison_address=IPv4Address("23.153.8.71"), exempt_domains=(f"sub.{_ORIGIN}",)),
+        RpzConfig(poison_address=IPv4Address("192.0.2.71")),
         RpzConfig(poison_address=IPv4Address("192.0.2.71"), poison_ttl=30),
     ),
 }

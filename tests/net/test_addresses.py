@@ -11,16 +11,12 @@ from repro.net.addresses import (
     ipv6_scope,
     IPv6Address,
     IPv6Network,
-    is_6to4,
     is_gua,
     is_nat64_synthesized,
-    is_teredo,
     is_ula,
-    is_v4mapped,
     link_local_from_mac,
     MAC_BROADCAST,
     MacAddress,
-    multicast_mac_for_ipv4,
     multicast_mac_for_ipv6,
     slaac_address,
     solicited_node_multicast,
@@ -151,20 +147,6 @@ class TestMulticastMapping:
         with pytest.raises(ValueError):
             multicast_mac_for_ipv6(IPv6Address("2001:db8::1"))
 
-    def test_multicast_mac_v4(self):
-        mac = multicast_mac_for_ipv4(IPv4Address("224.0.0.251"))
-        assert str(mac) == "01:00:5e:00:00:fb"
-
-    def test_multicast_mac_v4_23bit_fold(self):
-        # 239.129.0.1 and 239.1.0.1 share the low 23 bits.
-        a = multicast_mac_for_ipv4(IPv4Address("239.129.0.1"))
-        b = multicast_mac_for_ipv4(IPv4Address("239.1.0.1"))
-        assert a == b
-
-    def test_multicast_mac_v4_rejects_unicast(self):
-        with pytest.raises(ValueError):
-            multicast_mac_for_ipv4(IPv4Address("8.8.8.8"))
-
 
 class TestClassification:
     def test_ula_from_paper(self):
@@ -176,11 +158,6 @@ class TestClassification:
         assert is_gua(IPv6Address("2607:fb90:9bda:a425::1"))
         assert not is_gua(IPv6Address("fe80::1"))
         assert not is_gua(IPv6Address("fd00::1"))
-
-    def test_transition_spaces(self):
-        assert is_teredo(IPv6Address("2001::1"))
-        assert is_6to4(IPv6Address("2002:c000:0204::1"))
-        assert is_v4mapped(IPv6Address("::ffff:192.0.2.1"))
 
     def test_scopes(self):
         assert ipv6_scope(IPv6Address("fe80::1")) == 0x2

@@ -12,7 +12,7 @@ class TestScheduling:
         engine.schedule(2.0, lambda: order.append("b"))
         engine.schedule(1.0, lambda: order.append("a"))
         engine.schedule(3.0, lambda: order.append("c"))
-        engine.run_until_idle()
+        engine.run_until()
         assert order == ["a", "b", "c"]
 
     def test_ties_break_by_insertion(self):
@@ -20,14 +20,14 @@ class TestScheduling:
         order = []
         for tag in "abc":
             engine.schedule(1.0, lambda t=tag: order.append(t))
-        engine.run_until_idle()
+        engine.run_until()
         assert order == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
         engine = EventEngine()
         seen = []
         engine.schedule(5.5, lambda: seen.append(engine.now))
-        engine.run_until_idle()
+        engine.run_until()
         assert seen == [5.5]
 
     def test_negative_delay_rejected(self):
@@ -39,18 +39,18 @@ class TestScheduling:
         seen = []
         engine.schedule(1.0, seen.append, "frame")
         engine.schedule(2.0, lambda a, b: seen.append((a, b)), 1, 2)
-        engine.run_until_idle()
+        engine.run_until()
         assert seen == ["frame", (1, 2)]
 
     def test_fired_entry_holds_nothing_and_ignores_a_late_cancel(self):
         engine = EventEngine()
         seen = []
         fired = engine.schedule(1.0, seen.append, "first")
-        engine.run_until_idle()
+        engine.run_until()
         assert fired[2] is None and fired[3] is None
         later = engine.schedule(1.0, seen.append, "later")
         fired[2] = None  # a canceller that outlived its event
-        engine.run_until_idle()
+        engine.run_until()
         assert seen == ["first", "later"]
         assert later[2] is None
 
@@ -64,7 +64,7 @@ class TestScheduling:
 
         engine.schedule(1.0, first)
         engine.schedule(2.0, lambda: order.append("second"))
-        engine.run_until_idle()
+        engine.run_until()
         assert order == ["first", "nested", "second"]
 
 

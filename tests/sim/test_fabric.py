@@ -5,6 +5,7 @@ import pytest
 
 from repro.nd.ra import RaDaemonConfig
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from repro.net.ethernet import EthernetFrame, EtherType
 from repro.net.icmpv6 import RouterPreference
 from repro.sim.host import Host, ServerHost
 from repro.sim.node import connect
@@ -67,6 +68,15 @@ class TestSwitching:
         engine, switch, a, b, c = fabric
         rtt = a.ping(b.iface.link_local)
         assert rtt is not None
+
+    def test_frame_to_switch_mac_not_forwarded(self, fabric):
+        engine, switch, a, b, c = fabric
+        frame = EthernetFrame(switch.mac, a.mac, EtherType.IPV4, b"\x00" * 20)
+        rx_before = [host.port("eth0").rx_frames for host in (b, c)]
+        a.port("eth0").transmit(frame.encode())
+        engine.run_for(0.1)
+        # Consumed by the switch's management plane, not flooded.
+        assert [host.port("eth0").rx_frames for host in (b, c)] == rx_before
 
 
 class TestSwitchRaDaemon:
@@ -215,8 +225,8 @@ class TestLiveFloodSet:
         engine.run_for(0.01)
         ras = [
             entry.port
-            for entry in trace.filter(direction="tx")
-            if entry.frame[6:12] == switch.mac.to_bytes()
+            for entry in trace.entries
+            if entry.direction == "tx" and entry.frame[6:12] == switch.mac.to_bytes()
         ]
         assert ras == ["p0", "p2", "p3"]
 
@@ -253,6 +263,11 @@ class TestLiveFloodSet:
         # One read per cable change: each arrival plugs one port in, one out.
         assert late[0] <= early[0] <= 2 * 50
         assert early[1] > 0 and abs(late[1] - early[1]) <= early[1] // 100
+
+
+class TestNodeRepr:
+    def test_node_repr(self, engine):
+        assert "box" in repr(Host(engine, "box"))
 
 
 class TestStackConfigFlags:

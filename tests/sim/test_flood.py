@@ -66,7 +66,7 @@ class TestFloodEntry:
         engine, switch, recorders = _fabric(10, [0.0005])
         switch.on_frame(switch.port("p0"), BROADCAST + _mac(0) + ETHERTYPE + bytes(46))
         assert engine.pending_events == 1
-        engine.run_until_idle()
+        engine.run_until()
         assert engine.events_run == 9
         assert [len(recorder.log) for recorder in recorders] == [0] + [1] * 9
 
@@ -74,7 +74,7 @@ class TestFloodEntry:
         engine, switch, recorders = _fabric(6, [0.0005, 0.001, 0.0])
         switch.on_frame(switch.port("p0"), BROADCAST + _mac(0) + ETHERTYPE + bytes(46))
         assert engine.pending_events == 3
-        engine.run_until_idle()
+        engine.run_until()
         assert engine.events_run == 5
 
 
@@ -117,7 +117,7 @@ def _run(script, hosts, latencies, seed):
 
     for when, kind, host, frame in script:
         engine.schedule(when, act, kind, host, frame)
-    engine.run_until_idle()
+    engine.run_until()
     ports = [port for node in [switch] + recorders for port in node.ports.values()]
     return {
         "log": log,

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network
+from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network, MacAddress
+from repro.net.ethernet import EthernetFrame, EtherType
 from repro.sim.host import ServerHost
 from repro.sim.node import connect
 from repro.sim.router import AclRule, Router
 from repro.sim.switch import ManagedSwitch
-from repro.sim.trace import PacketTrace
+from repro.sim.trace import PacketTrace, summarize_frame
 
 
 @pytest.fixture
@@ -108,10 +109,9 @@ class TestTrace:
         inside.attach_trace(trace)
         inside.ping(IPv4Address("10.2.0.10"))
         assert len(trace) > 0
-        rx = trace.filter(node="inside-host", direction="rx")
+        rx = [e for e in trace.entries if e.node == "inside-host" and e.direction == "rx"]
         assert rx
-        icmp_entries = trace.filter(contains="IPv4")
-        assert icmp_entries
+        assert any("IPv4" in e.summary for e in trace.entries)
         assert "inside-host" in str(rx[0])
 
     def test_summaries_decode_protocols(self, routed):
@@ -135,3 +135,16 @@ class TestTrace:
         inside.attach_trace(trace)
         inside.ping(IPv4Address("10.2.0.10"))
         assert isinstance(trace.dump(), str)
+
+
+class TestTraceSummaries:
+    def test_malformed_frame_summary(self):
+        assert "malformed" in summarize_frame(b"\x00" * 5)
+
+    def test_arp_summary(self):
+        frame = EthernetFrame(MacAddress((1 << 48) - 1), MacAddress(2), EtherType.ARP, b"\x00" * 28)
+        assert summarize_frame(frame.encode()).startswith("ARP")
+
+    def test_unknown_ethertype_summary(self):
+        frame = EthernetFrame(MacAddress(1), MacAddress(2), 0x88CC, b"lldp")
+        assert "0x88cc" in summarize_frame(frame.encode())

@@ -18,6 +18,7 @@ from repro.sim.host import Host, ServerHost
 from repro.sim.iface import IPV4_BROADCAST
 from repro.sim.node import connect
 from repro.sim.router import Router
+from repro.sim.stack import StackConfig
 from repro.sim.switch import ManagedSwitch
 
 
@@ -74,6 +75,21 @@ class TestSockets:
         engine, a, b = lan
         # Off-subnet with no router configured.
         assert not a.send_udp(50000, IPv4Address("192.0.2.1"), 53, b"x")
+
+
+class TestStackErrorPaths:
+    def test_v6only_host_cannot_reach_v4_without_clat(self, engine):
+        host = Host(engine, "v6only", config=StackConfig(ipv4_enabled=False, clat_capable=False))
+        assert host.tcp_connect(IPv4Address("192.0.2.1"), 80, timeout=0.2) is None
+        assert host.last_connect_error == "no route/source address"
+
+    def test_v4only_host_cannot_reach_v6(self, engine):
+        host = Host(engine, "v4only", config=StackConfig(ipv6_enabled=False))
+        assert host.tcp_connect(IPv6Address("2001:db8::1"), 80, timeout=0.2) is None
+
+    def test_ping_without_any_route(self, engine):
+        host = Host(engine, "alone")
+        assert host.ping(IPv4Address("192.0.2.1"), timeout=0.2) is None
 
 
 class TestNeighborQueues:
@@ -151,10 +167,10 @@ class TestNicFilter:
                               ipv6_network=self.PREFIX)
             connect(engine, host.port("eth0"), switch.add_port(f"p{number}"))
             hosts.append(host)
-        return engine, router, solicitations, hosts
+        return engine, switch, router, solicitations, hosts
 
     def test_host_drops_rs_and_foreign_ns_before_decoding(self, v6lan):
-        engine, router, solicitations, (a, b, c) = v6lan
+        engine, switch, router, solicitations, (a, b, c) = v6lan
         decoded = _spy_ipv6(b.iface)
         neighbors = dict(b.iface.v6_neighbors)
         a.solicit_routers()
@@ -165,16 +181,16 @@ class TestNicFilter:
         assert b.iface.v6_neighbors == neighbors  # it learned neither sender
 
     def test_own_ns_all_nodes_ra_and_router_rs_still_get_through(self, v6lan):
-        engine, router, solicitations, (a, b, c) = v6lan
+        engine, switch, router, solicitations, (a, b, c) = v6lan
         a.solicit_routers()
         a.send_udp(50000, IPv6Address("2001:db8::3"), 9, b"x")
         engine.run_for(0.1)
         assert solicitations == [a.iface.link_local]
         assert a.iface.v6_neighbors[IPv6Address("2001:db8::3")] == c.mac
         decoded = _spy_ipv6(b.iface)
-        router.enable_ra("lan", RaDaemonConfig(prefixes=(IPv6Network("2001:db8:1::/64"),)))
+        switch.enable_ra_daemon(RaDaemonConfig(prefixes=(IPv6Network("2001:db8:1::/64"),)))
         engine.run_for(0.1)
-        assert [raw[6:12] for raw in decoded] == [router.ifaces["lan"].mac.to_bytes()]
+        assert [raw[6:12] for raw in decoded] == [switch.mac.to_bytes()]
 
     def test_ra_flood_is_decoded_once_for_every_host(self, engine, monkeypatch):
         # Count decode_icmpv6 wherever it was imported from.
@@ -190,13 +206,10 @@ class TestNicFilter:
                 monkeypatch.setattr(module, "decode_icmpv6", counting)
         prefix = IPv6Network("2001:db8:4ad::/64")
         switch = ManagedSwitch(engine, "sw")
-        router = Router(engine, "ra-flood")
-        router.add_interface("lan", ipv6=(IPv6Address("2001:db8:4ad::1"), prefix))
-        connect(engine, router.port("lan"), switch.add_port("p0"))
         hosts = [Host(engine, f"flood-{n}") for n in range(5)]
-        for n, host in enumerate(hosts, 1):
+        for n, host in enumerate(hosts):
             connect(engine, host.port("eth0"), switch.add_port(f"p{n}"))
-        router.enable_ra("lan", RaDaemonConfig(prefixes=(prefix,)))
+        switch.enable_ra_daemon(RaDaemonConfig(prefixes=(prefix,)))
         engine.run_for(0.1)
         assert len(calls) == 1
         for host in hosts:
@@ -204,7 +217,7 @@ class TestNicFilter:
             assert address in prefix
 
     def test_removed_address_leaves_its_group_unless_another_shares_it(self, v6lan):
-        engine, router, solicitations, (a, b, c) = v6lan
+        engine, switch, router, solicitations, (a, b, c) = v6lan
         # fd00::3 has the same low 24 bits, so the same group, as 2001:db8::3.
         c.iface.add_ipv6(IPv6Address("fd00::3"))
         c.iface.remove_ipv6(IPv6Address("fd00::3"))

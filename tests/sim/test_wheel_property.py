@@ -26,7 +26,7 @@ class _ReferenceEngine:
 
     Implements just enough of :class:`EventEngine`'s surface for the
     workload driver: ``schedule`` returning a tombstonable entry,
-    ``now``, and ``run_until``/``run_until_idle``.
+    ``now``, and ``run_until``.
     """
 
     def __init__(self) -> None:
@@ -67,9 +67,6 @@ class _ReferenceEngine:
             executed += 1
             if executed >= max_events:
                 raise RuntimeError("runaway")
-
-    def run_until_idle(self):
-        self.run_until(condition=None, deadline=None)
 
 
 # Delay scales from same-tick (0) through link latency to protocol
@@ -120,7 +117,7 @@ def _run_workload(engine, seed: int):
     engine.run_until(deadline=engine.now + 40.0)
     for _ in range(40):
         _schedule(rng.choice(_DELAY_SCALES) * rng.random())
-    engine.run_until_idle()
+    engine.run_until()
     return log
 
 
@@ -140,7 +137,7 @@ class TestWheelMatchesReferenceHeap:
         engine.schedule(0.5, order.append, "a")
         engine.schedule(0.2, lambda: engine.schedule(0.3, order.append, "c"))
         engine.schedule(0.5, order.append, "b")
-        engine.run_until_idle()
+        engine.run_until()
         assert order == ["a", "b", "c"]
 
     def test_schedule_every_matches_reference_clocks(self):
@@ -176,7 +173,7 @@ class TestSlabPool:
         entry = engine.schedule(0.001, fired.append, "x")
         entry[2] = None
         assert engine.pending_events == 0
-        engine.run_until_idle()
+        engine.run_until()
         assert fired == []
         assert engine.events_run == 0
         assert not engine.step()
@@ -246,7 +243,7 @@ class TestBatchedFrameDelivery:
         # One pending engine entry carries all five frames (the first
         # schedule was upgraded in place into a batch drain).
         assert engine.pending_events == 1
-        engine.run_until_idle()
+        engine.run_until()
         assert [f for (_, f) in b.seen] == [b"frame-%d" % i for i in range(5)]
         assert len({t for (t, _) in b.seen}) == 1  # one delivery tick
         assert b.port().rx_frames == 5
@@ -257,12 +254,12 @@ class TestBatchedFrameDelivery:
         engine, a, b, link = self._pair()
         for i in range(4):
             a.port().transmit(b"x%d" % i)
-        engine.run_until_idle()
+        engine.run_until()
         batched_total = engine.events_run
         engine2, a2, b2, _ = self._pair()
         for i in range(4):
             a2.port().transmit(b"x%d" % i)
-            engine2.run_until_idle()  # drain between sends: no batching
+            engine2.run_until()  # drain between sends: no batching
         assert batched_total == engine2.events_run == 4
 
     def test_interleaved_directions_keep_order_and_batches(self):
@@ -270,7 +267,7 @@ class TestBatchedFrameDelivery:
         a.port().transmit(b"a->b 1")
         b.port().transmit(b"b->a 1")
         a.port().transmit(b"a->b 2")
-        engine.run_until_idle()
+        engine.run_until()
         assert [f for (_, f) in b.seen] == [b"a->b 1", b"a->b 2"]
         assert [f for (_, f) in a.seen] == [b"b->a 1"]
 
@@ -279,7 +276,7 @@ class TestBatchedFrameDelivery:
         a.port().transmit(b"tick0")
         engine.run_for(0.01)
         a.port().transmit(b"tick1")
-        engine.run_until_idle()
+        engine.run_until()
         times = [t for (t, _) in b.seen]
         assert len(times) == 2 and times[0] != times[1]
 
@@ -296,6 +293,6 @@ class TestBatchedFrameDelivery:
         b.port().sink = sunk.append
         a.port().transmit(b"one")
         a.port().transmit(b"two")
-        engine.run_until_idle()
+        engine.run_until()
         assert sunk == [b"one", b"two"]
         assert b.seen == []

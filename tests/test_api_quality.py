@@ -63,6 +63,11 @@ class TestDocumentation:
         assert not undocumented, f"undocumented public classes: {undocumented}"
 
 
+def _capture(testbed):
+    """Every captured frame with its time, place and direction."""
+    return [(e.time, e.node, e.port, e.direction, e.frame) for e in testbed.trace.entries]
+
+
 class TestDeterminism:
     def test_whole_testbed_replay_is_bytewise_identical(self):
         """Two runs of the same seeded scenario produce identical packet
@@ -75,7 +80,7 @@ class TestDeterminism:
             testbed = build_testbed(TestbedConfig(seed=99, capture_traffic=True))
             testbed.add_client(MACOS, "mac").fetch("sc24.supercomputing.org")
             testbed.add_client(NINTENDO_SWITCH, "nsw").fetch("ip6.me")
-            return testbed.trace.to_pcap(direction=None)
+            return _capture(testbed)
 
         assert run() == run()
 
@@ -86,7 +91,7 @@ class TestDeterminism:
         def run(seed):
             testbed = build_testbed(TestbedConfig(seed=seed, capture_traffic=True))
             testbed.add_client(MACOS, "mac").fetch("sc24.supercomputing.org")
-            return testbed.trace.to_pcap(direction=None)
+            return _capture(testbed)
 
         # TCP initial sequence numbers come from the seeded RNG.
         assert run(1) != run(2)

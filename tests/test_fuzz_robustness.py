@@ -4,14 +4,23 @@ Servers face the network; the simulator's hosts face whatever a buggy
 peer emits.  Every handler must drop garbage, never raise.
 """
 
+import struct
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clients.profiles import WINDOWS_11_RFC8925
 from repro.core.intervention import InterventionConfig, PoisonedDNSServer
 from repro.core.rpz import RpzConfig, RPZPolicyServer
+from repro.core.testbed import build_testbed, SC24_WEB_V4, TestbedConfig
 from repro.dhcp.server import DhcpPool, DhcpServer
 from repro.dns.zone import Zone
-from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address
+from repro.net.addresses import embed_ipv4_in_nat64, IPv4Address, IPv4Network, IPv6Address
+from repro.net.checksum import internet_checksum, pseudo_sum_v4, pseudo_sum_v6
+from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ipv4 import IPProto, IPv4Packet
+from repro.net.ipv6 import IPv6Packet
 from repro.sim.engine import EventEngine
 from repro.sim.host import Host, ServerHost
 from repro.sim.node import connect
@@ -132,3 +141,50 @@ def test_tcp_listener_survives_mid_stream_garbage(valid_prefix, payload):
     # The server is still able to accept a fresh connection.
     conn2 = client.tcp_connect(IPv4Address("10.0.0.1"), 80)
     assert conn2 is not None
+
+
+def _lying_l4(proto, src, dst):
+    """A checksum-valid L4 header whose length field lies: a 20-byte TCP
+    header whose data offset says 15 words, or a UDP header whose length
+    says 4."""
+    if proto == IPProto.TCP:
+        header = bytearray(struct.pack("!HHIIBBHHH", 80, 40000, 1, 0, 0xF0, 0x10, 65535, 0, 0))
+        at = 16
+    else:
+        header = bytearray(struct.pack("!HHHH", 53, 40000, 4, 0))
+        at = 6
+    pseudo = pseudo_sum_v4 if isinstance(src, IPv4Address) else pseudo_sum_v6
+    checksum = internet_checksum(bytes(header), pseudo(src, dst, proto, len(header)))
+    header[at : at + 2] = checksum.to_bytes(2, "big")
+    return bytes(header)
+
+
+@pytest.mark.parametrize(
+    "site, proto",
+    [("nat64", IPProto.TCP), ("nat44", IPProto.TCP), ("clat", IPProto.TCP), ("clat", IPProto.UDP)],
+    ids=["nat64-tcp", "nat44-tcp", "clat-tcp", "clat-udp"],
+)
+def test_malformed_l4_behind_a_translator_is_dropped(site, proto):
+    """A checksum-valid packet whose L4 length field lies ends as a drop
+    at each translator that decodes it: the gateway's NAT64 and NAT44
+    on the internet side, a host's CLAT on the IPv6 wire.  Nothing is
+    forwarded, queued or counted as translated."""
+    testbed = build_testbed(TestbedConfig())
+    gateway = testbed.gateway
+    if site == "clat":
+        host = testbed.add_client(WINDOWS_11_RFC8925, "w11").host
+        src, dst = embed_ipv4_in_nat64(SC24_WEB_V4), host.clat.config.clat_ipv6
+        packet = IPv6Packet(src, dst, proto, _lying_l4(proto, src, dst)).encode()
+        frame = EthernetFrame(host.mac, gateway.lan_iface.mac, EtherType.IPV6, packet)
+        port = out = host.port("eth0")
+        translator = host.clat
+    else:
+        src = SC24_WEB_V4
+        dst = gateway.config.wan_ipv4_nat64 if site == "nat64" else gateway.config.wan_ipv4_nat44
+        packet = IPv4Packet(src, dst, proto, _lying_l4(proto, src, dst)).encode()
+        frame = EthernetFrame(gateway.wan_iface.mac, testbed.sc24_web.mac, EtherType.IPV4, packet)
+        port, out = gateway.port("wan"), gateway.port("lan")
+        translator = gateway.nat64 if site == "nat64" else gateway.nat44
+    before = (out.tx_frames, testbed.engine.pending_events, translator.translated_in)
+    port.deliver(frame.encode())
+    assert (out.tx_frames, testbed.engine.pending_events, translator.translated_in) == before
