@@ -63,17 +63,12 @@ _FAMILIES = {
     "RL2": "RL2xx — wire contracts",
     "RL3": "RL3xx — hot-path hygiene",
     "RL4": "RL4xx — shard safety (whole-program)",
-    "RL6": "RL6xx — determinism taint (dataflow)",
-    "RL7": "RL7xx — exception flow (dataflow)",
+    "RL7": "RL7xx — exception flow",
 }
 
 
 def _rule_kind(rule) -> str:
-    if rule.flow:
-        return "flow"
-    if rule.program:
-        return "program"
-    return "file"
+    return "program" if rule.program else "file"
 
 
 def _list_rules(fmt: str) -> int:
@@ -131,13 +126,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="also run the whole-program RL4xx rules (call graph + "
-        "reachability) and the dataflow RL6xx/RL7xx rules (taint + "
-        "exception flow)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "gha"),
         default="text",
@@ -170,7 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     started = time.perf_counter()
-    run = lint_paths_run(paths, select=select, flow=args.flow)
+    run = lint_paths_run(paths, select=select)
     elapsed = time.perf_counter() - started
     findings = run.findings
 

@@ -4,7 +4,7 @@ The linter is a plain ``ast`` walker — no third-party dependencies —
 organised around small rule plugins (see :mod:`repro.lint.rules`).
 Each rule owns one error code, a scope (the dotted module prefixes it
 applies to) and either a per-file ``check(ctx)`` or — for the
-interprocedural RL4xx family — a ``check_program(program,
+interprocedural RL4xx rules and RL701 — a ``check_program(program,
 report)`` that runs once over the whole-tree call graph built by
 :mod:`repro.lint.program`.  Suppression happens in exactly two places:
 
@@ -19,9 +19,9 @@ Both are kept honest by RL001: a pragma or allowlist entry that no
 longer suppresses anything is itself a finding.
 
 ``lint_paths`` is the one orchestration point: it parses each file
-once and runs the per-file rules on its AST.  With ``flow=True`` the
-same AST is also digested into the module and flow summaries from
-which the whole-program and dataflow rules build the call graph.
+once, runs the per-file rules on its AST and, when a selected rule is
+a program rule (by default, always), digests the same AST into the
+module summary from which the program rules build the call graph.
 """
 
 from __future__ import annotations
@@ -148,12 +148,8 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for rules that judge the whole program (RL4xx, and the
-    #: dataflow rules too); they run only under ``--flow``.
+    #: True for rules that judge the whole program (RL4xx, RL701).
     program: bool = False
-    #: True for dataflow (RL6xx/RL7xx) rules — they need the composed
-    #: :class:`repro.lint.flow.interp.FlowProgram`.
-    flow: bool = False
 
     def applies_to(self, ctx: LintContext) -> bool:
         return not self.scope or ctx.in_module(self.scope)
@@ -162,9 +158,6 @@ class Rule:
         raise NotImplementedError
 
     def check_program(self, program, report) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def check_flow(self, flow_program, report) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -402,35 +395,23 @@ def _stale_suppression_findings(
 def lint_paths(
     paths: Iterable[Path],
     select: Optional[Set[str]] = None,
-    *,
-    flow: bool = False,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths``; deterministic order.
-
-    ``flow=True`` additionally runs the whole-program RL4xx rules over
-    the assembled call graph and the dataflow RL6xx/RL7xx rules over
-    the composed taint summaries.
-    """
-    return lint_paths_run(paths, select, flow=flow).findings
+    """Lint every ``.py`` file under ``paths``; deterministic order."""
+    return lint_paths_run(paths, select).findings
 
 
 def lint_paths_run(
     paths: Iterable[Path],
     select: Optional[Set[str]] = None,
-    *,
-    flow: bool = False,
 ) -> LintRun:
     """Like :func:`lint_paths` but returns the full :class:`LintRun`."""
-    from repro.lint.flow.solver import extract_flow
     from repro.lint.program.summary import extract_summary
 
     rules = all_rules()
-    if select is not None and not flow:
-        # A selected whole-program or dataflow rule implies the full depth.
-        flow = any(r.program for r in rules if r.code in select)
     file_rules = [r for r in rules if not r.program]
-    program_rules = [r for r in rules if r.program and not r.flow]
-    flow_rules = [r for r in rules if r.flow]
+    program_rules = [r for r in rules if r.program]
+    # The program is built only when a selected rule judges it.
+    build = any(select is None or r.code in select for r in program_rules)
 
     run = LintRun()
     files = iter_python_files(paths)
@@ -438,7 +419,6 @@ def lint_paths_run(
 
     findings: List[Finding] = []
     summaries: Dict[str, Any] = {}
-    flows: Dict[str, Any] = {}
     pragma_maps: Dict[str, Dict[int, Set[str]]] = {}
     used_pragmas: Dict[str, Set[Tuple[int, str]]] = {}
     used_allowlist: Dict[str, Set[str]] = {}
@@ -456,7 +436,7 @@ def lint_paths_run(
         pragma_maps[str(path)] = ctx.pragmas
         used_pragmas[str(path)] = set(ctx.used_pragmas)
         used_allowlist[str(path)] = set(ctx.used_allowlist)
-        if flow:
+        if build:
             summary = extract_summary(
                 ctx.module,
                 str(path),
@@ -466,30 +446,26 @@ def lint_paths_run(
                 statement_starts=ctx.statement_starts,
             )
             summaries[summary.module] = summary
-            flow_mod = extract_flow(
-                ctx.module, tree, statement_starts=ctx.statement_starts
-            )
-            flows[flow_mod.module] = flow_mod
 
     checked_codes = {r.code for r in file_rules}
     if summaries:
         from repro.lint.allowlist import allowed_codes_for
-        from repro.lint.flow.interp import build_flow_program
         from repro.lint.program.analyzer import build_program, ProgramReporter
 
         context = build_program(summaries)
         reporter = ProgramReporter(allowed_codes_for)
         for rule in program_rules:
             rule.check_program(context, reporter)
-        flow_program = build_flow_program(context, flows)
-        for rule in flow_rules:
-            rule.check_flow(flow_program, reporter)
         findings.extend(reporter.findings)  # type: ignore[arg-type]
         for path_str, used in reporter.used_pragmas.items():
             used_pragmas.setdefault(path_str, set()).update(used)
         for path_str, used_codes in reporter.used_allowlist.items():
             used_allowlist.setdefault(path_str, set()).update(used_codes)
-        checked_codes.update(r.code for r in rules if r.program)
+        # Without both kinds of root the cones are empty or partial, so
+        # a silent program rule says nothing about its suppressions:
+        # one allowlisted codec file linted alone keeps its RL401 entry.
+        if context.worker_entries and context.dispatch_roots:
+            checked_codes.update(r.code for r in program_rules)
 
     if select is None or STALE_SUPPRESSION_CODE in select:
         findings.extend(

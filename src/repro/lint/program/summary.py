@@ -92,6 +92,11 @@ class FunctionSummary:
     executor_calls: List[Dict[str, Any]] = field(default_factory=list)
     #: Lambdas passed into ``ShardSpec``/``make_shards`` payload flows.
     payload_hazards: List[Dict[str, Any]] = field(default_factory=list)
+    #: Broad exception handlers: ``{"what": "bare"|"Exception"|
+    #: "BaseException", "handled", "lineno", "col", "stmt_line"}``;
+    #: ``handled`` means the handler re-raises or demonstrably records
+    #: the failure (RL701 judges the rest by reachability).
+    handlers: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -253,6 +258,44 @@ def _annotation_source(node: Optional[ast.expr]) -> str:
         return ""
 
 
+def _handler_kind(handler: ast.ExceptHandler) -> Optional[str]:
+    """"bare"/"Exception"/"BaseException" for broad handlers, else None."""
+    if handler.type is None:
+        return "bare"
+    candidates = (
+        handler.type.elts
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    for candidate in candidates:
+        dotted = _dotted(candidate) or ""
+        tail = dotted.rsplit(".", 1)[-1]
+        if tail in ("Exception", "BaseException"):
+            return tail
+    return None
+
+
+def _handler_records_failure(handler: ast.ExceptHandler) -> bool:
+    """True when the handler re-raises or demonstrably keeps the error:
+    it references the bound exception name, or formats the traceback.
+    Swallowing means none of those — the failure becomes silence."""
+    for node in _walk_own_scope(handler):
+        if isinstance(node, ast.Raise):
+            return True
+        if (
+            handler.name
+            and isinstance(node, ast.Name)
+            and node.id == handler.name
+            and isinstance(node.ctx, ast.Load)
+        ):
+            return True
+        if isinstance(node, ast.Call):
+            dotted = _dotted(node.func) or ""
+            if dotted.split(".", 1)[0] == "traceback":
+                return True
+    return False
+
+
 def _expr_mentions_seed(node: ast.expr) -> bool:
     text = ast.unparse(node)
     return "seed" in text.lower()
@@ -349,6 +392,15 @@ class _Extractor:
         for inner in _walk_own_scope(node):
             if isinstance(inner, (ast.Global, ast.Nonlocal)):
                 globals_declared.update(inner.names)
+            elif isinstance(inner, ast.ExceptHandler):
+                kind = _handler_kind(inner)
+                if kind is not None:
+                    fs.handlers.append(
+                        self._site(
+                            inner,
+                            {"what": kind, "handled": _handler_records_failure(inner)},
+                        )
+                    )
         self._scan_body(
             list(getattr(node, "body", [])),
             fs,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.lint.rules import (
     determinism,
-    flow_determinism,
     flow_exceptions,
     hygiene,
     shard_safety,
@@ -20,7 +19,6 @@ from repro.lint.rules import (
 
 __all__ = [
     "determinism",
-    "flow_determinism",
     "flow_exceptions",
     "hygiene",
     "shard_safety",

@@ -4,8 +4,10 @@ The simulation's headline guarantee is bit-for-bit reproducibility:
 identical seeds produce identical packet traces and result tables at
 any ``--jobs`` and any ``PYTHONHASHSEED``.  These rules ban the inputs
 that historically break that class of guarantee — wall clocks, ambient
-entropy, and hash-order-dependent iteration — from every package whose
-output feeds a trace or a table.
+entropy, object identity, and hash-order-dependent iteration — from
+every package whose output feeds a trace or a table.  Each source is
+banned where it occurs, so no value derived from one can travel,
+however many calls deep, into a trace, a fold, the wire or a seed.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import ast
 from typing import Set, Tuple
 
 from repro.lint.core import LintContext, register_rule, Rule
-from repro.lint.rules._util import dotted_name, import_aliases, resolve_call_target
+from repro.lint.rules._util import import_aliases, resolve_call_target
 
 __all__ = [
     "DETERMINISTIC_PACKAGES",
     "BannedTimeSource",
     "BannedEntropySource",
     "UnorderedSetIteration",
-    "IdBasedOrdering",
+    "ObjectIdentity",
     "HashBasedOrdering",
     "DirectHeapqUse",
 ]
@@ -29,7 +31,9 @@ __all__ = [
 #: Packages whose behaviour must be a pure function of the seed.  The
 #: parallel engine and the analysis layer are included: their output
 #: *is* the artifact the byte-identical guarantee covers.
+#: ``repro._compat`` is the one shared helper module the others import.
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
+    "repro._compat",
     "repro.sim",
     "repro.net",
     "repro.dns",
@@ -247,53 +251,32 @@ class UnorderedSetIteration(Rule):
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in ("list", "tuple", "enumerate")
+                and node.func.id in ("list", "tuple", "iter", "enumerate")
                 and node.args
                 and is_set_typed(node.args[0])
             ):
-                flag(node, f"{node.func.id}() over a set")
-
-
-def _uses_id(node: ast.expr) -> bool:
-    if isinstance(node, ast.Name) and node.id == "id":
-        return True
-    if isinstance(node, ast.Lambda):
-        return any(
-            isinstance(inner, ast.Call)
-            and isinstance(inner.func, ast.Name)
-            and inner.func.id == "id"
-            for inner in ast.walk(node.body)
-        )
-    return False
+                flag(node, f"{node.func.id}()")
 
 
 @register_rule
-class IdBasedOrdering(Rule):
+class ObjectIdentity(Rule):
     code = "RL104"
-    name = "id-based-ordering"
-    summary = "sort keyed on object identity (memory address)"
+    name = "object-identity"
+    summary = "id() value (a memory address) in deterministic code"
     scope = DETERMINISTIC_PACKAGES
 
     def check(self, ctx: LintContext) -> None:
+        # Every read of the builtin: a call, or ``key=id`` handing it on.
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            is_ordering_call = dotted in ("sorted", "min", "max") or (
-                isinstance(node.func, ast.Attribute) and node.func.attr == "sort"
-            )
-            if not is_ordering_call:
-                continue
-            for keyword in node.keywords:
-                if keyword.arg == "key" and _uses_id(keyword.value):
-                    ctx.add(
-                        node,
-                        self.code,
-                        "ordering keyed on id() — memory addresses differ "
-                        "between runs and workers",
-                        "sort on a stable field of the object (name, sequence "
-                        "number, wire bytes), never its identity",
-                    )
+            if isinstance(node, ast.Name) and node.id == "id" and isinstance(node.ctx, ast.Load):
+                ctx.add(
+                    node,
+                    self.code,
+                    "`id` yields an object's memory address — it differs "
+                    "between runs and workers",
+                    "order, tag or seed on a stable field of the object "
+                    "(name, sequence number, wire bytes), never its identity",
+                )
 
 
 #: The modules allowed to touch :mod:`heapq` directly — the event engine

@@ -3,35 +3,32 @@
 A shard worker that swallows an exception does not fail — it returns a
 *wrong table*, and the fold happily merges it.  The event-dispatch
 path is just as exposed: a callback that silences errors leaves the
-event queue consistent but the simulated world half-updated.  These
-rules combine the per-function exception digests collected by the
-dataflow solver with the whole-program reachability cones:
+event queue consistent but the simulated world half-updated.
 
 - RL701 — a broad/bare ``except`` inside the fork-pool worker cone or
   the event-dispatch path that neither re-raises nor demonstrably
   records the failure (references the bound exception, formats the
-  traceback).  The executor's own crash-retry boundary re-raises into
-  a structured failure row and stays silent here by construction.
+  traceback).  A program rule: it judges the broad-handler facts each
+  :class:`~repro.lint.program.summary.FunctionSummary` records against
+  the whole-program reachability cones.  The executor's own
+  crash-retry boundary re-raises into a structured failure row and
+  stays silent here by construction.
 - RL702 — ``return``/``break``/``continue`` lexically inside a
   ``finally`` block in a deterministic package: the jump silently
   discards any in-flight exception (and with it the scheduler state
-  the handler was supposed to restore or report).
+  the handler was supposed to restore or report).  A per-file rule.
 """
 
 from __future__ import annotations
 
+import ast
+from typing import Iterator, List, Sequence, Tuple
+
 from repro.lint.core import LintContext, register_rule, Rule
-from repro.lint.flow.interp import FlowProgram
-from repro.lint.program.analyzer import ProgramReporter
+from repro.lint.program.analyzer import ProgramContext, ProgramReporter
 from repro.lint.rules.determinism import DETERMINISTIC_PACKAGES
 
 __all__ = ["SwallowedWorkerException", "FinallyMasksFlow"]
-
-
-def _in_deterministic(module: str) -> bool:
-    return any(
-        module == p or module.startswith(p + ".") for p in DETERMINISTIC_PACKAGES
-    )
 
 
 @register_rule
@@ -40,18 +37,17 @@ class SwallowedWorkerException(Rule):
     name = "swallowed-worker-exception"
     summary = "broad except swallows failures in the worker or dispatch cone"
     program = True
-    flow = True
 
     def check(self, ctx: LintContext) -> None:
         return None
 
-    def check_flow(self, flow_program: FlowProgram, report: ProgramReporter) -> None:
-        program = flow_program.program
-        for fid, ms, flow in flow_program.iter_functions():
-            in_worker = fid in program.worker_reachable
-            in_dispatch = fid in program.dispatch_reachable
-            if not (in_worker or in_dispatch):
+    def check_program(self, program: ProgramContext, report: ProgramReporter) -> None:
+        for fid in sorted(program.worker_reachable | program.dispatch_reachable):
+            found = program.index.function(fid)
+            if found is None:
                 continue
+            ms, fs = found
+            in_worker = fid in program.worker_reachable
             cone = (
                 "the fork-pool worker cone"
                 if in_worker
@@ -62,7 +58,7 @@ class SwallowedWorkerException(Rule):
                 if in_worker
                 else "the event loop keeps dispatching over half-updated state"
             )
-            for handler in flow.handlers:
+            for handler in fs.handlers:
                 if handler["handled"]:
                     continue
                 what = (
@@ -74,7 +70,7 @@ class SwallowedWorkerException(Rule):
                     ms,
                     handler,
                     self.code,
-                    f"`{flow.qualname}` is reachable from {cone} and {what} "
+                    f"`{fs.qualname}` is reachable from {cone} and {what} "
                     f"swallows the exception — {consequence}",
                     "catch the narrowest exception that is actually expected, "
                     "or re-raise / record the failure (keep the exception "
@@ -82,30 +78,70 @@ class SwallowedWorkerException(Rule):
                 )
 
 
+def _try_statements(
+    node: ast.AST, prefix: str = "", function: str = "<module>"
+) -> Iterator[Tuple[str, ast.AST]]:
+    """Every ``try`` with the qualname of the function it sits in
+    (``f``, ``Cls.m``, ``f.<locals>.g``, as the program summaries name them)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            yield from _try_statements(child, f"{qualname}.<locals>.", qualname)
+            continue
+        if isinstance(child, ast.ClassDef):
+            yield from _try_statements(child, f"{prefix}{child.name}.", function)
+            continue
+        if isinstance(child, ast.Try) or child.__class__.__name__ == "TryStar":
+            yield function, child
+        yield from _try_statements(child, prefix, function)
+
+
+def _finally_jumps(finalbody: Sequence[ast.stmt]) -> List[Tuple[ast.stmt, str]]:
+    """Jump statements that exit a ``finally`` block, discarding any
+    in-flight exception.  ``break``/``continue`` targeting a loop fully
+    inside the block are local and exempt."""
+    out: List[Tuple[ast.stmt, str]] = []
+
+    def walk(stmts: Sequence[ast.stmt], loop_depth: int) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, ast.Return):
+                out.append((stmt, "return"))
+            elif isinstance(stmt, ast.Break) and loop_depth == 0:
+                out.append((stmt, "break"))
+            elif isinstance(stmt, ast.Continue) and loop_depth == 0:
+                out.append((stmt, "continue"))
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                walk(stmt.body, loop_depth + 1)
+                walk(stmt.orelse, loop_depth)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    walk(getattr(stmt, field, []), loop_depth)
+                for handler in getattr(stmt, "handlers", []):
+                    walk(handler.body, loop_depth)
+
+    walk(finalbody, 0)
+    return out
+
+
 @register_rule
 class FinallyMasksFlow(Rule):
     code = "RL702"
     name = "finally-masks-flow"
     summary = "return/break/continue inside finally discards in-flight exceptions"
-    program = True
-    flow = True
+    scope = DETERMINISTIC_PACKAGES
 
     def check(self, ctx: LintContext) -> None:
-        return None
-
-    def check_flow(self, flow_program: FlowProgram, report: ProgramReporter) -> None:
-        for fid, ms, flow in flow_program.iter_functions():
-            if not _in_deterministic(ms.module):
-                continue
-            for jump in flow.finally_jumps:
-                report.add(
-                    ms,
+        for qualname, node in _try_statements(ctx.tree):
+            for jump, kind in _finally_jumps(getattr(node, "finalbody", [])):
+                ctx.add(
                     jump,
                     self.code,
-                    f"`{flow.qualname}` has `{jump['kind']}` inside a "
-                    "`finally` block — it silently replaces any in-flight "
-                    "exception, so scheduler/shard failures vanish mid-cleanup",
+                    f"`{qualname}` has `{kind}` inside a `finally` block — "
+                    "it silently replaces any in-flight exception, so "
+                    "scheduler/shard failures vanish mid-cleanup",
                     "keep finally blocks straight-line cleanup; move the "
-                    f"`{jump['kind']}` after the try statement so exceptions "
-                    "keep propagating",
+                    f"`{kind}` after the try statement so exceptions keep "
+                    "propagating",
                 )

@@ -21,7 +21,7 @@ Implemented per RFC 6146:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.net.addresses import (
     embed_ipv4_in_nat64,
@@ -103,7 +103,8 @@ class StatefulNAT64:
         the translated pseudo-header, where the generic composition
         (SIIT translate, then port rewrite) decoded it three times and
         encoded it twice per forwarded packet.  The output bytes are
-        identical; ICMP and anything else still take the generic path.
+        identical; ICMP echo takes the generic path, and anything else
+        is dropped.
         """
         if not self.covers(packet.dst):
             self.dropped += 1
@@ -144,12 +145,10 @@ class StatefulNAT64:
                 ttl=packet.hop_limit,
                 tos=packet.traffic_class,
             )
-        proto, v6_port, tcp_flags = self._flow_key_v6(packet)
-        session = self._lookup_or_create(proto, packet.src, v6_port)
-        self._advance_tcp_state(session, tcp_flags, outbound=True)
+        session = self._lookup_or_create(IPProto.ICMP, packet.src, self._echo_ident_v6(packet))
         session.packets_out += 1
         translated = translate_v6_to_v4(packet, session.pool_addr, dst_v4)
-        translated = self._rewrite_v4_ports(translated, session, outbound=True)
+        translated = self._rewrite_v4_echo_ident(translated, session)
         self.translated_out += 1
         return translated
 
@@ -157,7 +156,7 @@ class StatefulNAT64:
         """Translate a returning IPv4 packet back to the IPv6 client.
 
         UDP/TCP take the fused single-pass path (see
-        :meth:`translate_out`); ICMP and the rest use the generic one.
+        :meth:`translate_out`); ICMP echo uses the generic one.
         """
         proto = packet.proto
         if proto == IPProto.TCP:
@@ -203,19 +202,16 @@ class StatefulNAT64:
                 hop_limit=packet.ttl,
                 traffic_class=packet.tos,
             )
-        proto, pool_port, tcp_flags = self._flow_key_v4(packet)
-        session = self._by_v4.get((proto, packet.dst, pool_port))
+        pool_port = self._echo_ident_v4(packet)
+        session = self._by_v4.get((IPProto.ICMP, packet.dst, pool_port))
         now = self._clock()
         if session is None or session.expires_at <= now:
             self.dropped += 1
-            raise TranslationError(
-                f"no NAT64 session for {packet.dst}:{pool_port}/{proto}"
-            )
-        self._advance_tcp_state(session, tcp_flags, outbound=False)
+            raise TranslationError(f"no NAT64 session for {packet.dst}:{pool_port}/{IPProto.ICMP}")
         session.packets_in += 1
         src_v6 = self._embed(packet.src)
         translated = translate_v4_to_v6(packet, src_v6, session.v6_addr)
-        translated = self._rewrite_v6_ports(translated, session)
+        translated = self._restore_v6_echo_ident(translated, session)
         self.translated_in += 1
         return translated
 
@@ -295,11 +291,7 @@ class StatefulNAT64:
             )
         return self._initial_lifetime(session.proto)
 
-    def _advance_tcp_state(
-        self, session: Nat64Session, flags: Optional[TcpFlags], outbound: bool
-    ) -> None:
-        if session.proto != IPProto.TCP or flags is None:
-            return
+    def _advance_tcp_state(self, session: Nat64Session, flags: TcpFlags, outbound: bool) -> None:
         now = self._clock()
         if flags & TcpFlags.RST or flags & TcpFlags.FIN:
             session.established = False
@@ -311,91 +303,51 @@ class StatefulNAT64:
         if session.established:
             session.expires_at = now + self.config.tcp_established_lifetime
 
-    # -- flow keys and port rewriting ----------------------------------------
+    # -- the ICMP echo path: identifier keys and rewriting --------------------
 
-    def _flow_key_v6(self, packet: IPv6Packet) -> Tuple[int, int, Optional[TcpFlags]]:
-        if packet.next_header == IPProto.UDP:
-            d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            return IPProto.UDP, d.src_port, None
-        if packet.next_header == IPProto.TCP:
-            s = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-            return IPProto.TCP, s.src_port, s.flags
+    def _echo_ident_v6(self, packet: IPv6Packet) -> int:
         if packet.next_header == IPProto.ICMPV6:
             msg = decode_icmpv6(packet.payload, packet.src, packet.dst)
             if isinstance(msg, Icmpv6Message):
-                return IPProto.ICMP, msg.echo_ident, None
+                return msg.echo_ident
         self.dropped += 1
         raise TranslationError(f"untrackable IPv6 next header {packet.next_header}")
 
-    def _flow_key_v4(self, packet: IPv4Packet) -> Tuple[int, int, Optional[TcpFlags]]:
-        if packet.proto == IPProto.UDP:
-            d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            return IPProto.UDP, d.dst_port, None
-        if packet.proto == IPProto.TCP:
-            s = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-            return IPProto.TCP, s.dst_port, s.flags
+    def _echo_ident_v4(self, packet: IPv4Packet) -> int:
         if packet.proto == IPProto.ICMP:
-            m = IcmpMessage.decode(packet.payload)
-            return IPProto.ICMP, m.echo_ident, None
+            return IcmpMessage.decode(packet.payload).echo_ident
         self.dropped += 1
         raise TranslationError(f"untrackable IPv4 protocol {packet.proto}")
 
-    def _rewrite_v4_ports(
-        self, packet: IPv4Packet, session: Nat64Session, outbound: bool
-    ) -> IPv4Packet:
-        """Apply the NAPT source-port rewrite on the IPv4 side."""
+    def _rewrite_v4_echo_ident(self, packet: IPv4Packet, session: Nat64Session) -> IPv4Packet:
+        """Apply the NAPT identifier rewrite on the IPv4 side."""
         from dataclasses import replace
 
-        if packet.proto == IPProto.UDP:
-            d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            d = UdpDatagram(session.pool_port, d.dst_port, d.payload)
-            return replace(packet, payload=d.encode(packet.src, packet.dst))
-        if packet.proto == IPProto.TCP:
-            s = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-            s = TcpSegment(
-                session.pool_port, s.dst_port, s.seq, s.ack, s.flags, s.window, s.payload
-            )
-            return replace(packet, payload=s.encode(packet.src, packet.dst))
-        if packet.proto == IPProto.ICMP:
-            m = IcmpMessage.decode(packet.payload)
-            rewritten = IcmpMessage(
-                m.icmp_type,
-                m.code,
-                ((session.pool_port & 0xFFFF) << 16) | m.echo_seq,
-                m.body,
-            )
-            return replace(packet, payload=rewritten.encode())
-        return packet
+        m = IcmpMessage.decode(packet.payload)
+        rewritten = IcmpMessage(
+            m.icmp_type,
+            m.code,
+            ((session.pool_port & 0xFFFF) << 16) | m.echo_seq,
+            m.body,
+        )
+        return replace(packet, payload=rewritten.encode())
 
-    def _rewrite_v6_ports(self, packet: IPv6Packet, session: Nat64Session) -> IPv6Packet:
-        """Restore the client's original port/identifier on the IPv6 side."""
+    def _restore_v6_echo_ident(self, packet: IPv6Packet, session: Nat64Session) -> IPv6Packet:
+        """Restore the client's original identifier on the IPv6 side."""
         from dataclasses import replace
 
         from repro.net.icmpv6 import encode_icmpv6
 
-        if packet.next_header == IPProto.UDP:
-            d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
-            d = UdpDatagram(d.src_port, session.v6_port, d.payload)
-            return replace(packet, payload=d.encode(packet.src, packet.dst))
-        if packet.next_header == IPProto.TCP:
-            s = TcpSegment.decode(packet.payload, packet.src, packet.dst)
-            s = TcpSegment(
-                s.src_port, session.v6_port, s.seq, s.ack, s.flags, s.window, s.payload
-            )
-            return replace(packet, payload=s.encode(packet.src, packet.dst))
-        if packet.next_header == IPProto.ICMPV6:
-            m = decode_icmpv6(packet.payload, packet.src, packet.dst)
-            if isinstance(m, Icmpv6Message):
-                rewritten = Icmpv6Message(
-                    m.icmp_type,
-                    m.code,
-                    ((session.v6_port & 0xFFFF) << 16) | m.echo_seq,
-                    m.body,
-                )
-                return replace(
-                    packet, payload=encode_icmpv6(rewritten, packet.src, packet.dst)
-                )
-        return packet
+        m = decode_icmpv6(packet.payload, packet.src, packet.dst)
+        if not isinstance(m, Icmpv6Message):
+            return packet
+        rewritten = Icmpv6Message(
+            m.icmp_type,
+            m.code,
+            ((session.v6_port & 0xFFFF) << 16) | m.echo_seq,
+            m.body,
+        )
+        return replace(packet, payload=encode_icmpv6(rewritten, packet.src, packet.dst))
 
     # -- introspection ---------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """Per-rule fixture tests: every code has a minimal positive and
 negative snippet in ``tests/lint/corpus`` (one pair per shipped rule).
 
-Fixtures are linted through :func:`lint_paths` with ``flow=True`` so
-the whole-program RL4xx rules, the dataflow RL6xx/RL7xx rules,
-and the RL001 stale-suppression check all see the same pipeline the
-CLI runs under ``--flow``.
+Fixtures are linted through :func:`lint_paths`, the pipeline the CLI
+runs, so the per-file rules, the whole-program RL4xx/RL701 rules and
+the RL001 stale-suppression check all see them.  The planted defects
+at the end pin that every determinism source is flagged where it
+occurs, however far its value travels before it reaches an output.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ ALL_CODES = sorted(rule.code for rule in all_rules())
 
 
 def codes_in(path: Path) -> set:
-    return {finding.code for finding in lint_paths([path], flow=True)}
+    return {finding.code for finding in lint_paths([path])}
 
 
 def test_corpus_covers_every_rule():
@@ -47,11 +49,11 @@ def test_negative_fixture_clean(code):
 
 def test_rule_codes_follow_families():
     """Codes stay within the documented families: RL0xx meta, RL1xx
-    determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL6xx
-    determinism-taint, RL7xx exception-flow."""
+    determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL7xx
+    exception-flow."""
     for code in ALL_CODES:
         assert code.startswith("RL") and len(code) == 5, code
-        assert code[2] in "0123467", f"unknown family for {code}"
+        assert code[2] in "012347", f"unknown family for {code}"
 
 
 def test_findings_report_location_and_hint():
@@ -64,3 +66,216 @@ def test_findings_report_location_and_hint():
     assert "time.time" in finding.message
     assert finding.hint  # fix-it hint is part of the rule contract
     assert str(CORPUS / "bad_rl101.py") in finding.render()
+
+
+def test_interprocedural_fixture_flagged_at_its_source():
+    """The two-hop id() cases that once needed a dataflow rule (into
+    trace.record, struct.pack and random.Random) fire RL104 on the
+    id() line itself."""
+    path = CORPUS / "bad_rl104.py"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    sources = {n for n, line in enumerate(lines, start=1) if "return id(" in line}
+    assert len(sources) == 3
+    assert sources <= {f.line for f in lint_paths([path], select={"RL104"})}
+
+
+#: Planted determinism defects, one per case: module name -> source.
+#: Each value travels — up to two calls and across modules — into a
+#: trace record, a metrics fold, a wire encoder or an RNG seed; the
+#: line marked ``# <- CODE`` is the source, and the only finding.
+PLANTED = {
+    "time-trace-two-hop": {
+        "repro.sim.fixa": (
+            "import time\n"
+            "def stamp():\n"
+            "    return time.perf_counter()  # <- RL101\n"
+            "def tag():\n"
+            "    return int(stamp() * 1000)\n"
+            "def emit(trace):\n"
+            "    trace.record('c0', 'eth0', 'tx', tag())\n"
+        ),
+    },
+    "entropy-fold-cross-module": {
+        "repro.analysis.fixnoise": (
+            "import random\n"
+            "def jitter():\n"
+            "    return random.random()  # <- RL102\n"
+        ),
+        "repro.analysis.fixfold": (
+            "from repro.analysis.fixnoise import jitter\n"
+            "def fold(census):\n"
+            "    census.observe(jitter())\n"
+        ),
+    },
+    "id-trace-cross-module": {
+        "repro.sim.fixtoken": "def token(x):\n    return id(x)  # <- RL104\n",
+        "repro.sim.fixemit": (
+            "from repro.sim.fixtoken import token\n"
+            "def emit(trace, x):\n"
+            "    trace.record('c0', 'eth0', 'tx', token(x))\n"
+        ),
+    },
+    "setorder-fold-two-hop": {
+        "repro.analysis.fixb": (
+            "def members(s: set):\n"
+            "    return list(s)  # <- RL103\n"
+            "def head(s):\n"
+            "    return members(s)[0]\n"
+            "def fold(census, s):\n"
+            "    census.add_device(head(s))\n"
+        ),
+    },
+    "setorder-for-first-member": {
+        "repro.sim.fixc": (
+            "def first(pending: set):\n"
+            "    for name in pending:  # <- RL103\n"
+            "        return name\n"
+            "def emit(trace, pending):\n"
+            "    trace.record('c0', 'eth0', 'tx', first(pending))\n"
+        ),
+    },
+    "setorder-attribute-first-member": {
+        "repro.sim.fixm": (
+            "class Queue:\n"
+            "    def __init__(self):\n"
+            "        self.pending = set()\n"
+            "    def first(self):\n"
+            "        for name in self.pending:  # <- RL103\n"
+            "            return name\n"
+            "    def emit(self, trace):\n"
+            "        trace.record('c0', 'eth0', 'tx', self.first())\n"
+        ),
+    },
+    "compat-clock-helper": {
+        "repro._compat": (
+            "import time\n"
+            "def wall():\n"
+            "    return time.time()  # <- RL101\n"
+        ),
+        "repro.sim.fixclock": (
+            "from repro._compat import wall\n"
+            "def emit(trace):\n"
+            "    trace.record('c0', 'eth0', 'tx', wall())\n"
+        ),
+    },
+    "id-pack-two-hop": {
+        "repro.net.fixd": (
+            "import struct\n"
+            "def ident_of(pkt):\n"
+            "    return id(pkt)  # <- RL104\n"
+            "def short_ident(pkt):\n"
+            "    return ident_of(pkt) & 0xFFFF\n"
+            "def encode(pkt):\n"
+            "    return struct.pack('!H', short_ident(pkt))\n"
+        ),
+    },
+    "time-encode-one-hop": {
+        "repro.dns.fixe": (
+            "import time\n"
+            "def stamp():\n"
+            "    return int(time.time())  # <- RL101\n"
+            "def wire(Header):\n"
+            "    return Header(ts=stamp()).encode()\n"
+        ),
+    },
+    "entropy-pack-cross-module": {
+        "repro.net.fixidents": (
+            "import random\n"
+            "def new_ident():\n"
+            "    return random.getrandbits(16)  # <- RL102\n"
+        ),
+        "repro.net.fixwire": (
+            "import struct\n"
+            "from repro.net.fixidents import new_ident\n"
+            "def encode():\n"
+            "    return struct.pack('!H', new_ident())\n"
+        ),
+    },
+    "setorder-encode-two-hop": {
+        "repro.dns.fixf": (
+            "def names(s: set):\n"
+            "    return tuple(s)  # <- RL103\n"
+            "def joined(s):\n"
+            "    return ','.join(names(s))\n"
+            "def wire(s):\n"
+            "    return joined(s).encode()\n"
+        ),
+    },
+    "entropy-to-bytes": {
+        "repro.dhcp.fixg": (
+            "import uuid\n"
+            "def cookie():\n"
+            "    return uuid.uuid4().int  # <- RL102\n"
+            "def wire():\n"
+            "    return cookie().to_bytes(16, 'big')\n"
+        ),
+    },
+    "id-random-two-hop": {
+        "repro.analysis.fixh": (
+            "import random\n"
+            "def shard_token(spec):\n"
+            "    return id(spec)  # <- RL104\n"
+            "def seed_of(spec):\n"
+            "    return shard_token(spec) ^ 0x5EED\n"
+            "def make_rng(spec):\n"
+            "    return random.Random(seed_of(spec))\n"
+        ),
+    },
+    "time-random-one-hop": {
+        "repro.clients.fixi": (
+            "import random\n"
+            "import time\n"
+            "def seed_now():\n"
+            "    return int(time.monotonic())  # <- RL101\n"
+            "def make_rng():\n"
+            "    return random.Random(seed_now())\n"
+        ),
+    },
+    "entropy-seed-cross-module": {
+        "repro.core.fixentropy": (
+            "import os\n"
+            "def fresh():\n"
+            "    return os.urandom(8)  # <- RL102\n"
+        ),
+        "repro.core.fixrng": (
+            "from repro.core.fixentropy import fresh\n"
+            "def reseed(rng):\n"
+            "    rng.seed(fresh())\n"
+        ),
+    },
+    "setorder-shardspec-two-hop": {
+        "repro.analysis.fixj": (
+            "from repro.parallel.shard import ShardSpec\n"
+            "def pick(s: set):\n"
+            "    return [x for x in s][0]  # <- RL103\n"
+            "def seed_of(s):\n"
+            "    return pick(s)\n"
+            "def spec(s):\n"
+            "    return ShardSpec(0, seed=seed_of(s))\n"
+        ),
+    },
+    "time-seed-datetime": {
+        "repro.services.fixk": (
+            "from datetime import datetime\n"
+            "def seconds():\n"
+            "    return datetime.now().timestamp()  # <- RL101\n"
+            "def reseed(rng):\n"
+            "    rng.seed(seconds())\n"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_planted_source_flagged_where_it_occurs(case, tmp_path):
+    paths, expected = [], set()
+    for module, body in PLANTED[case].items():
+        path = tmp_path / f"{module.replace('.', '_')}.py"
+        text = f"# repro-lint-module: {module}\n{body}"
+        path.write_text(text, encoding="utf-8")
+        paths.append(path)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            marker = re.search(r"# <- (RL\d{3})", line)
+            if marker:
+                expected.add((str(path), lineno, marker.group(1)))
+    assert {(f.path, f.line, f.code) for f in lint_paths(paths)} == expected

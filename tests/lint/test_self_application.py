@@ -18,18 +18,18 @@ CORPUS = Path(__file__).parent / "corpus"
 
 
 def test_src_tree_lints_clean_via_cli():
-    result = run_cli(str(REPO_ROOT / "src"), "--flow", "--format", "json")
+    result = run_cli(str(REPO_ROOT / "src"), "--format", "json")
     assert result.returncode == 0, f"tree not clean:\n{result.stdout}"
     assert json.loads(result.stdout)["findings"] == []
 
 
 def test_src_tree_lints_clean_in_process():
-    assert lint_paths([REPO_ROOT / "src"], flow=True) == []
+    assert lint_paths([REPO_ROOT / "src"]) == []
 
 
 def test_broken_corpus_fails_with_every_code():
     bad_files = sorted(str(p) for p in CORPUS.glob("bad_*.py"))
-    result = run_cli("--flow", *bad_files)
+    result = run_cli(*bad_files)
     assert result.returncode == 1
     for rule in all_rules():
         assert rule.code in result.stdout, f"{rule.code} missing from CLI output"
@@ -44,8 +44,7 @@ def test_cli_select_filters_codes():
 
 
 def test_cli_select_program_rule_implies_program():
-    """Selecting an RL4xx code runs the whole-program analysis (at the
-    ``--flow`` depth, the only one that builds the program)."""
+    """Selecting an RL4xx code builds the program it judges."""
     result = run_cli("--select", "RL402", str(CORPUS / "bad_rl402.py"))
     assert result.returncode == 1
     assert "RL402" in result.stdout
@@ -57,9 +56,9 @@ def test_cli_list_rules():
     for rule in all_rules():
         assert rule.code in result.stdout
     # Grouped by family, in order.
-    for header in ("RL1xx", "RL4xx", "RL6xx", "RL7xx"):
+    for header in ("RL1xx", "RL4xx", "RL7xx"):
         assert header in result.stdout
-    assert result.stdout.index("RL6xx") < result.stdout.index("RL7xx")
+    assert result.stdout.index("RL4xx") < result.stdout.index("RL7xx")
 
 
 def test_cli_list_rules_json():
@@ -69,10 +68,11 @@ def test_cli_list_rules_json():
     codes = [entry["code"] for entry in inventory["rules"]]
     assert codes == sorted(rule.code for rule in all_rules())
     by_code = {entry["code"]: entry for entry in inventory["rules"]}
-    assert by_code["RL601"]["kind"] == "flow"
     assert by_code["RL401"]["kind"] == "program"
+    assert by_code["RL701"]["kind"] == "program"
     assert by_code["RL101"]["kind"] == "file"
-    assert by_code["RL601"]["family"].startswith("RL6xx")
+    assert by_code["RL702"]["kind"] == "file"
+    assert by_code["RL701"]["family"].startswith("RL7xx")
 
 
 def test_cli_missing_path_is_usage_error():

@@ -117,6 +117,11 @@ class TestForwarding:
         engine, gateway, client, web = world
         client.run_dhcp()
         assert client.ping(gateway.config.lan_ipv4) is not None
+        # ICMPv6 echo to its own addresses: the LAN GUA, and the WAN
+        # link-local from the internet side.
+        lan_gua = IPv6Address(int(gateway.gua_prefix.network_address) | 1)
+        assert client.ping(lan_gua) is not None
+        assert web.ping(gateway.wan_iface.link_local) is not None
 
     def test_tcp_through_nat44(self, world):
         engine, gateway, client, web = world

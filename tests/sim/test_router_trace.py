@@ -66,6 +66,10 @@ class TestForwarding:
     def test_router_answers_own_address(self, routed):
         engine, router, inside, outside = routed
         assert inside.ping(IPv4Address("10.1.0.1")) is not None
+        # Both of its IPv6 addresses answer, the far one without a forward.
+        for own in ("2620:0:dc0:1::1", "2620:0:dc0:2::1"):
+            assert inside.ping(IPv6Address(own)) is not None
+        assert router.forwarded_v6 == 0
 
     def test_no_route_drops(self, routed):
         engine, router, inside, outside = routed
