@@ -10,7 +10,7 @@ Commands:
 - ``experiments`` — a quick PASS/FAIL check of six paper experiments (E4, E5,
   E6, E7, E9, E10); ``PYTHONPATH=src python -m pytest tests/`` asserts them all
 - ``lint``        — determinism & wire-contract static analysis (repro.lint)
-- ``sanitize``    — runtime determinism sanitizer (hash-salt + sharding diff)
+- ``sanitize``    — runtime determinism sanitizer (hash-salt byte-diff)
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import sys
 
 from repro.analysis.adoption import FIXED_DEVICES, sweep_table, windows_refresh_mixes
-from repro.analysis.fleet import run_fleet_adoption_sweep_stats
+from repro.analysis.fleet import distinct_profiles, run_fleet_adoption_sweep_stats
 from repro.analysis.matrix import matrix_table, run_device_matrix
 from repro.core.testbed import build_testbed, PI_POOL_SIZE, TestbedConfig
 
@@ -37,7 +37,7 @@ def fleet_size(text: str) -> int:
 
 def cmd_matrix(args) -> int:
     config = TestbedConfig(poisoned_dns=not args.no_intervention, use_rpz=args.rpz)
-    outcomes = run_device_matrix(config, jobs=args.jobs)
+    outcomes = run_device_matrix(config)
     print(matrix_table(outcomes))
     return 0
 
@@ -77,23 +77,28 @@ def cmd_fleet(args) -> int:
     ``--jobs`` has nothing to fan out.  The table goes to stdout and the
     timed summary to stderr, so stdout can be diffed byte-for-byte
     against a golden table (the CI fleet smoke diffs the 100,000-device
-    run against ``tests/golden/fleet_100k.txt``).
+    run against ``tests/golden/fleet_100k.txt``).  The summary times
+    the two steps apart: the calibration runs live clients, and the
+    fold is arithmetic over the stages.
     """
     import time
 
+    from repro.clients.fleet import calibrate_profiles
     from repro.core.rss import peak_rss_bytes
 
     mixes = windows_refresh_mixes(fleet_size=args.devices)
     start = time.perf_counter()
-    points, info = run_fleet_adoption_sweep_stats(mixes)
-    elapsed = time.perf_counter() - start
+    calibration = calibrate_profiles(distinct_profiles(mixes))
+    calibrated = time.perf_counter()
+    points, info = run_fleet_adoption_sweep_stats(mixes, calibration=calibration)
+    folded = time.perf_counter()
     print(sweep_table(points))
-    rate = info.devices / elapsed if elapsed > 0 else 0.0
     rss = peak_rss_bytes()
     summary = (
         f"fleet: {info.devices} devices / {info.stages} stages / "
         f"{info.distinct_profiles} profiles, "
-        f"{elapsed:.2f}s, {rate:,.0f} devices/sec"
+        f"calibration {(calibrated - start) * 1e3:.1f} ms, "
+        f"fold {(folded - calibrated) * 1e3:.2f} ms"
     )
     if rss is not None:
         summary += f", peak RSS {rss / (1024 * 1024):.1f} MiB"
@@ -178,7 +183,7 @@ def cmd_sanitize(args) -> int:
     from repro.lint.sanitize import main as sanitize_main
 
     forwarded = ["--quick"] if args.quick else []
-    forwarded += ["--jobs", str(args.jobs), "--timeout", str(args.timeout)]
+    forwarded += ["--timeout", str(args.timeout)]
     return sanitize_main(forwarded)
 
 
@@ -208,14 +213,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = "worker processes for the matrix (default: $REPRO_JOBS or 1; 0 = all cores)"
     fleet_size_help = f"devices per refresh stage, at least {FIXED_DEVICES} (2 Macs + 1 IoT box)"
     no_jobs_help = "accepted for compatibility; has no effect (the closed form runs in-process)"
 
     p_matrix = sub.add_parser("matrix", help="device outcome matrix (§V)")
     p_matrix.add_argument("--no-intervention", action="store_true")
     p_matrix.add_argument("--rpz", action="store_true", help="use the RPZ-style poisoner")
-    p_matrix.add_argument("--jobs", type=int, default=None, help=jobs_help)
     p_matrix.set_defaults(fn=cmd_matrix)
 
     sweep_help = (
@@ -259,10 +262,9 @@ def main(argv=None) -> int:
     sub.add_parser("lint", help="determinism & wire-contract static analysis (repro.lint)")
 
     p_sanitize = sub.add_parser(
-        "sanitize", help="runtime determinism sanitizer (PYTHONHASHSEED + --jobs diff)"
+        "sanitize", help="runtime determinism sanitizer (byte-diff across PYTHONHASHSEED)"
     )
     p_sanitize.add_argument("--quick", action="store_true", help="CI smoke variant")
-    p_sanitize.add_argument("--jobs", type=int, default=4, help="workers for sharded probes")
     p_sanitize.add_argument("--timeout", type=float, default=600.0)
     p_sanitize.set_defaults(fn=cmd_sanitize)
 

@@ -14,8 +14,6 @@ def slotted_dataclass(**kwargs):
     ``__slots__`` generation for dataclasses with field defaults only
     exists from 3.10; on 3.9 the decorated class is a plain dataclass
     with the identical API, just without the per-instance memory trim.
-    Instances pickle the same either way, which is what the parallel
-    sweep engine ships across process boundaries.
     """
     if sys.version_info >= (3, 10):
         kwargs.setdefault("slots", True)

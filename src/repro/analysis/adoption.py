@@ -22,11 +22,10 @@ runs dry, the devices that join last get no lease, and this path
 counts starved Windows 10 machines as IPv6-only.
 
 Each stage brings up its own testbed and shares no events with the
-others, so the sweep shards one-mix-per-shard over
-:class:`repro.parallel.SweepExecutor`: pass ``jobs=N`` (or set
-``REPRO_JOBS``) to fan stages out across worker processes.  Shard
-seeds follow :func:`repro.parallel.derive_seed`, so the merged table
-is byte-identical at any ``jobs``.
+others: the sweep runs one shard per mix through
+:class:`repro.parallel.SweepExecutor`, each seeded by
+:func:`repro.parallel.derive_seed` from the config's seed and the
+stage's index.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro._compat import slotted_dataclass
 from repro.clients.profiles import LEGACY_IOT, MACOS, OsProfile, WINDOWS_10, WINDOWS_11_RFC8925
 from repro.core.metrics import AdoptionFold, CensusFold, SweepStats
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.parallel import make_shards, owned_executor, ShardSpec, SweepExecutor
+from repro.parallel import make_shards, ShardSpec, SweepExecutor
 
 __all__ = [
     "FIXED_DEVICES",
@@ -119,7 +118,7 @@ def windows_refresh_mixes(
 
 
 def _measure_mix(spec: ShardSpec) -> AdoptionPoint:
-    """Worker: one refresh stage on one fresh testbed (runs in-pool).
+    """Worker: one refresh stage on one fresh testbed.
 
     Aggregation is a streaming fold (:class:`AdoptionFold` +
     :class:`CensusFold`): each client contributes its counts and no
@@ -168,34 +167,24 @@ def _measure_mix(spec: ShardSpec) -> AdoptionPoint:
 def run_adoption_sweep_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
 ) -> Tuple[List[AdoptionPoint], SweepStats]:
     """Measure each stage on a fresh testbed; also return sweep stats.
 
-    One shard per mix.  With ``jobs=1`` (the default) this is exactly
-    the serial loop; with more jobs the stages run concurrently and the
-    merged points come back in mix order regardless of completion order.
+    One shard per mix, run in mix order.
     """
     config = config or TestbedConfig()
-    specs = make_shards(
-        [(mix, config) for mix in mixes],
-        base_seed=config.seed,
-        costs=[float(mix.total) for mix in mixes],
-    )
-    with owned_executor(executor, jobs=jobs) as ex:
-        points = ex.map(_measure_mix, specs, label="adoption sweep")
-        return points, ex.last_stats
+    specs = make_shards([(mix, config) for mix in mixes], base_seed=config.seed)
+    executor = SweepExecutor()
+    points = executor.map(_measure_mix, specs)
+    return points, executor.last_stats
 
 
 def run_adoption_sweep(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
 ) -> List[AdoptionPoint]:
     """Measure each stage on a fresh testbed with live clients."""
-    points, _stats = run_adoption_sweep_stats(mixes, config, jobs=jobs, executor=executor)
+    points, _stats = run_adoption_sweep_stats(mixes, config)
     return points
 
 

@@ -18,15 +18,14 @@ stage's :class:`AdoptionPoint` is the sum over distinct profiles of
    :meth:`~repro.core.metrics.AdoptionFold.add_bulk`, with the same
    flags the object path folds for one live client.
 
-That is O(stages × profiles) integer arithmetic in the calling
-process, exact IPv4 demand at any device count (no pool runs dry): no
-shards, no worker pool and no per-device state, so the table cannot
-depend on ``--jobs``.  Both ``sweep`` and ``fleet`` print it.
+That is O(stages × profiles) integer arithmetic, exact IPv4 demand at
+any device count (no pool runs dry): no shards and no per-device
+state.  Both ``sweep`` and ``fleet`` print it.
 
 :func:`run_fleet_population_stats` is the older columnar path, kept
 until the benchmark's tracer stops naming it: shard workers evaluate
 per-device columns (:class:`repro.sim.fleet.FleetState`, ≈7 B/device)
-and ship them to the parent pickled.
+and export them as bytes, which the caller rebuilds into each stage.
 """
 
 from __future__ import annotations
@@ -44,14 +43,7 @@ from repro.clients.fleet import (
 from repro.clients.profiles import OsProfile
 from repro.core.metrics import AdoptionFold, CensusFold, SweepStats
 from repro.core.testbed import TestbedConfig
-from repro.parallel import (
-    chunk_ranges,
-    make_shards,
-    owned_executor,
-    ShardPayload,
-    ShardSpec,
-    SweepExecutor,
-)
+from repro.parallel import chunk_ranges, make_shards, ShardPayload, ShardSpec, SweepExecutor
 from repro.sim import fleet as fl
 
 __all__ = [
@@ -64,7 +56,7 @@ __all__ = [
 ]
 
 #: Devices below which a stage is not worth cutting into further shards;
-#: columnar work is so cheap that tiny shards are pure dispatch overhead.
+#: columnar work is so cheap that tiny shards are pure per-shard overhead.
 DEFAULT_MIN_SHARD = 65_536
 
 
@@ -83,7 +75,7 @@ class FleetPopulationInfo(FleetSweepInfo):
     """Execution accounting for one population sweep.
 
     ``ipc_bytes`` bills the sweep's bulk data: ~``bytes_per_device``
-    bytes per device cross the pool's pipe as pickled columns.
+    bytes per device, exported as column bytes.
     """
 
     shard_count: int
@@ -156,8 +148,8 @@ def _export_fleet_range(spec: ShardSpec) -> ShardPayload:
 
     The payload carries everything the worker needs — the range's
     profile runs and the pre-built translate tables — so it touches no
-    testbed, no engine and no RNG.  The columns ship home pickled, and
-    the shard's ``ipc_bytes`` bills ~7 B/device for the trip.
+    testbed, no engine and no RNG.  The shard's ``ipc_bytes`` bills the
+    exported columns, ~7 B/device.
     """
     mix_index, start, stop, runs, tables = spec.payload
     state = _build_range_state(runs, start, stop, tables)
@@ -247,57 +239,51 @@ def _points_from_folds(
 def run_fleet_population_stats(
     mixes: Sequence[FleetMix],
     config: Optional[TestbedConfig] = None,
-    jobs: Optional[int] = None,
-    executor: Optional[SweepExecutor] = None,
     min_shard: int = DEFAULT_MIN_SHARD,
     target_site: str = "sc24.supercomputing.org",
     calibration: Optional[Tuple[ProfileOutcome, ...]] = None,
     keep_states: bool = False,
 ) -> Tuple[List[AdoptionPoint], SweepStats, FleetPopulationInfo, List[Optional[fl.FleetState]]]:
-    """The population sweep: like the adoption sweep, but the parent ends
+    """The population sweep: like the adoption sweep, but the caller ends
     up holding every stage's evaluated *columns*, not just the counts.
 
-    Workers evaluate their range and hand the columns back as pickled
-    bytes (~7 B/device crosses the pipe, billed as ``ipc_bytes``).  The
-    parent reconstructs each stage's merged
-    :class:`~repro.sim.fleet.FleetState` — a sanity cross-check against
-    the workers' additive folds runs on every stage — and the points it
-    returns are byte-identical to :func:`run_fleet_adoption_sweep_stats`
-    at any ``jobs`` and any chunk geometry.
+    Workers evaluate their range and hand the columns back as bytes
+    (~7 B/device, billed as ``ipc_bytes``).  The caller reconstructs
+    each stage's merged :class:`~repro.sim.fleet.FleetState` — a sanity
+    cross-check against the workers' additive folds runs on every
+    stage — and the points it returns are byte-identical to
+    :func:`run_fleet_adoption_sweep_stats` at any chunk geometry.
 
     ``keep_states=True`` returns the per-stage states (tests byte-diff
     them across geometries); the default drops each stage's state after
     its cross-check so peak RSS stays bounded by one stage's columns on
-    top of the shipped bytes.
+    top of the exported bytes.
     """
     config = config or TestbedConfig()
     profiles = distinct_profiles(mixes)
     index_of = {profile: i for i, profile in enumerate(profiles)}
+    tables = outcome_tables(_calibrate(profiles, config, target_site, calibration))
 
-    with owned_executor(executor, jobs=jobs) as ex:
-        tables = outcome_tables(_calibrate(profiles, config, target_site, calibration))
+    payloads = []
+    stage_slots: List[List[int]] = []  # payload indices per stage, range order
+    for mix_index, mix in enumerate(mixes):
+        runs = _runs_for_mix(mix, index_of)
+        slots: List[int] = []
+        for start, stop in chunk_ranges(mix.total, min_shard):
+            slots.append(len(payloads))
+            payloads.append((mix_index, start, stop, runs, tables))
+        stage_slots.append(slots)
+    specs = make_shards(payloads, base_seed=config.seed)
 
-        payloads = []
-        costs: List[float] = []
-        stage_slots: List[List[int]] = []  # payload indices per stage, range order
-        for mix_index, mix in enumerate(mixes):
-            runs = _runs_for_mix(mix, index_of)
-            slots: List[int] = []
-            for start, stop in chunk_ranges(mix.total, ex.jobs, min_shard):
-                slots.append(len(payloads))
-                payloads.append((mix_index, start, stop, runs, tables))
-                costs.append(float(stop - start))
-            stage_slots.append(slots)
-        specs = make_shards(payloads, base_seed=config.seed, costs=costs)
-
-        values = ex.map(_export_fleet_range, specs, label="fleet population sweep")
-        stats = ex.last_stats
+    executor = SweepExecutor()
+    values = executor.map(_export_fleet_range, specs)
+    stats = executor.last_stats
 
     folds = [AdoptionFold() for _ in mixes]
     for mix_i, fold, _columns in values:
         folds[mix_i].merge(fold)
 
-    # Rebuild stage by stage from the shipped column bytes and
+    # Rebuild stage by stage from the exported column bytes and
     # cross-check each against the folds.
     states: List[Optional[fl.FleetState]] = []
     for mix_index, mix in enumerate(mixes):
@@ -325,7 +311,7 @@ def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
 
     Two C-speed column counts per stage — cheap at any scale, and they
     would catch a range imported at the wrong offset or a column lost
-    on the way home.
+    between export and import.
     """
     leases = state.count("dhcp4", fl.DHCP4_LEASED)
     grants = state.count("dhcp4", fl.DHCP4_V6ONLY_GRANT)
@@ -334,7 +320,7 @@ def _check_stage(state: fl.FleetState, fold: AdoptionFold, label: str) -> None:
             f"fleet stage {label!r}: reconstructed columns disagree with worker "
             f"folds (size {state.size}/{fold.total}, leases {leases}/"
             f"{fold.ipv4_leases}, grants {grants}/{fold.rfc8925_grants}) — "
-            "columns corrupted in transit"
+            "columns corrupted on export"
         )
 
 

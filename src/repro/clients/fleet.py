@@ -4,8 +4,8 @@ The key observation behind the million-host sweep: in an adoption
 sweep every device of one OS profile, brought onto the same testbed
 configuration, exhibits the same observable outcome — the simulation is
 deterministic and clients only talk to the infrastructure, never to
-each other (the same independence the sharded device matrix already
-relies on).  So the per-device cost of a fleet sweep collapses to:
+each other (the same independence that lets the device matrix host
+every profile on one testbed).  So the per-device cost of a fleet sweep collapses to:
 
 1. **calibrate** — run ONE live packet-level client per *distinct*
    profile on a real :class:`repro.core.testbed.Testbed` and record its
@@ -64,8 +64,8 @@ CLASS_FOR_CODE: Dict[int, ClientClass] = {code: cls for cls, code in CENSUS_CODE
 class ProfileOutcome:
     """One profile's calibrated, observable outcome on one testbed config.
 
-    Picklable and tiny: the whole per-million-devices behavioural state
-    of a sweep is one of these per distinct profile.
+    Tiny: the whole per-million-devices behavioural state of a sweep is
+    one of these per distinct profile.
     """
 
     name: str

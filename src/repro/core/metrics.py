@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro._compat import slotted_dataclass
 from repro.net.addresses import MacAddress
@@ -226,8 +226,8 @@ class AdoptionFold:
     constant-memory fold: each device contributes its flags once (via
     :meth:`add_device`), or a whole block of identically-behaving
     devices contributes at once (via :meth:`add_bulk`, the closed-form
-    fleet sweep).  Disjoint folds merge by addition, so a stage sharded
-    across workers produces exactly the serial counts.
+    fleet sweep).  Disjoint folds merge by addition, so a stage split
+    into shards produces exactly the unsplit counts.
     """
 
     total: int = 0
@@ -295,38 +295,24 @@ class AdoptionFold:
 
 @slotted_dataclass()
 class ShardStats:
-    """Per-shard execution statistics from one sweep run.
+    """Per-shard statistics from one sweep run.
 
-    ``ipc_bytes`` counts bulk payload bytes that crossed (or, on the
-    serial backend, would have crossed) the pool's pipe.  A
-    non-``None`` ``error`` marks the shard's structured failure row (it
-    exhausted its one retry).
+    ``ipc_bytes`` counts the bulk payload bytes the shard's worker
+    reported in its :class:`repro.parallel.ShardPayload`.
     """
 
     index: int
     seed: int
     ipc_bytes: int = 0
-    attempts: int = 1
-    error: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
 
 
 @slotted_dataclass()
 class SweepStats:
-    """Merged statistics for one sweep: how it ran, plus one row per shard."""
+    """Merged statistics for one sweep: one row per shard."""
 
-    jobs: int
-    backend: str
     shards: List[ShardStats] = field(default_factory=list)
 
     @property
     def total_ipc_bytes(self) -> int:
-        """Bulk payload bytes that crossed the pool's pipe."""
+        """Bulk payload bytes the sweep's workers reported."""
         return sum(s.ipc_bytes for s in self.shards)
-
-    @property
-    def failures(self) -> List[ShardStats]:
-        return [s for s in self.shards if s.error is not None]

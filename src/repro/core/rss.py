@@ -1,7 +1,7 @@
 """Peak resident set size, in bytes, for the ``fleet`` command's summary.
 
-``getrusage`` reports the peak RSS a process (or its reaped children)
-ever reached, but in platform-dependent units: Linux counts kibibytes,
+``getrusage`` reports the peak RSS a process ever reached, but in
+platform-dependent units: Linux counts kibibytes,
 macOS counts bytes (and some BSDs count pages).  Every consumer in
 this repository wants plain bytes, so the normalization lives here once.
 
@@ -26,18 +26,12 @@ def _normalize_ru_maxrss(ru_maxrss: int) -> int:
 
 
 def peak_rss_bytes() -> Optional[int]:
-    """Peak resident set size in bytes, or ``None`` where it is unknown.
-
-    The high-water mark of reaped child processes (sweep pool workers)
-    is folded in via ``RUSAGE_CHILDREN``, so a sharded run reports the
-    largest worker alongside the parent.  Without the ``resource``
-    module (non-POSIX platforms) there is no figure to report.
+    """This process's peak resident set size in bytes, or ``None``
+    where it is unknown: without the ``resource`` module (non-POSIX
+    platforms) there is no figure to report.
     """
     try:
         import resource
     except ImportError:
         return None
-    return max(
-        _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-        _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss),
-    )
+    return _normalize_ru_maxrss(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

@@ -85,8 +85,8 @@ PROBE_V6 = IPv6Address("2001:db8:80::80")
 class TestbedConfig:
     """Build-time switches for the testbed.
 
-    Instances are picklable and ship to sweep worker processes; keep
-    every field a value type (see :mod:`repro.parallel.shard`).
+    Sweeps copy an instance per shard with :func:`dataclasses.replace`
+    (only the seed changes), so keep every field a value type.
     """
 
     __test__ = False  # not a pytest class, despite the name

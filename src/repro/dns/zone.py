@@ -120,10 +120,14 @@ class Zone:
         return self
 
     def add_a(self, name, address, ttl: int = 300) -> "Zone":
-        return self.add(name, RRType.A, A(IPv4Address(str(address))), ttl)
+        if not isinstance(address, IPv4Address):  # a string, or the wrong family
+            address = IPv4Address(str(address))
+        return self.add(name, RRType.A, A(address), ttl)
 
     def add_aaaa(self, name, address, ttl: int = 300) -> "Zone":
-        return self.add(name, RRType.AAAA, AAAA(IPv6Address(str(address))), ttl)
+        if not isinstance(address, IPv6Address):
+            address = IPv6Address(str(address))
+        return self.add(name, RRType.AAAA, AAAA(address), ttl)
 
     def add_cname(self, name, target, ttl: int = 300) -> "Zone":
         return self.add(name, RRType.CNAME, CNAME(DnsName(target)), ttl)

@@ -7,12 +7,11 @@ Two complementary gates ship here:
   wire-contract and hot-path-hygiene invariants the reproduction's
   byte-identical guarantee rests on;
 - :mod:`repro.lint.sanitize` — a runtime determinism sanitizer
-  (``python -m repro sanitize``) that runs the same workload under
-  different ``PYTHONHASHSEED`` values and ``--jobs`` counts and
-  byte-diffs the traces and tables.
+  (``python -m repro sanitize``) that runs the same workload under two
+  ``PYTHONHASHSEED`` values and byte-diffs the traces and tables.
 
-See README "Correctness tooling" for rule codes, the
-``# repro: allow[CODE]`` pragma and the allowlist policy.
+See README "Correctness tooling" for rule codes and the
+``# repro: allow[CODE]`` pragma.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Sanitizer worker: one deterministic dump of traces and tables.
 
-Run as ``python -m repro.lint._probe [--jobs N] [--quick]`` by the
-sanitizer parent, once per (PYTHONHASHSEED, jobs) combination.  Every
-byte written to stdout is supposed to be a pure function of the
-simulation seed — the parent diffs the dumps and any divergence is a
-determinism bug.
+Run as ``python -m repro.lint._probe [--quick]`` by the sanitizer
+parent, once per ``PYTHONHASHSEED`` value.  Every byte written to
+stdout is supposed to be a pure function of the simulation seed — the
+parent diffs the dumps and any divergence is a determinism bug.
 
 The dump covers the three artifact classes the reproduction's claims
 rest on:
@@ -12,8 +11,7 @@ rest on:
 - the packet trace of a small mixed-device scenario (frame bytes *and*
   the decoded one-line summaries, so both the codec path and the
   event ordering are covered);
-- the §VII adoption-sweep table (exercising the sharded executor when
-  ``--jobs`` > 1);
+- the §VII adoption-sweep table (one live testbed per stage);
 - the §V device-outcome matrix table.
 """
 
@@ -24,7 +22,7 @@ import sys
 from typing import List, Optional
 
 
-def deterministic_dump(jobs: int = 1, quick: bool = False) -> str:
+def deterministic_dump(quick: bool = False) -> str:
     from repro.analysis.adoption import (
         run_adoption_sweep,
         sweep_table,
@@ -55,23 +53,22 @@ def deterministic_dump(jobs: int = 1, quick: bool = False) -> str:
     for entry in testbed.trace.entries:
         out.append(f"{entry} | {entry.frame.hex()}")
 
-    # -- adoption sweep (sharded when jobs > 1) ----------------------------
+    # -- adoption sweep -----------------------------------------------------
     mixes = windows_refresh_mixes(fleet_size=4 if quick else 8)
-    out.append(sweep_table(run_adoption_sweep(mixes, jobs=jobs)))
+    out.append(sweep_table(run_adoption_sweep(mixes)))
 
     # -- device matrix ------------------------------------------------------
     if not quick:
-        out.append(matrix_table(run_device_matrix(jobs=jobs)))
+        out.append(matrix_table(run_device_matrix()))
 
     return "\n".join(out) + "\n"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.lint._probe")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
-    sys.stdout.write(deterministic_dump(jobs=args.jobs, quick=args.quick))
+    sys.stdout.write(deterministic_dump(quick=args.quick))
     return 0
 
 

@@ -62,7 +62,6 @@ _FAMILIES = {
     "RL1": "RL1xx — determinism (syntactic)",
     "RL2": "RL2xx — wire contracts",
     "RL3": "RL3xx — hot-path hygiene",
-    "RL4": "RL4xx — shard safety (whole-program)",
     "RL7": "RL7xx — exception flow",
 }
 
@@ -104,7 +103,7 @@ def _list_rules(fmt: str) -> int:
             print(family)
             previous_family = family
         scope = ", ".join(rule.scope) if rule.scope else "all files"
-        print(f"  {rule.code}  {rule.name:26s} [{scope}] ({_rule_kind(rule)})")
+        print(f"  {rule.code}  {rule.name:28s} [{scope}] ({_rule_kind(rule)})")
         print(f"         {rule.summary}")
     return 0
 

@@ -4,19 +4,13 @@ The linter is a plain ``ast`` walker — no third-party dependencies —
 organised around small rule plugins (see :mod:`repro.lint.rules`).
 Each rule owns one error code, a scope (the dotted module prefixes it
 applies to) and either a per-file ``check(ctx)`` or — for the
-interprocedural RL4xx rules and RL701 — a ``check_program(program,
-report)`` that runs once over the whole-tree call graph built by
-:mod:`repro.lint.program`.  Suppression happens in exactly two places:
-
-- an inline pragma ``# repro: allow[CODE]`` on the flagged line (or on
-  the first line of the flagged statement), for one-off exceptions that
-  deserve a justification comment right where they live;
-- the per-path allowlist table in :mod:`repro.lint.allowlist`, for
-  whole-file policy decisions (e.g. the parallel executor may read the
-  wall clock for shard statistics).
-
-Both are kept honest by RL001: a pragma or allowlist entry that no
-longer suppresses anything is itself a finding.
+interprocedural RL701 — a ``check_program(program, report)`` that runs
+once over the whole-tree call graph built by :mod:`repro.lint.program`.
+Suppression happens in one place: an inline pragma
+``# repro: allow[CODE]`` on the flagged line (or on the first line of
+the flagged statement), with a justification comment right where the
+exception lives.  RL001 keeps pragmas honest: one that no longer
+suppresses anything is itself a finding.
 
 ``lint_paths`` is the one orchestration point: it parses each file
 once, runs the per-file rules on its AST and, when a selected rule is
@@ -95,8 +89,6 @@ class LintContext:
     source: str
     lines: List[str] = field(default_factory=list)
     findings: List[Finding] = field(default_factory=list)
-    #: Codes allowlisted for this path (from :mod:`repro.lint.allowlist`).
-    allowed_codes: Set[str] = field(default_factory=set)
     #: line number -> codes suppressed by an inline pragma on that line.
     pragmas: Dict[int, Set[str]] = field(default_factory=dict)
     #: line -> first line of the statement that contains it (pragmas on a
@@ -104,8 +96,6 @@ class LintContext:
     statement_starts: Dict[int, int] = field(default_factory=dict)
     #: ``(pragma_line, code)`` pairs that suppressed at least one finding.
     used_pragmas: Set[Tuple[int, str]] = field(default_factory=set)
-    #: Allowlist codes that suppressed at least one finding.
-    used_allowlist: Set[str] = field(default_factory=set)
 
     def in_module(self, prefixes: Sequence[str]) -> bool:
         return any(
@@ -118,9 +108,6 @@ class LintContext:
             if codes is not None and (code in codes or "*" in codes):
                 self.used_pragmas.add((probe, code))
                 return True
-        if code in self.allowed_codes:
-            self.used_allowlist.add(code)
-            return True
         return False
 
     def add(self, node: ast.AST, code: str, message: str, hint: str = "") -> None:
@@ -148,7 +135,7 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for rules that judge the whole program (RL4xx, RL701).
+    #: True for rules that judge the whole program (RL701).
     program: bool = False
 
     def applies_to(self, ctx: LintContext) -> bool:
@@ -246,15 +233,12 @@ def _parse(path: Path, source: str) -> Tuple[Optional[ast.Module], Optional[Find
 
 
 def _make_context(path: Path, source: str, tree: ast.Module) -> LintContext:
-    from repro.lint.allowlist import allowed_codes_for
-
     return LintContext(
         path=path,
         module=_effective_module(path, source),
         tree=tree,
         source=source,
         lines=source.splitlines(),
-        allowed_codes=allowed_codes_for(path),
         pragmas=_collect_pragmas(source),
         statement_starts=_collect_statement_starts(tree),
     )
@@ -297,24 +281,17 @@ def _run_file_rules(
 def _stale_suppression_findings(
     pragma_maps: Dict[str, Dict[int, Set[str]]],
     used_pragmas: Dict[str, Set[Tuple[int, str]]],
-    used_allowlist: Dict[str, Set[str]],
     checked_codes: Set[str],
-    files: Sequence[Path],
-    registered_codes: Optional[Set[str]] = None,
+    registered_codes: Set[str],
 ) -> List[Finding]:
-    """RL001: pragmas and allowlist entries that suppressed nothing.
+    """RL001: pragmas that suppressed nothing.
 
     A pragma is judged only when every code it names was actually
     checked this run (a ``--select RL101`` run says nothing about an
-    ``allow[RL302]`` pragma).  An allowlist entry is judged per glob:
-    stale when at least one linted file matched it and none of them
-    used any of its codes.  A suppression naming a code that is not in
+    ``allow[RL302]`` pragma).  A pragma naming a code that is not in
     the registry at all — a rule that was renamed or deleted — is
     flagged unconditionally: it can never suppress anything again.
     """
-    from repro.lint.allowlist import ALLOWLIST, match_paths
-
-    registered = registered_codes if registered_codes is not None else checked_codes
     findings: List[Finding] = []
     for path, pragmas in pragma_maps.items():
         used = used_pragmas.get(path, set())
@@ -325,7 +302,7 @@ def _stale_suppression_findings(
                 # Only real rule-code shapes are audited for existence:
                 # docs legitimately write placeholder pragmas like
                 # ``allow[CODE]`` in prose.
-                if re.fullmatch(r"RL\d{3}", code) and code not in registered:
+                if re.fullmatch(r"RL\d{3}", code) and code not in registered_codes:
                     findings.append(
                         Finding(
                             path,
@@ -354,41 +331,6 @@ def _stale_suppression_findings(
                             "is describing code that moved — re-anchor it)",
                         )
                     )
-    linted = [str(p) for p in files]
-    for pattern, codes in ALLOWLIST.items():
-        matched = match_paths(pattern, linted)
-        for code in codes:
-            if code not in registered:
-                findings.append(
-                    Finding(
-                        sorted(matched)[0] if matched else pattern,
-                        1,
-                        0,
-                        STALE_SUPPRESSION_CODE,
-                        f"allowlist entry `{pattern}` references unknown rule "
-                        f"code `{code}` — no registered rule emits it",
-                        "the rule was renamed or removed; drop the code from "
-                        "repro/lint/allowlist.py",
-                    )
-                )
-                continue
-            if not matched:
-                continue
-            if code not in checked_codes:
-                continue
-            if not any(code in used_allowlist.get(path, set()) for path in matched):
-                findings.append(
-                    Finding(
-                        sorted(matched)[0],
-                        1,
-                        0,
-                        STALE_SUPPRESSION_CODE,
-                        f"stale allowlist entry: `{pattern}` permits {code} "
-                        "but no finding in any matched file needed it",
-                        "drop the code from repro/lint/allowlist.py so the "
-                        "exception table stays honest",
-                    )
-                )
     return findings
 
 
@@ -421,7 +363,6 @@ def lint_paths_run(
     summaries: Dict[str, Any] = {}
     pragma_maps: Dict[str, Dict[int, Set[str]]] = {}
     used_pragmas: Dict[str, Set[Tuple[int, str]]] = {}
-    used_allowlist: Dict[str, Set[str]] = {}
 
     for path in files:
         source = path.read_bytes().decode("utf-8")
@@ -435,7 +376,6 @@ def lint_paths_run(
         findings.extend(_run_file_rules(ctx, file_rules))
         pragma_maps[str(path)] = ctx.pragmas
         used_pragmas[str(path)] = set(ctx.used_pragmas)
-        used_allowlist[str(path)] = set(ctx.used_allowlist)
         if build:
             summary = extract_summary(
                 ctx.module,
@@ -449,22 +389,18 @@ def lint_paths_run(
 
     checked_codes = {r.code for r in file_rules}
     if summaries:
-        from repro.lint.allowlist import allowed_codes_for
         from repro.lint.program.analyzer import build_program, ProgramReporter
 
         context = build_program(summaries)
-        reporter = ProgramReporter(allowed_codes_for)
+        reporter = ProgramReporter()
         for rule in program_rules:
             rule.check_program(context, reporter)
         findings.extend(reporter.findings)  # type: ignore[arg-type]
         for path_str, used in reporter.used_pragmas.items():
             used_pragmas.setdefault(path_str, set()).update(used)
-        for path_str, used_codes in reporter.used_allowlist.items():
-            used_allowlist.setdefault(path_str, set()).update(used_codes)
-        # Without both kinds of root the cones are empty or partial, so
-        # a silent program rule says nothing about its suppressions:
-        # one allowlisted codec file linted alone keeps its RL401 entry.
-        if context.worker_entries and context.dispatch_roots:
+        # Without the dispatch roots the cone is empty, so a silent
+        # program rule says nothing about its pragmas.
+        if context.dispatch_roots:
             checked_codes.update(r.code for r in program_rules)
 
     if select is None or STALE_SUPPRESSION_CODE in select:
@@ -472,9 +408,7 @@ def lint_paths_run(
             _stale_suppression_findings(
                 pragma_maps,
                 used_pragmas,
-                used_allowlist,
                 checked_codes,
-                files,
                 registered_codes={r.code for r in rules},
             )
         )

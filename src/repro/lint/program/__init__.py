@@ -2,16 +2,14 @@
 
 This package turns per-file lint into interprocedural analysis.  Each
 source file is digested into a :class:`~repro.lint.program.summary.
-ModuleSummary` (symbols, imports, calls, and candidate sites such as
-module-state mutations and broad exception handlers); summaries
-assemble into a :class:`~repro.lint.program.callgraph.ProgramIndex`
-and :class:`~repro.lint.program.callgraph.CallGraph`; the
+ModuleSummary` (symbols, imports, calls and broad exception handlers);
+summaries assemble into a :class:`~repro.lint.program.callgraph.
+ProgramIndex` and :class:`~repro.lint.program.callgraph.CallGraph`; the
 :class:`~repro.lint.program.analyzer.ProgramContext` on top knows which
-functions are reachable from shard-worker entry points and from the
-event engine's dispatch loop.  The RL4xx family and RL701 consume that
-context (see :mod:`repro.lint.rules.shard_safety` and
-:mod:`repro.lint.rules.flow_exceptions`).  Every lint run that
-selects one of those rules builds it — by default, every run.
+functions are reachable from the event engine's dispatch loop.  RL701
+consumes that context (see :mod:`repro.lint.rules.flow_exceptions`).
+Every lint run that selects it builds the program — by default, every
+run.
 """
 
 from __future__ import annotations

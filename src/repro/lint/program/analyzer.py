@@ -1,27 +1,18 @@
-"""Assembling summaries into a program: entry points, reachability,
+"""Assembling summaries into a program: dispatch roots, reachability,
 and the reporter program rules emit through.
 
-Worker entry points are discovered, not declared: every call site
-``executor.run(fn, ...)`` / ``executor.map(fn, ...)`` whose receiver
-was constructed from (or annotated as) ``SweepExecutor`` contributes
-its ``fn`` — resolved through imports — as a shard worker root.  The
-*worker cone* is everything reachable from those roots through the
-call graph, dynamic-dispatch over-approximation included; RL4xx rules
-judge candidates against that cone.
-
 Dispatch roots for RL701 are the public methods of ``EventEngine`` in
-``repro.sim.engine`` — the dispatch loop and the schedule calls
-that feed it.  Every callback ever passed to the scheduler is reachable
+``repro.sim.engine`` — the dispatch loop and the schedule calls that
+feed it.  Every callback ever passed to the scheduler is reachable
 from there via the reference edges.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lint.program.callgraph import CallGraph, func_id, ProgramIndex
-from repro.lint.program.summary import FunctionSummary, ModuleSummary
+from repro.lint.program.summary import ModuleSummary
 
 __all__ = ["ProgramContext", "ProgramReporter", "build_program"]
 
@@ -36,19 +27,6 @@ class ProgramContext:
     def __init__(self, index: ProgramIndex, graph: CallGraph) -> None:
         self.index = index
         self.graph = graph
-        self.worker_entries: Set[str] = set()
-        #: Function ids of unresolvable/hazardous worker arguments,
-        #: kept for RL402 (the entry list stays honest either way).
-        self.worker_hazard_sites: List[Tuple[ModuleSummary, FunctionSummary, dict]] = []
-        for ms, fs in index.iter_functions():
-            for site in fs.executor_calls:
-                if site.get("arg"):
-                    self.worker_entries.update(
-                        index.resolve_to_functions(ms, site["arg"])
-                    )
-                if site.get("hazard"):
-                    self.worker_hazard_sites.append((ms, fs, site))
-        self.worker_reachable = graph.reachable(self.worker_entries)
         self.dispatch_roots = self._dispatch_roots()
         self.dispatch_reachable = graph.reachable(self.dispatch_roots)
 
@@ -73,25 +51,16 @@ class ProgramContext:
 
 
 class ProgramReporter:
-    """Findings sink with pragma/allowlist suppression and usage tracking.
+    """Findings sink with pragma suppression and usage tracking.
 
     Mirrors :meth:`repro.lint.core.LintContext.add`, but works from the
     summary's pragma map, since program rules see summaries, not ASTs.
     """
 
-    def __init__(self, allowed_codes_for: Callable[[Path], Set[str]]) -> None:
-        self._allowed_codes_for = allowed_codes_for
-        self._allowed_cache: Dict[str, Set[str]] = {}
+    def __init__(self) -> None:
         self.findings: List[object] = []
         #: path -> {(pragma_line, code)} that suppressed something.
         self.used_pragmas: Dict[str, Set[Tuple[int, str]]] = {}
-        #: path -> allowlist codes that suppressed something.
-        self.used_allowlist: Dict[str, Set[str]] = {}
-
-    def _allowed(self, path: str) -> Set[str]:
-        if path not in self._allowed_cache:
-            self._allowed_cache[path] = self._allowed_codes_for(Path(path))
-        return self._allowed_cache[path]
 
     def add(
         self,
@@ -110,9 +79,6 @@ class ProgramReporter:
             if codes is not None and (code in codes or "*" in codes):
                 self.used_pragmas.setdefault(ms.path, set()).add((probe, code))
                 return
-        if code in self._allowed(ms.path):
-            self.used_allowlist.setdefault(ms.path, set()).add(code)
-            return
         self.findings.append(
             Finding(ms.path, lineno, int(site.get("col", 0)), code, message, hint)
         )

@@ -6,17 +6,17 @@ built from the per-module summaries alone — no ASTs.
 Resolution is deliberately asymmetric about precision:
 
 - **Named calls** resolve exactly, through import aliases and package
-  re-exports (``from repro.parallel import SweepExecutor`` follows the
-  ``__init__`` hop to ``repro.parallel.executor``).
+  re-exports (``from repro.sim import EventEngine`` follows the
+  ``__init__`` hop to ``repro.sim.engine``).
 - **Attribute calls on unresolved receivers** (``client.fetch(...)``)
   fall back to *dynamic-dispatch over-approximation*: an edge to every
-  known method of that name.  A race detector must never miss a path
-  because it could not type a receiver; the cost is a fatter reachable
-  set, never a missed one.
+  known method of that name.  A reachability rule must never miss a
+  path because it could not type a receiver; the cost is a fatter
+  reachable set, never a missed one.
 - **Function references passed as arguments** become edges from both
   the caller and the callee to the referenced function — the callee
-  may invoke its argument (that is how scheduler callbacks and shard
-  workers actually run).
+  may invoke its argument (that is how scheduler callbacks actually
+  run).
 
 Calls into modules outside the analyzed tree resolve to nothing and
 add no edges (the stdlib does not call back into simulation state).
@@ -141,31 +141,6 @@ class ProgramIndex:
         if dotted in self.modules:
             return dotted, ""
         return None, dotted
-
-    def resolve_global(
-        self, ms: ModuleSummary, raw: str
-    ) -> Optional[Tuple[str, str, str]]:
-        """Resolve a mutation receiver to ``(module, name, kind)``.
-
-        ``raw`` is the receiver of a candidate mutation — a bare name
-        (this module's global, or an imported symbol) or a dotted
-        ``mod.NAME``.  Returns ``None`` when it is not a module-level
-        binding anywhere in the tree.
-        """
-        head, _, rest = raw.partition(".")
-        if not rest and head in ms.module_globals and head not in ms.imports:
-            return (ms.module, head, ms.module_globals[head])
-        target = ms.imports.get(head)
-        if target is None:
-            return None
-        dotted = target + (("." + rest) if rest else "")
-        module, name = self._split_absolute(dotted)
-        if module is None or not name or "." in name:
-            return None
-        other = self.modules[module]
-        if name in other.module_globals:
-            return (module, name, other.module_globals[name])
-        return None
 
     def resolve_to_functions(self, ms: ModuleSummary, raw: str) -> List[str]:
         """Function ids a call/reference to ``raw`` may land on."""

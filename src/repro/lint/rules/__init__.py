@@ -12,7 +12,6 @@ from repro.lint.rules import (
     determinism,
     flow_exceptions,
     hygiene,
-    shard_safety,
     suppression,
     wire,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "determinism",
     "flow_exceptions",
     "hygiene",
-    "shard_safety",
     "suppression",
     "wire",
 ]

@@ -2,7 +2,7 @@
 
 The simulation's headline guarantee is bit-for-bit reproducibility:
 identical seeds produce identical packet traces and result tables at
-any ``--jobs`` and any ``PYTHONHASHSEED``.  These rules ban the inputs
+any ``PYTHONHASHSEED``.  These rules ban the inputs
 that historically break that class of guarantee — wall clocks, ambient
 entropy, object identity, and hash-order-dependent iteration — from
 every package whose output feeds a trace or a table.  Each source is
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Packages whose behaviour must be a pure function of the seed.  The
-#: parallel engine and the analysis layer are included: their output
+#: sweep executor and the analysis layer are included: their output
 #: *is* the artifact the byte-identical guarantee covers.
 #: ``repro._compat`` is the one shared helper module the others import.
 DETERMINISTIC_PACKAGES: Tuple[str, ...] = (
@@ -83,8 +83,8 @@ class BannedTimeSource(Rule):
                     f"wall-clock read `{target}` in deterministic package "
                     f"`{ctx.module}`",
                     "take time from the simulation clock (EventEngine.now / "
-                    "engine.clock()); wall timing belongs in benchmarks or the "
-                    "allowlisted executor statistics",
+                    "engine.clock()); wall timing belongs in the benchmark or "
+                    "the CLI's stderr summaries",
                 )
 
 
@@ -108,21 +108,35 @@ class BannedEntropySource(Rule):
                 or target.startswith("secrets.")
                 or target in ("uuid.uuid1", "uuid.uuid4")
                 or target == "random.SystemRandom"
+                or (target == "random.Random" and _unseeded(node))
                 or (
                     target.startswith("random.")
                     and not target.startswith("random.Random")
                 )
             )
             if banned:
+                source = (
+                    "`random.Random()` with no seed"
+                    if target == "random.Random"
+                    else f"`{target}`"
+                )
                 ctx.add(
                     node,
                     self.code,
-                    f"ambient entropy `{target}` in deterministic package "
+                    f"ambient entropy {source} in deterministic package "
                     f"`{ctx.module}`",
                     "draw from the engine's seeded RNG (engine.rng, a "
                     "random.Random(seed) instance) so every byte is a function "
                     "of the seed",
                 )
+
+
+def _unseeded(call: ast.Call) -> bool:
+    """``random.Random()`` or ``random.Random(None)``: seeded from OS entropy."""
+    seeds = list(call.args) + [kw.value for kw in call.keywords]
+    return not seeds or (
+        len(seeds) == 1 and isinstance(seeds[0], ast.Constant) and seeds[0].value is None
+    )
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -273,7 +287,7 @@ class ObjectIdentity(Rule):
                     node,
                     self.code,
                     "`id` yields an object's memory address — it differs "
-                    "between runs and workers",
+                    "between runs",
                     "order, tag or seed on a stable field of the object "
                     "(name, sequence number, wire bytes), never its identity",
                 )

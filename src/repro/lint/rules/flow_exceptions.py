@@ -1,18 +1,15 @@
 """RL7xx — exception-flow rules.
 
-A shard worker that swallows an exception does not fail — it returns a
-*wrong table*, and the fold happily merges it.  The event-dispatch
-path is just as exposed: a callback that silences errors leaves the
-event queue consistent but the simulated world half-updated.
+A callback on the event-dispatch path that silences errors leaves the
+event queue consistent but the simulated world half-updated: the run
+goes on and prints a wrong table instead of failing.
 
-- RL701 — a broad/bare ``except`` inside the fork-pool worker cone or
-  the event-dispatch path that neither re-raises nor demonstrably
-  records the failure (references the bound exception, formats the
-  traceback).  A program rule: it judges the broad-handler facts each
+- RL701 — a broad/bare ``except`` on the event-dispatch path that
+  neither re-raises nor demonstrably records the failure (references
+  the bound exception, formats the traceback).  A program rule: it
+  judges the broad-handler facts each
   :class:`~repro.lint.program.summary.FunctionSummary` records against
-  the whole-program reachability cones.  The executor's own
-  crash-retry boundary re-raises into a structured failure row and
-  stays silent here by construction.
+  the functions reachable from the event engine's dispatch loop.
 - RL702 — ``return``/``break``/``continue`` lexically inside a
   ``finally`` block in a deterministic package: the jump silently
   discards any in-flight exception (and with it the scheduler state
@@ -28,36 +25,25 @@ from repro.lint.core import LintContext, register_rule, Rule
 from repro.lint.program.analyzer import ProgramContext, ProgramReporter
 from repro.lint.rules.determinism import DETERMINISTIC_PACKAGES
 
-__all__ = ["SwallowedWorkerException", "FinallyMasksFlow"]
+__all__ = ["SwallowedDispatchException", "FinallyMasksFlow"]
 
 
 @register_rule
-class SwallowedWorkerException(Rule):
+class SwallowedDispatchException(Rule):
     code = "RL701"
-    name = "swallowed-worker-exception"
-    summary = "broad except swallows failures in the worker or dispatch cone"
+    name = "swallowed-dispatch-exception"
+    summary = "broad except swallows failures on the event-dispatch path"
     program = True
 
     def check(self, ctx: LintContext) -> None:
         return None
 
     def check_program(self, program: ProgramContext, report: ProgramReporter) -> None:
-        for fid in sorted(program.worker_reachable | program.dispatch_reachable):
+        for fid in sorted(program.dispatch_reachable):
             found = program.index.function(fid)
             if found is None:
                 continue
             ms, fs = found
-            in_worker = fid in program.worker_reachable
-            cone = (
-                "the fork-pool worker cone"
-                if in_worker
-                else "the event-dispatch path"
-            )
-            consequence = (
-                "a crashed shard folds into the tables as silently wrong rows"
-                if in_worker
-                else "the event loop keeps dispatching over half-updated state"
-            )
             for handler in fs.handlers:
                 if handler["handled"]:
                     continue
@@ -70,11 +56,11 @@ class SwallowedWorkerException(Rule):
                     ms,
                     handler,
                     self.code,
-                    f"`{fs.qualname}` is reachable from {cone} and {what} "
-                    f"swallows the exception — {consequence}",
+                    f"`{fs.qualname}` is reachable from the event-dispatch path "
+                    f"and {what} swallows the exception — the event loop keeps "
+                    "dispatching over half-updated state",
                     "catch the narrowest exception that is actually expected, "
-                    "or re-raise / record the failure (keep the exception "
-                    "object in the structured failure row)",
+                    "or re-raise / record the failure",
                 )
 
 
@@ -140,7 +126,7 @@ class FinallyMasksFlow(Rule):
                     self.code,
                     f"`{qualname}` has `{kind}` inside a `finally` block — "
                     "it silently replaces any in-flight exception, so "
-                    "scheduler/shard failures vanish mid-cleanup",
+                    "scheduler failures vanish mid-cleanup",
                     "keep finally blocks straight-line cleanup; move the "
                     f"`{kind}` after the try statement so exceptions keep "
                     "propagating",

@@ -1,10 +1,10 @@
 """RL3xx — hot-path hygiene rules.
 
-The engine allocates objects (events, trace entries, shard rows) at
-rates where per-instance ``__dict__`` overhead is measurable, and where
-an attribute materializing late makes instances pickle differently
-between the serial and forked executors.  These rules keep the hot-path
-classes slotted and their attribute sets fixed at construction time.
+The engine allocates objects (events, trace entries, packets) at rates
+where per-instance ``__dict__`` overhead is measurable, and where an
+attribute materializing late gives instances of one class different
+layouts.  These rules keep the hot-path classes slotted and their
+attribute sets fixed at construction time.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from repro.lint.core import LintContext, register_rule, Rule
 __all__ = [
     "HOT_PATH_PACKAGES",
     "ATTR_STRICT_MODULES",
-    "FOLD_PACKAGES",
     "UnslottedDataclass",
     "AttrOutsideInit",
-    "ShardWorkerAccumulation",
 ]
 
 HOT_PATH_PACKAGES: Tuple[str, ...] = ("repro.sim", "repro.parallel", "repro.core")
@@ -33,11 +31,6 @@ ATTR_STRICT_MODULES: Tuple[str, ...] = (
     "repro.dns.name",
     "repro.dns.message",
 )
-
-#: Packages whose shard workers must aggregate via streaming folds —
-#: a worker that accumulates per-item rows holds its whole shard in
-#: memory at once, which is exactly what breaks at fleet scale.
-FOLD_PACKAGES: Tuple[str, ...] = ("repro.analysis", "repro.core")
 
 
 def _decorator_base(decorator: ast.expr) -> ast.expr:
@@ -69,69 +62,9 @@ class UnslottedDataclass(Rule):
                         f"class `{node.name}` uses a plain @dataclass in "
                         f"hot-path package `{ctx.module}`",
                         "decorate with repro._compat.slotted_dataclass(...) — "
-                        "slots on 3.10+, plain dataclass on 3.9, identical "
-                        "pickle behaviour either way",
+                        "slots on 3.10+, plain dataclass on 3.9, the same "
+                        "API either way",
                     )
-
-
-def _annotation_names_shard_spec(annotation: ast.expr) -> bool:
-    """Does a parameter annotation name ``ShardSpec`` (any spelling)?"""
-    if isinstance(annotation, ast.Name):
-        return annotation.id == "ShardSpec"
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr == "ShardSpec"
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return "ShardSpec" in annotation.value
-    return False
-
-
-def _is_shard_worker(node: ast.AST) -> bool:
-    """A shard worker is any function taking a ``ShardSpec`` parameter —
-    the one signature :meth:`repro.parallel.SweepExecutor.map` calls."""
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return False
-    args = node.args
-    every = args.posonlyargs + args.args + args.kwonlyargs
-    return any(
-        arg.annotation is not None and _annotation_names_shard_spec(arg.annotation)
-        for arg in every
-    )
-
-
-@register_rule
-class ShardWorkerAccumulation(Rule):
-    code = "RL303"
-    name = "shard-worker-accumulation"
-    summary = "unbounded list accumulation inside a shard worker loop (fold instead)"
-    scope = FOLD_PACKAGES
-
-    def check(self, ctx: LintContext) -> None:
-        for node in ast.walk(ctx.tree):
-            if not _is_shard_worker(node):
-                continue
-            flagged = set()
-            for loop in ast.walk(node):
-                if not isinstance(loop, (ast.For, ast.While)):
-                    continue
-                for inner in ast.walk(loop):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Attribute)
-                        and inner.func.attr in ("append", "extend")
-                        and id(inner) not in flagged
-                    ):
-                        flagged.add(id(inner))
-                        ctx.add(
-                            inner,
-                            self.code,
-                            f"`.{inner.func.attr}()` accumulation inside a loop of "
-                            f"shard worker `{node.name}` grows with shard size",
-                            "fold into a streaming accumulator "
-                            "(repro.core.metrics CensusFold/AdoptionFold) or "
-                            "return formatted text per item; if the "
-                            "accumulation is bounded by a small catalogue, "
-                            "pragma it with a justification",
-                        )
 
 
 def _self_attr_target(node: ast.expr) -> str:
@@ -223,7 +156,7 @@ class AttrOutsideInit(Rule):
                                 f"`{node.name}.{item.name}` — the attribute set "
                                 "must be closed at construction",
                                 "initialize the attribute in __init__ (or add "
-                                "it to __slots__); late-materializing "
-                                "attributes change pickle layout between "
-                                "serial and forked runs",
+                                "it to __slots__); a late-materializing "
+                                "attribute gives instances of one class "
+                                "different layouts",
                             )

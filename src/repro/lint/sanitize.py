@@ -2,16 +2,12 @@
 
 The static rules in :mod:`repro.lint.rules` ban the *known* sources of
 nondeterminism; this module checks the property itself.  It runs the
-same workload (a traced scenario, an adoption-sweep shard, the device
-matrix — see :mod:`repro.lint._probe`) in fresh interpreters under:
+same workload (a traced scenario, an adoption sweep, the device matrix
+— see :mod:`repro.lint._probe`) in two fresh interpreters under two
+different ``PYTHONHASHSEED`` values: string-hash salting is the classic
+way set/dict iteration order leaks into output.
 
-- two different ``PYTHONHASHSEED`` values (string-hash salting is the
-  classic way set/dict iteration order leaks into output),
-- serial vs sharded execution (``--jobs 1`` vs ``--jobs 4``), covering
-  the parallel engine's "byte-identical tables at any jobs" guarantee
-  from the sweep-engine PR.
-
-All dumps must be byte-for-byte identical.  On divergence the first
+Both dumps must be byte-for-byte identical.  On divergence the first
 differing record is reported and a full unified diff is written to
 ``sanitize-diff.txt`` (uploaded as a CI artifact).  A probe that hangs
 past ``--timeout`` or exits non-zero fails the run with a one-line
@@ -41,8 +37,6 @@ STDERR_TAIL_LINES = 20
 
 class ProbeRun(NamedTuple):
     label: str
-    hash_seed: str
-    jobs: int
     output: bytes
 
 
@@ -50,17 +44,17 @@ class ProbeFailed(Exception):
     """A probe interpreter hung past its timeout or exited non-zero."""
 
 
-def _run_probe(hash_seed: str, jobs: int, quick: bool, timeout: float) -> ProbeRun:
+def _run_probe(hash_seed: str, quick: bool, timeout: float) -> ProbeRun:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     src_dir = str(Path(__file__).resolve().parent.parent.parent)
     env["PYTHONPATH"] = src_dir + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    command = [sys.executable, "-m", "repro.lint._probe", "--jobs", str(jobs)]
+    command = [sys.executable, "-m", "repro.lint._probe"]
     if quick:
         command.append("--quick")
-    label = f"PYTHONHASHSEED={hash_seed} --jobs={jobs}"
+    label = f"PYTHONHASHSEED={hash_seed}"
     try:
         result = subprocess.run(
             command,
@@ -76,7 +70,7 @@ def _run_probe(hash_seed: str, jobs: int, quick: bool, timeout: float) -> ProbeR
             f"probe [{label}] exited {result.returncode}"
             + "".join(f"\n    {line}" for line in tail)
         )
-    return ProbeRun(label, hash_seed, jobs, result.stdout)
+    return ProbeRun(label, result.stdout)
 
 
 def _first_divergence(reference: bytes, other: bytes) -> Tuple[int, str, str]:
@@ -96,73 +90,54 @@ def _first_divergence(reference: bytes, other: bytes) -> Tuple[int, str, str]:
 
 def run_sanitizer(
     quick: bool = False,
-    jobs: int = 4,
     timeout: float = 600.0,
     artifact_dir: Optional[Path] = None,
 ) -> int:
-    """Run all probe combinations and byte-compare.  Returns exit code."""
-    combos = [
-        (HASH_SEEDS[0], 1),  # reference
-        (HASH_SEEDS[1], 1),  # hash-salt sensitivity, serial
-        (HASH_SEEDS[0], jobs),  # sharding sensitivity
-        (HASH_SEEDS[1], jobs),  # both at once
-    ]
+    """Run one probe per hash seed and byte-compare.  Returns exit code."""
     runs: List[ProbeRun] = []
-    for hash_seed, job_count in combos:
-        print(f"sanitize: probing PYTHONHASHSEED={hash_seed} --jobs={job_count} ...", flush=True)
+    for hash_seed in HASH_SEEDS:
+        print(f"sanitize: probing PYTHONHASHSEED={hash_seed} ...", flush=True)
         try:
-            runs.append(_run_probe(hash_seed, job_count, quick, timeout))
+            runs.append(_run_probe(hash_seed, quick, timeout))
         except ProbeFailed as exc:
             print(f"sanitize: FAIL — {exc}")
             return 1
 
-    reference = runs[0]
-    failures = 0
-    for run in runs[1:]:
-        if run.output == reference.output:
-            print(f"sanitize: [{run.label}] identical to [{reference.label}] "
-                  f"({len(run.output)} bytes)")
-            continue
-        failures += 1
-        line, ref_line, other_line = _first_divergence(reference.output, run.output)
-        print(f"sanitize: DIVERGENCE [{reference.label}] vs [{run.label}]")
-        print(f"  first divergent record (line {line}):")
-        print(f"    {reference.label}: {ref_line}")
-        print(f"    {run.label}: {other_line}")
-        diff = difflib.unified_diff(
-            reference.output.decode(errors="replace").splitlines(keepends=True),
-            run.output.decode(errors="replace").splitlines(keepends=True),
-            fromfile=reference.label,
-            tofile=run.label,
-        )
-        artifact = (artifact_dir or Path(".")) / DIFF_ARTIFACT
-        with open(artifact, "a", encoding="utf-8") as handle:
-            handle.writelines(diff)
-        print(f"  full diff appended to {artifact}")
-
-    if failures:
-        print(f"sanitize: FAIL — {failures}/{len(runs) - 1} probe(s) diverged")
-        return 1
-    axes = f"PYTHONHASHSEED {{{', '.join(HASH_SEEDS)}}} and --jobs {{1, {jobs}}}"
-    print(f"sanitize: OK — {len(runs)} probes byte-identical across {axes}")
-    return 0
+    reference, other = runs
+    if other.output == reference.output:
+        print(f"sanitize: [{other.label}] identical to [{reference.label}] "
+              f"({len(other.output)} bytes)")
+        axes = f"PYTHONHASHSEED {{{', '.join(HASH_SEEDS)}}}"
+        print(f"sanitize: OK — {len(runs)} probes byte-identical across {axes}")
+        return 0
+    line, ref_line, other_line = _first_divergence(reference.output, other.output)
+    print(f"sanitize: DIVERGENCE [{reference.label}] vs [{other.label}]")
+    print(f"  first divergent record (line {line}):")
+    print(f"    {reference.label}: {ref_line}")
+    print(f"    {other.label}: {other_line}")
+    diff = difflib.unified_diff(
+        reference.output.decode(errors="replace").splitlines(keepends=True),
+        other.output.decode(errors="replace").splitlines(keepends=True),
+        fromfile=reference.label,
+        tofile=other.label,
+    )
+    artifact = (artifact_dir or Path(".")) / DIFF_ARTIFACT
+    with open(artifact, "a", encoding="utf-8") as handle:
+        handle.writelines(diff)
+    print(f"  full diff appended to {artifact}")
+    print("sanitize: FAIL — the probes diverged")
+    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro sanitize",
-        description="runtime determinism sanitizer (hash-salt + sharding byte-diff)",
+        description="runtime determinism sanitizer (hash-salt byte-diff)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
         help="smaller scenario/fleet and no matrix (CI smoke)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=4,
-        help="worker count for the sharded probes (default 4)",
     )
     parser.add_argument(
         "--timeout",
@@ -174,7 +149,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     stale = Path(DIFF_ARTIFACT)
     if stale.exists():
         stale.unlink()
-    return run_sanitizer(quick=args.quick, jobs=args.jobs, timeout=args.timeout)
+    return run_sanitizer(quick=args.quick, timeout=args.timeout)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -169,16 +169,16 @@ class FleetState:
 
     # -- column transport ----------------------------------------------------
     #
-    # The parallel fleet path moves whole columns between processes,
-    # pickled (export/import).  All four copies below are straight
-    # C-level copies in canonical ALL_COLUMNS order; none ever iterates
-    # devices.
+    # The population path moves whole columns from each shard's range
+    # into its stage (export/import).  All four copies below are
+    # straight C-level copies in canonical ALL_COLUMNS order; none ever
+    # iterates devices.
 
     def export_columns(self) -> Dict[str, bytes]:
         """Immutable snapshot of every column, keyed by name.
 
         The population path's bulk payload: ~``bytes_per_device`` bytes
-        per device cross the pipe when a worker returns this.
+        per device when a worker returns this.
         """
         return {name: bytes(self.column(name)) for name in ALL_COLUMNS}
 

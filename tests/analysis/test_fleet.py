@@ -76,10 +76,10 @@ def test_closed_form_matches_object_path_up_to_the_pool(config):
     testbed runs dry: it counts a full pool where demand is one more."""
     mixes = windows_refresh_mixes(fleet_size=52, stages=(0.0, 1.0))
     assert as_tuples(run_fleet_adoption_sweep(mixes, config)) == as_tuples(
-        run_adoption_sweep(mixes, config, jobs=1)
+        run_adoption_sweep(mixes, config)
     )
     mixes = windows_refresh_mixes(fleet_size=53, stages=(0.0,))
-    [live] = run_adoption_sweep(mixes, config, jobs=1)
+    [live] = run_adoption_sweep(mixes, config)
     [closed] = run_fleet_adoption_sweep(mixes, config)
     assert (live.ipv4_leases, closed.ipv4_leases) == (PI_POOL_SIZE, PI_POOL_SIZE + 1)
 
@@ -99,7 +99,7 @@ def test_profiles_sharing_a_name_calibrate_separately(twin):
     mixes = [FleetMix(((original, 2), (twin, 2)))]
     expected = as_tuples(run_adoption_sweep(mixes))
     assert as_tuples(run_fleet_adoption_sweep(mixes)) == expected
-    assert as_tuples(run_fleet_population_stats(mixes, jobs=1)[0]) == expected
+    assert as_tuples(run_fleet_population_stats(mixes)[0]) == expected
 
 
 def test_fleet_sweep_scales_without_v4_pool_exhaustion():

@@ -5,7 +5,7 @@ import pytest
 from repro.dns.name import DnsName
 from repro.dns.rdata import RCode, RRType
 from repro.dns.zone import Zone, ZoneError
-from repro.net.addresses import IPv4Address
+from repro.net.addresses import IPv4Address, IPv6Address
 
 
 @pytest.fixture
@@ -23,6 +23,16 @@ class TestLookups:
         result = zone.lookup("vpn.anl.gov", RRType.A)
         assert result.rcode == RCode.NOERROR
         assert result.records[0].rdata.address == IPv4Address("130.202.228.253")
+        # An address object is kept as given, a string is parsed (above),
+        # and an address of the other family is refused.
+        v4, v6 = IPv4Address("130.202.0.81"), IPv6Address("2620:0:dc0::81")
+        zone.add_a("obj.anl.gov", v4).add_aaaa("obj.anl.gov", v6)
+        assert zone.lookup("obj.anl.gov", RRType.A).records[0].rdata.address is v4
+        assert zone.lookup("obj.anl.gov", RRType.AAAA).records[0].rdata.address is v6
+        with pytest.raises(ValueError):
+            zone.add_a("wrong.anl.gov", v6)
+        with pytest.raises(ValueError):
+            zone.add_aaaa("wrong.anl.gov", v4)
 
     def test_nxdomain_vs_nodata(self, zone):
         # vpn.anl.gov exists but has no AAAA: NODATA (NOERROR, empty).

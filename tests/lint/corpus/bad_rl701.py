@@ -1,20 +1,30 @@
-# repro-lint-module: repro.sweeps.fix701
-"""RL701 positive: a shard worker swallows every exception — a crashed
-shard becomes a silently wrong row instead of a failure."""
-from repro.parallel.executor import SweepExecutor
+# repro-lint-module: repro.fix701.engine
+"""RL701 positive: a callback the event engine dispatches swallows
+every exception — the loop keeps running over half-updated state."""
 
 
-def compute(spec):
-    return spec.seed * 2
+class EventEngine:
+    def __init__(self):
+        self.queue = []
+
+    def schedule(self, callback):
+        self.queue.append(callback)
+
+    def run_until(self):
+        while self.queue:
+            self.queue.pop(0)()
 
 
-def measure(spec):
+def deliver(frame):
+    return frame.decode()
+
+
+def on_timer():
     try:
-        return compute(spec)
+        deliver(None)
     except Exception:
-        return None
+        pass
 
 
-def sweep(specs):
-    executor = SweepExecutor(jobs=2)
-    return executor.map(measure, specs)
+def arm(engine):
+    engine.schedule(on_timer)

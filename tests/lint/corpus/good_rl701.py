@@ -1,27 +1,41 @@
-# repro-lint-module: repro.sweeps.fix701g
-"""RL701 negative: the worker keeps failures visible — one handler is
-narrow, the other binds the exception and records it in the row."""
-from repro.parallel.executor import SweepExecutor
+# repro-lint-module: repro.fix701g.engine
+"""RL701 negative: the dispatched callbacks keep failures visible — one
+handler is narrow, the other binds the exception and records it."""
 
 
-def compute(spec):
-    return spec.seed * 2
+class EventEngine:
+    def __init__(self):
+        self.queue = []
+
+    def schedule(self, callback):
+        self.queue.append(callback)
+
+    def run_until(self):
+        while self.queue:
+            self.queue.pop(0)()
 
 
-def measure(spec):
+def deliver(frame):
+    return frame.decode()
+
+
+def on_timer():
     try:
-        return compute(spec)
-    except ValueError:
-        return 0
+        deliver(None)
+    except AttributeError:
+        pass
 
 
-def measure_logged(spec):
+FAILURES = []
+
+
+def on_probe():
     try:
-        return compute(spec)
+        deliver(None)
     except Exception as exc:
-        return {"failed": repr(exc)}
+        FAILURES.append(repr(exc))
 
 
-def sweep(specs):
-    executor = SweepExecutor(jobs=2)
-    return executor.map(measure, specs) + executor.map(measure_logged, specs)
+def arm(engine):
+    engine.schedule(on_timer)
+    engine.schedule(on_probe)

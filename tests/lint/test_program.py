@@ -1,5 +1,5 @@
 """Whole-program analysis units: call graph, resolution, the RL7xx
-facts, the suppression audit of program rules, CLI.
+facts, the pragma audit of program rules, CLI.
 
 Fixture modules are built in-memory through :func:`extract_summary` so
 each test states its tree in a few lines; the CLI-facing behaviours
@@ -21,7 +21,7 @@ from repro.lint.program import (
     func_id,
     ProgramIndex,
 )
-from tests.lint.cli_runner import REPO_ROOT, run_cli
+from tests.lint.cli_runner import run_cli
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -79,25 +79,42 @@ def test_package_reexport_resolution():
     assert func_id("pkg.impl", "Worker.__init__") in graph.edges[func_id("client", "go")]
 
 
-def test_worker_entry_discovery_and_cone():
-    source = (
-        "from repro.parallel.executor import SweepExecutor\n"
+ENGINE = (
+    "class EventEngine:\n"
+    "    def schedule(self, callback):\n"
+    "        callback()\n"
+    "\n"
+    "    def _pop(self):\n"
+    "        return None\n"
+)
+
+
+def test_dispatch_roots_and_cone():
+    """The public EventEngine methods are the roots; a callback handed to
+    the scheduler, and what it calls, are in the cone."""
+    callbacks = (
+        "def on_timer():\n"
+        "    helper()\n"
         "\n"
-        "def worker(spec):\n"
-        "    return helper(spec)\n"
+        "def helper():\n"
+        "    return 1\n"
         "\n"
-        "def helper(spec):\n"
-        "    return spec\n"
+        "def unscheduled():\n"
+        "    return 2\n"
         "\n"
-        "def sweep(specs):\n"
-        "    ex = SweepExecutor(jobs=2)\n"
-        "    return ex.map(worker, specs)\n"
+        "def arm(engine):\n"
+        "    engine.schedule(on_timer)\n"
     )
-    program = build_program({"repro.sweeps.m": summarize("repro.sweeps.m", source)})
-    assert func_id("repro.sweeps.m", "worker") in program.worker_entries
-    # Transitive: helper is in the worker cone without being an entry.
-    assert func_id("repro.sweeps.m", "helper") in program.worker_reachable
-    assert func_id("repro.sweeps.m", "helper") not in program.worker_entries
+    program = build_program(
+        {
+            "repro.sim.engine": summarize("repro.sim.engine", ENGINE),
+            "repro.sim.timers": summarize("repro.sim.timers", callbacks),
+        }
+    )
+    assert program.dispatch_roots == {func_id("repro.sim.engine", "EventEngine.schedule")}
+    assert func_id("repro.sim.timers", "on_timer") in program.dispatch_reachable
+    assert func_id("repro.sim.timers", "helper") in program.dispatch_reachable
+    assert func_id("repro.sim.timers", "unscheduled") not in program.dispatch_reachable
 
 
 def test_exception_digest_classifies_handlers():
@@ -155,30 +172,26 @@ def test_finally_jump_local_loop_exempt(tmp_path):
     assert returns == [6]
 
 
-def test_stale_allowlist_entry_reported(monkeypatch):
-    from repro.lint import allowlist
-
-    monkeypatch.setitem(allowlist.ALLOWLIST, "repro/lint/cli.py", ("RL301",))
-    run = lint_paths_run([REPO_ROOT / "src" / "repro" / "lint" / "cli.py"])
-    assert any(
-        f.code == "RL001" and "allowlist" in f.message for f in run.findings
+def test_program_pragmas_audited_only_with_the_dispatch_roots(tmp_path):
+    """A stale RL701 pragma is reported on a run that saw the engine,
+    and left unjudged on a run over the callback module alone."""
+    engine = tmp_path / "engine.py"
+    engine.write_text("# repro-lint-module: repro.sim.engine\n" + ENGINE)
+    timers = tmp_path / "timers.py"
+    timers.write_text(
+        "# repro-lint-module: repro.sim.timers\n"
+        "def on_timer():\n"
+        "    try:\n"
+        "        return 1\n"
+        "    except ValueError:  # repro: allow[RL701]\n"
+        "        return 0\n"
+        "\n"
+        "def arm(engine):\n"
+        "    engine.schedule(on_timer)\n"
     )
-
-
-def test_allowlisted_file_alone_lints_clean():
-    """One file has no worker or dispatch roots, so its RL401 entry is
-    not judged."""
-    result = run_cli("src/repro/net/udp.py")
-    assert result.returncode == 0, result.stdout
-
-
-def test_stale_program_allowlist_entry_reported_on_src(monkeypatch):
-    from repro.lint import allowlist
-
-    monkeypatch.setitem(allowlist.ALLOWLIST, "repro/sim/engine.py", ("RL401",))
-    findings = lint_paths_run([REPO_ROOT / "src"]).findings
-    assert [(Path(f.path).name, f.code) for f in findings] == [("engine.py", "RL001")]
-    assert "stale allowlist entry" in findings[0].message
+    whole = lint_paths_run([engine, timers]).findings
+    assert [(Path(f.path).name, f.line, f.code) for f in whole] == [("timers.py", 5, "RL001")]
+    assert lint_paths_run([timers]).findings == []
 
 
 # -- CLI surfaces -------------------------------------------------------------

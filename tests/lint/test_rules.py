@@ -2,8 +2,8 @@
 negative snippet in ``tests/lint/corpus`` (one pair per shipped rule).
 
 Fixtures are linted through :func:`lint_paths`, the pipeline the CLI
-runs, so the per-file rules, the whole-program RL4xx/RL701 rules and
-the RL001 stale-suppression check all see them.  The planted defects
+runs, so the per-file rules, the whole-program RL701 and the RL001
+stale-suppression check all see them.  The planted defects
 at the end pin that every determinism source is flagged where it
 occurs, however far its value travels before it reaches an output.
 """
@@ -49,11 +49,10 @@ def test_negative_fixture_clean(code):
 
 def test_rule_codes_follow_families():
     """Codes stay within the documented families: RL0xx meta, RL1xx
-    determinism, RL2xx wire, RL3xx hygiene, RL4xx shard-safety, RL7xx
-    exception-flow."""
+    determinism, RL2xx wire, RL3xx hygiene, RL7xx exception-flow."""
     for code in ALL_CODES:
         assert code.startswith("RL") and len(code) == 5, code
-        assert code[2] in "012347", f"unknown family for {code}"
+        assert code[2] in "01237", f"unknown family for {code}"
 
 
 def test_findings_report_location_and_hint():

@@ -1,11 +1,10 @@
-"""Pragma, allowlist and scoping behaviour of the analysis driver."""
+"""Pragma and scoping behaviour of the analysis driver."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.lint import lint_paths, module_name_for
-from repro.lint.allowlist import allowed_codes_for, ALLOWLIST
 
 
 def _lint_source(tmp_path: Path, source: str, name: str = "fixture.py") -> set:
@@ -67,16 +66,3 @@ def test_module_name_derivation():
     assert module_name_for(Path("src/repro/sim/engine.py")) == "repro.sim.engine"
     assert module_name_for(Path("/x/y/src/repro/dns/__init__.py")) == "repro.dns"
     assert module_name_for(Path("tests/lint/test_rules.py")) == "test_rules"
-
-
-def test_allowlist_matches_anchored_suffix():
-    codes = allowed_codes_for(Path("/anywhere/checkout/src/repro/net/lazy.py"))
-    assert "RL401" in codes
-    assert allowed_codes_for(Path("src/repro/sim/engine.py")) == set()
-
-
-def test_allowlist_entries_documented():
-    """Policy: every allowlist entry names codes, not bare globs."""
-    for pattern, codes in ALLOWLIST.items():
-        assert pattern.startswith("repro/"), pattern
-        assert codes, f"empty code tuple for {pattern}"

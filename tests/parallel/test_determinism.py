@@ -1,31 +1,25 @@
-"""Parallel execution must be invisible in the results.
+"""Sharding must be invisible in the results.
 
-The acceptance bar for the sharded sweep engine: ``jobs=1`` and
-``jobs=4`` produce byte-identical merged tables, and ``jobs=1``
-reproduces the original (pre-sharding) serial loop exactly.
+The sweeps run their shards through :class:`repro.parallel.SweepExecutor`
+with :func:`repro.parallel.derive_seed` seeds; each must reproduce the
+plain loop it replaced, row for row.
 """
 
 from repro.analysis.adoption import (
     run_adoption_sweep,
     run_adoption_sweep_stats,
-    sweep_table,
     windows_refresh_mixes,
 )
-from repro.analysis.matrix import matrix_table, run_device_matrix, run_device_matrix_stats
+from repro.analysis.matrix import run_device_matrix
 from repro.clients.profiles import ALL_PROFILES
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.parallel import derive_seed, SweepExecutor
+from repro.parallel import derive_seed
 from repro.services.captive import connectivity_probe
 
 MIXES = windows_refresh_mixes(fleet_size=6, stages=(0.0, 0.5, 1.0))
 
 
 class TestSweepDeterminism:
-    def test_jobs1_vs_jobs4_identical_tables(self):
-        serial = sweep_table(run_adoption_sweep(MIXES, jobs=1))
-        parallel = sweep_table(run_adoption_sweep(MIXES, jobs=4))
-        assert serial == parallel
-
     def test_jobs1_matches_pre_sharding_serial_loop(self):
         # The original run_adoption_sweep, inlined: one fresh testbed
         # per mix, same config for every stage.
@@ -51,33 +45,24 @@ class TestSweepDeterminism:
                     census.accurate_ipv6_only_count(),
                 )
             )
-        points = run_adoption_sweep(MIXES, jobs=1)
+        points = run_adoption_sweep(MIXES)
         got_rows = [
             (p.label, p.total, p.ipv4_leases, p.rfc8925_grants, p.intervened, p.accurate_v6only)
             for p in points
         ]
         assert got_rows == expected_rows
 
-    def test_shard_seeds_follow_derive_seed_at_any_jobs(self):
+    def test_shard_seeds_follow_derive_seed(self):
         base = TestbedConfig().seed
-        for jobs in (1, 4):
-            _points, stats = run_adoption_sweep_stats(MIXES, jobs=jobs)
-            assert [s.seed for s in stats.shards] == [
-                derive_seed(base, i) for i in range(len(MIXES))
-            ]
+        _points, stats = run_adoption_sweep_stats(MIXES)
+        assert [s.seed for s in stats.shards] == [derive_seed(base, i) for i in range(len(MIXES))]
 
     def test_stats_report_one_row_per_mix(self):
-        _points, stats = run_adoption_sweep_stats(MIXES, jobs=1)
-        assert len(stats.shards) == len(MIXES)
-        assert not stats.failures
+        _points, stats = run_adoption_sweep_stats(MIXES)
+        assert [s.index for s in stats.shards] == list(range(len(MIXES)))
 
 
 class TestMatrixDeterminism:
-    def test_jobs1_vs_jobs4_identical_tables(self):
-        serial = matrix_table(run_device_matrix(jobs=1))
-        parallel = matrix_table(run_device_matrix(jobs=4))
-        assert serial == parallel
-
     def test_jobs1_matches_pre_sharding_single_testbed(self):
         # The original run_device_matrix, inlined: one shared testbed,
         # one client per profile, sequential.
@@ -98,7 +83,7 @@ class TestMatrixDeterminism:
                     browse.family,
                 )
             )
-        outcomes = run_device_matrix(jobs=1)
+        outcomes = run_device_matrix()
         got_rows = [
             (
                 o.profile,
@@ -112,20 +97,3 @@ class TestMatrixDeterminism:
             for o in outcomes
         ]
         assert got_rows == expected_rows
-
-    def test_jobs1_uses_single_shard(self):
-        _outcomes, stats = run_device_matrix_stats(jobs=1)
-        assert len(stats.shards) == 1
-        assert stats.backend == "serial"
-
-    def test_jobs4_shards_and_merges_in_profile_order(self):
-        outcomes, stats = run_device_matrix_stats(jobs=4)
-        assert len(stats.shards) == 4
-        assert [o.profile for o in outcomes] == [p.name for p in ALL_PROFILES]
-
-    def test_shared_executor_reused_across_sweeps(self):
-        with SweepExecutor(jobs=2) as executor:
-            first = matrix_table(run_device_matrix(executor=executor))
-            second = sweep_table(run_adoption_sweep(MIXES, executor=executor))
-        assert first == matrix_table(run_device_matrix(jobs=1))
-        assert second == sweep_table(run_adoption_sweep(MIXES, jobs=1))

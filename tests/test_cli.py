@@ -48,7 +48,10 @@ class TestCli:
         assert peak_rss_bytes() is None
         assert main(["fleet", "--devices", "1000", "--jobs", "1"]) == 0
         summary = capsys.readouterr().err
-        assert summary.startswith("fleet: 5000 devices") and "peak RSS" not in summary
+        # The calibration (live clients) and the fold are timed apart.
+        assert summary.startswith("fleet: 5000 devices / 5 stages / 4 profiles, calibration ")
+        assert " ms, fold " in summary and "devices/sec" not in summary
+        assert "peak RSS" not in summary
 
     @pytest.mark.parametrize(
         "argv",
@@ -92,11 +95,12 @@ class TestCli:
         assert main(["sweep", "--fleet", "6", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_matrix_jobs_matches_serial(self, capsys):
-        assert main(["matrix", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["matrix", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize("command", ["matrix", "sanitize"])
+    def test_jobs_is_a_usage_error_where_nothing_shards(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_scores(self, capsys):
         assert main(["scores"]) == 0

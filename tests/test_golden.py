@@ -10,15 +10,15 @@ with ``PYTHONPATH=src`` from the repository root:
 - ``sweep_no_intervention.txt`` — ``sweep_table(run_adoption_sweep(
   windows_refresh_mixes(8), TestbedConfig(poisoned_dns=False)))``
   (no trailing newline: the table string itself)
-- ``matrix.txt`` — ``python -m repro matrix --jobs 1``
+- ``matrix.txt`` — ``python -m repro matrix``
 - ``matrix_no_intervention.txt`` — ``python -m repro matrix
-  --no-intervention --jobs 1``
+  --no-intervention``
 - ``scores.txt`` — ``python -m repro scores``
 - ``scores_test_ipv6.txt`` — ``python -m repro scores --poison-target
   test-ipv6.com``
 - ``fleet_100k.txt`` — ``python -m repro fleet --devices 100000 --jobs 1``
   (stdout only; the timing summary goes to stderr)
-- ``probe_trace.txt`` — ``repro.lint._probe.deterministic_dump(jobs=1)``
+- ``probe_trace.txt`` — ``repro.lint._probe.deterministic_dump()``
   (the sanitizer's dump) with the frame hex cut from each packet-trace
   line: the trace summaries in capture order, then the sweep and matrix
   tables
@@ -61,7 +61,7 @@ def _sweep_no_intervention(capsys):
 
 @functools.lru_cache(maxsize=None)
 def _probe_dump():
-    return deterministic_dump(jobs=1)
+    return deterministic_dump()
 
 
 def _probe_trace(capsys):
@@ -75,8 +75,8 @@ def _probe_sha256(capsys):
 OUTPUTS = {
     "sweep.txt": _cli("sweep", "--jobs", "1"),
     "sweep_no_intervention.txt": _sweep_no_intervention,
-    "matrix.txt": _cli("matrix", "--jobs", "1"),
-    "matrix_no_intervention.txt": _cli("matrix", "--no-intervention", "--jobs", "1"),
+    "matrix.txt": _cli("matrix"),
+    "matrix_no_intervention.txt": _cli("matrix", "--no-intervention"),
     "scores.txt": _cli("scores"),
     "scores_test_ipv6.txt": _cli("scores", "--poison-target", "test-ipv6.com"),
     "fleet_100k.txt": _cli("fleet", "--devices", "100000", "--jobs", "1"),
