@@ -26,7 +26,6 @@ broadcasts the outcomes over per-device columns with ``bytes.translate``
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro._compat import slotted_dataclass
@@ -145,23 +144,16 @@ def calibrate_profiles(
     profiles: Sequence[OsProfile],
     config: Optional["TestbedConfig"] = None,
     target_site: str = "sc24.supercomputing.org",
-    seed: Optional[int] = None,
 ) -> Tuple[ProfileOutcome, ...]:
     """Measure each distinct profile once, with a live client, in order.
 
-    One fresh testbed hosts one client per profile — exactly the §V
-    device-matrix shape, whose rows are already proven independent of
-    cohabitation.  ``seed`` overrides the config's engine seed (the
-    sweep's shards pass their derived seed here so the calibrated
-    outcome is observed under the same RNG stream the object path would
-    have used; outcomes are seed-invariant, which the equivalence tests
-    assert).
+    One fresh testbed, built from ``config`` (its engine seed included),
+    hosts one client per profile — exactly the §V device-matrix shape,
+    whose rows are already proven independent of cohabitation.
     """
     from repro.core.testbed import Testbed, TestbedConfig
 
     config = config or TestbedConfig()
-    if seed is not None:
-        config = replace(config, seed=seed)
     testbed = Testbed(config)
     outcomes = []
     for index, profile in enumerate(profiles):

@@ -7,6 +7,13 @@ all embed one per port, so neighbor behaviour (gleaning, solicited
 replies, queue flush on resolution) is identical everywhere — as it is
 across real stacks — except that a host never sees an IPv4 broadcast
 to a UDP port it has no socket on, so never gleans from one.
+
+The interface keeps its NIC receive filter's state (the accepted
+destination MACs, the host's bound UDP ports, the proxy-NDP prefixes)
+and hands it, live, to its port (:meth:`~repro.sim.node.Port.keeps`).
+The port runs the filter, so a frame the interface would drop never
+reaches :meth:`L2Interface.handle_frame`, and a flood's rejected copies
+cost no call at all (:func:`repro.sim.link.flood`).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
 from repro.net.lazy import decode_ipv4_cached, decode_ipv6_cached, LazyIPv6Packet
 from repro.sim.engine import EventEngine
+from repro.sim.link import SOLICITED_PREFIX
 from repro.sim.node import Port
 
 __all__ = ["L2Interface"]
@@ -57,8 +65,6 @@ _ETHERTYPE_ARP = int(EtherType.ARP)
 _ETHERTYPE_IPV4 = int(EtherType.IPV4)
 _ETHERTYPE_IPV6 = int(EtherType.IPV6)
 _IPPROTO_ICMPV6 = int(IPProto.ICMPV6)
-#: The IPv4 protocol byte of UDP, as the raw header carries it.
-_IPPROTO_UDP_WIRE = bytes([int(IPProto.UDP)])
 
 # Pre-encoded EtherType wire bytes, keyed by int (IntEnum keys hash the
 # same), for the zero-object frame build in _send_frame.
@@ -75,8 +81,6 @@ def _mac_wire(mac: MacAddress) -> bytes:
 _BROADCAST_WIRE = MAC_BROADCAST.to_bytes()
 _ALL_NODES_WIRE = multicast_mac_for_ipv6(ALL_NODES_V6).to_bytes()
 _ALL_ROUTERS_WIRE = multicast_mac_for_ipv6(ALL_ROUTERS_V6).to_bytes()
-#: 33:33:ff, the first three bytes of every solicited-node group MAC.
-_SOLICITED_WIRE_PREFIX = b"\x33\x33\xff"
 
 
 def _solicited_wire(address: IPv6Address) -> bytes:
@@ -84,7 +88,7 @@ def _solicited_wire(address: IPv6Address) -> bytes:
     33:33:ff and the address's low 24 bits.  Built directly rather than
     through the memoized address helpers, whose caches would keep three
     objects per group."""
-    return _SOLICITED_WIRE_PREFIX + (int(address) & 0xFFFFFF).to_bytes(3, "big")
+    return SOLICITED_PREFIX + (int(address) & 0xFFFFFF).to_bytes(3, "big")
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +110,7 @@ class L2Interface:
       SLAAC; routers ignore).
 
     A host passes its bound UDP ports as ``udp_ports`` (its live socket
-    table, shared, not copied), and the interface then drops an IPv4
+    table, shared, not copied), and its port then drops an IPv4
     broadcast to any other UDP port straight off the header.  Router
     and gateway interfaces pass none and keep every such frame: the
     gateway's DHCP server listens on port 67 without a socket.
@@ -125,7 +129,6 @@ class L2Interface:
         self.mac = mac
         self._mac_bytes = mac.to_bytes()
         self.is_router = is_router
-        self.udp_ports = udp_ports
         self.link_local = link_local_from_mac(mac)
         self.ipv4_addresses: Set[IPv4Address] = set()
         self.ipv6_addresses: Set[IPv6Address] = {self.link_local}
@@ -136,6 +139,7 @@ class L2Interface:
         self.on_link_everything = False
         #: Prefixes this interface answers NDP/ARP for on behalf of nodes
         #: behind it (the 5G gateway proxies its LAN prefix on the WAN).
+        #: The port's filter holds this list: change it in place.
         self.proxy_nd_prefixes: List[IPv6Network] = []
         self.proxy_arp_networks: List[IPv4Network] = []
         #: The NIC's receive filter: the destination MACs it keeps —
@@ -163,8 +167,12 @@ class L2Interface:
         self.arp_requests_sent = 0
         self.ns_sent = 0
         # Every L2Interface owner's on_frame is a pure per-port dispatch
-        # to handle_frame, so deliveries can skip the trampoline.
+        # to handle_frame, so deliveries can skip the trampoline; the
+        # port filters first, on this interface's live filter state.
         port.sink = self.handle_frame
+        port.accept = self._accept
+        port.udp_ports = udp_ports
+        port.proxy_nd = self.proxy_nd_prefixes
         #: Unicast data-plane counters (broadcast/multicast excluded), the
         #: evidence base for the client census in :mod:`repro.core.metrics`.
         self.tx_ipv4_unicast = 0
@@ -200,33 +208,16 @@ class L2Interface:
     # -- frame intake -------------------------------------------------------------
 
     def handle_frame(self, raw: bytes) -> None:
-        # The NIC filter straight off the wire: a frame whose destination
-        # MAC the interface has not joined (another host's unicast or
-        # solicited-node group, or an RS on a host) is dropped before
-        # anything is decoded.  Then dispatch on the ethertype bytes.
-        # The whole receive path works from the raw frame: no frame
-        # object is ever built (the L3 decode caches key by payload
-        # value, and the source MAC is only materialized when a neighbor
-        # entry is actually learned).
+        # The port has already run the NIC filter (Port.keeps), so only
+        # frames the interface takes get here.  Dispatch on the
+        # ethertype bytes.  The whole receive path works from the raw
+        # frame: no frame object is ever built (the L3 decode caches key
+        # by payload value, and the source MAC is only materialized when
+        # a neighbor entry is actually learned).
         if len(raw) < 14:
-            return
-        if raw[:6] not in self._accept and not (
-            self.proxy_nd_prefixes and raw.startswith(_SOLICITED_WIRE_PREFIX)
-        ):
             return
         ethertype = (raw[12] << 8) | raw[13]
         if ethertype == _ETHERTYPE_IPV4:
-            # An IPv4 broadcast to a UDP port no socket is bound to
-            # (another attendee's DHCP exchange) costs a host one header
-            # read.  Past the MAC filter only broadcast starts with 0xff;
-            # the port sits after the IHL-sized header.  The full path
-            # would drop the datagram too, so all the host forgoes is
-            # gleaning the sender's MAC.
-            ports = self.udp_ports
-            if ports is not None and raw[0] == 0xFF and raw[23:24] == _IPPROTO_UDP_WIRE:
-                start = 16 + ((raw[14] & 0x0F) << 2)
-                if int.from_bytes(raw[start : start + 2], "big") not in ports:
-                    return
             self._handle_ipv4(raw)
         elif ethertype == _ETHERTYPE_IPV6:
             self._handle_ipv6(raw)

@@ -7,14 +7,15 @@ single switch fabric; loss behaviour is exercised explicitly by the
 failure-injection tests instead).  Frames already in flight when a
 cable is pulled still arrive.
 
-Each direction of a link is a :class:`_Lane`.  A lane remembers the
-engine entry that holds its pending delivery and the tick it was
-opened on, so same-tick frames toward one endpoint join one delivery
-(:meth:`_Lane.join`, the one copy of the same-tick logic).  Most ticks
-carry exactly one frame, so the first frame is scheduled straight at
-the peer's :meth:`~repro.sim.node.Port.deliver` (no batch list); a
-same-tick follow-on *upgrades* the still-pending entry in place into a
-one-slot :func:`_drain`.  The entry's ``(when, sequence)`` key never
+Each direction of a link is a :class:`_Lane`, and each port holds the
+lane it transmits on.  A lane remembers the engine entry that holds its
+pending delivery and the tick it was opened on, so same-tick frames
+toward one endpoint join one delivery (:meth:`_Lane.join`, the one copy
+of the same-tick logic).  Most ticks carry exactly one frame, so the
+first frame is scheduled straight at the peer's
+:meth:`~repro.sim.node.Port.deliver` (no batch list); a same-tick
+follow-on *upgrades* the still-pending entry in place into a one-slot
+:func:`_drain`.  The entry's ``(when, sequence)`` key never
 changes, so dispatch order is identical to scheduling the batch up
 front.
 
@@ -25,19 +26,29 @@ entry per distinct arrival time (one per link latency, in practice)
 instead of one per port.  A port whose lane
 already holds a same-tick delivery joins it, exactly as
 :meth:`Link.transmit` would; every other port takes the next slot of
-the shared entry, and its lane records the entry and the slot so later
-same-tick frames toward that port, unicast or another flood, join that
-port's slot.
+the shared entry, and its lane records the entry, the tick and the
+slot (written inline, with one entry lookup per change of latency) so
+later same-tick frames toward that port, unicast or another flood, join
+that port's slot.
 
-:func:`_drain` delivers an entry's slots in port order, each through
+The flood classifies its frame once for every receiver's NIC filter
+(:meth:`~repro.sim.node.Port.keeps`): its destination MAC, whether that
+is a solicited-node group, and for an IPv4 broadcast UDP datagram its
+destination port (:func:`broadcast_udp_port`).  :func:`_drain` delivers
+an entry's slots in port order and reads each peer's filter as it gets
+to that peer's slot, so a socket bound or an address added while the
+frame is in flight counts.  A copy the filter rejects adds to the
+port's ``rx_frames`` and stops there, with no call; a kept copy goes
+straight to the port's ``sink``.  A traced port, a port without a
+filter and a slot that same-tick frames joined go through
 :meth:`~repro.sim.node.Port.deliver` or
-:meth:`~repro.sim.node.Port.deliver_batch`, and credits
-``events_run`` with one event per frame.  Event totals, per-port
-``tx_frames``/``rx_frames``, ``frames_carried``, the trace records and
-the ``(time, seq)`` dispatch order all stay what one entry per port
-gives: the per-port entries a flood would schedule take consecutive
-sequence numbers, so nothing else can sort between them.  What a
-shared entry does change is where an engine pump may stop: a
+:meth:`~repro.sim.node.Port.deliver_batch`, which run the same filter.
+The drain credits ``events_run`` with one event per frame.  Event
+totals, per-port ``tx_frames``/``rx_frames``, ``frames_carried``, the
+trace records and the ``(time, seq)`` dispatch order all stay what one
+entry per port gives: the per-port entries a flood would schedule take
+consecutive sequence numbers, so nothing else can sort between them.
+What a shared entry does change is where an engine pump may stop: a
 ``run_until`` condition is checked between engine entries, not between
 the frames or slots of one entry, and a pump started from inside a
 delivery (a DNS forwarder's upstream exchange) runs the entry's later
@@ -48,24 +59,58 @@ from __future__ import annotations
 
 from repro.sim.engine import EventEngine
 
-__all__ = ["Link", "flood"]
+__all__ = ["Link", "flood", "broadcast_udp_port", "SOLICITED_PREFIX"]
+
+#: 33:33:ff, the first three bytes of every solicited-node group MAC.
+SOLICITED_PREFIX = b"\x33\x33\xff"
+_ETHERTYPE_IPV4_WIRE = b"\x08\x00"
+_IPPROTO_UDP_WIRE = b"\x11"
 
 
-def _drain(engine, peers, frames) -> None:
+def broadcast_udp_port(frame: bytes) -> int:
+    """The UDP destination port of an IPv4 datagram in a frame whose
+    destination MAC starts with 0xff (broadcast), read off the raw
+    header past the IHL-sized IP header; -1 for any other frame."""
+    if (
+        frame[:1] != b"\xff"
+        or frame[12:14] != _ETHERTYPE_IPV4_WIRE
+        or frame[23:24] != _IPPROTO_UDP_WIRE
+    ):
+        return -1
+    start = 16 + ((frame[14] & 0x0F) << 2)
+    return int.from_bytes(frame[start : start + 2], "big")
+
+
+def _drain(engine, peers, frames, dst, solicited, udp_port) -> None:
     """Deliver one entry's frames, slot by slot in port order.
 
     ``frames[i]`` is the frame for ``peers[i]``, or the list of its
-    same-tick frames.  The engine counted the entry as one event; the
-    rest of the frames are credited here.
+    same-tick frames, which goes to
+    :meth:`~repro.sim.node.Port.deliver_batch`.  A lone frame is the
+    flood's, classified once by :func:`flood`: its destination MAC
+    ``dst``, whether that is a solicited-node group, and its broadcast
+    UDP port (-1 for none).  Each peer's NIC filter is read here, as its
+    slot is delivered, by the rule of :meth:`~repro.sim.node.Port.keeps`:
+    a rejected copy counts in ``rx_frames`` and stops, a kept one goes to
+    the peer's ``sink``.  A peer without a filter, or with a trace, takes
+    :meth:`~repro.sim.node.Port.deliver`.  The engine counted the entry
+    as one event; the rest of the frames are credited here.
     """
-    events = -1
+    events = len(frames) - 1
     for peer, held in zip(peers, frames):
         if held.__class__ is list:
-            events += len(held)
+            events += len(held) - 1
             peer.deliver_batch(held)
-        else:
-            events += 1
+            continue
+        accept = peer.accept
+        if accept is None or peer.trace is not None:
             peer.deliver_cb(held)
+            continue
+        peer.rx_frames += 1
+        if (dst in accept or (solicited and peer.proxy_nd)) and (
+            udp_port < 0 or peer.udp_ports is None or udp_port in peer.udp_ports
+        ):
+            peer.sink(held)
     engine.events_run += events
 
 
@@ -75,9 +120,11 @@ class _Lane:
     ``entry`` is the engine entry of the lane's latest delivery toward
     ``peer``, ``stamp`` the tick it was opened on, and ``slot`` the
     peer's index in a :func:`_drain` entry, or -1 for a lone frame
-    scheduled straight at ``peer.deliver_cb``.  The engine clears the
-    callback slot of an entry it has run, so ``entry[2]`` tells a
-    pending delivery from a delivered one.
+    scheduled straight at ``peer.deliver_cb``.  The senders
+    (:meth:`Link.transmit` and :func:`flood`) write all three when they
+    open a delivery.  The engine clears the callback slot of an entry it
+    has run, so ``entry[2]`` tells a pending delivery from a delivered
+    one.
     """
 
     __slots__ = ("engine", "peer", "entry", "stamp", "slot")
@@ -91,16 +138,15 @@ class _Lane:
 
     def join(self, frame: bytes) -> bool:
         """Add ``frame`` to the delivery this lane opened on the current
-        tick, if it is still pending.  False means open a new one."""
-        if self.stamp != self.engine._now:
-            return False
+        tick (the caller has checked ``stamp``), if it is still pending.
+        False means open a new one."""
         entry = self.entry
         if entry[2] is None:  # already delivered
             return False
         slot = self.slot
         if slot < 0:
             entry[2] = _drain
-            entry[3] = (self.engine, [self.peer], [[entry[3][0], frame]])
+            entry[3] = (self.engine, [self.peer], [[entry[3][0], frame]], None, False, -1)
             self.slot = 0
             return True
         frames = entry[3][2]
@@ -110,12 +156,6 @@ class _Lane:
         else:
             frames[slot] = [held, frame]
         return True
-
-    def hold(self, entry, slot: int) -> None:
-        """Record ``entry`` as this tick's pending delivery toward ``peer``."""
-        self.entry = entry
-        self.stamp = self.engine._now
-        self.slot = slot
 
 
 class Link:
@@ -136,9 +176,11 @@ class Link:
         if self._a is None:
             self._a = port
             self._to_a.peer = port
+            port._lane = self._to_b
         elif self._b is None:
             self._b = port
             self._to_b.peer = port
+            port._lane = self._to_a
         else:
             raise RuntimeError(f"link {self.name} already has two endpoints")
         port._link = self
@@ -148,13 +190,17 @@ class Link:
         """Called by a port; schedules delivery at the far end."""
         if not self.up:
             return
-        lane = self._to_b if sender is self._a else self._to_a
+        lane = sender._lane
         peer = lane.peer
         if peer is None:
             return  # unplugged cable
         self.frames_carried += 1
-        if not lane.join(frame):
-            lane.hold(self.engine.schedule(self.latency, peer.deliver_cb, frame), -1)
+        engine = self.engine
+        if lane.stamp == engine._now and lane.join(frame):
+            return
+        lane.entry = engine.schedule(self.latency, peer.deliver_cb, frame)
+        lane.stamp = engine._now
+        lane.slot = -1
 
     def disconnect(self) -> None:
         """Administratively down the link (cable pull)."""
@@ -175,29 +221,42 @@ class Link:
 def flood(engine: EventEngine, ports, frame: bytes, skip=None) -> None:
     """Transmit ``frame`` out of every port in ``ports`` except ``skip``,
     with one engine entry per distinct arrival time (see the module
-    docstring).  Every port in ``ports`` must be connected."""
+    docstring).  Every port in ``ports`` must be connected.
+
+    The frame is classified once, here, for every receiver's NIC filter;
+    :func:`_drain` reads each filter when it delivers."""
     now = engine._now
+    dst = frame[:6]
+    solicited = frame.startswith(SOLICITED_PREFIX)
+    udp_port = broadcast_udp_port(frame)
     groups = {}
+    latency = None
     for port in ports:
         if port is skip:
             continue
         port.tx_frames += 1
-        trace = port.trace
-        if trace is not None:
-            trace.record(port.node.name, port.name, "tx", frame)
-        link = port._link
-        lane = link._to_b if port is link._a else link._to_a
+        if port.trace is not None:
+            port.trace.record(port.node.name, port.name, "tx", frame)
+        lane = port._lane
         peer = lane.peer
         if peer is None:
             continue
+        link = port._link
         link.frames_carried += 1
-        if lane.join(frame):
+        if lane.stamp == now and lane.join(frame):
             continue
-        when = now + link.latency
-        entry = groups.get(when)
-        if entry is None:
-            entry = groups[when] = engine.schedule(link.latency, _drain, engine, [], [])
-        _, peers, frames = entry[3]
-        lane.hold(entry, len(peers))
+        if link.latency != latency:
+            # One entry per arrival time; consecutive ports share a
+            # latency, so the lookup runs once per change.
+            latency = link.latency
+            entry = groups.get(now + latency)
+            if entry is None:
+                entry = groups[now + latency] = engine.schedule(
+                    latency, _drain, engine, [], [], dst, solicited, udp_port
+                )
+            _, peers, frames, _, _, _ = entry[3]
+        lane.entry = entry
+        lane.stamp = now
+        lane.slot = len(peers)
         peers.append(peer)
         frames.append(frame)

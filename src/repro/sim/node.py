@@ -1,17 +1,22 @@
 """Nodes and ports: the simulator's device plumbing.
 
 A :class:`Node` owns named :class:`Port` objects; a port transmits
-frames onto its link and hands received frames to the node's
-``on_frame(port, bytes)``.  Ports can mirror traffic into a
+frames onto its link and hands received frames to its ``sink``, or to
+the node's ``on_frame(port, bytes)``.  Ports can mirror traffic into a
 :class:`~repro.sim.trace.PacketTrace`.
+
+A port owned by an :class:`~repro.sim.iface.L2Interface` runs that
+interface's NIC receive filter (:meth:`Port.keeps`) on every delivery
+path: after ``rx_frames`` and the trace record, before anything is
+called.  A frame the filter rejects stops at the port.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Collection, Dict, Mapping, Optional, Set
 
 from repro.sim.engine import EventEngine
-from repro.sim.link import Link
+from repro.sim.link import broadcast_udp_port, Link, SOLICITED_PREFIX
 from repro.sim.trace import PacketTrace
 
 __all__ = ["Port", "Node"]
@@ -38,6 +43,17 @@ class Port:
         #: lone frame and its drains call it per slot, where
         #: ``port.deliver`` would mint a fresh bound method per frame.
         self.deliver_cb: Callable[[bytes], None] = self.deliver
+        #: The NIC receive filter's state (:meth:`keeps`), which an
+        #: :class:`~repro.sim.iface.L2Interface` sets together with
+        #: ``sink``: its live accepted-MAC set, bound-UDP-port map and
+        #: proxy-NDP prefix list, held and never copied, so a delivery
+        #: reads them as they are then.  ``accept`` is ``None`` on a
+        #: port that keeps every frame.
+        self.accept: Optional[Set[bytes]] = None
+        self.udp_ports: Optional[Mapping[int, object]] = None
+        self.proxy_nd: Collection[object] = ()
+        #: The lane this port transmits on, set when it is cabled.
+        self._lane = None
 
     @property
     def connected(self) -> bool:
@@ -50,11 +66,40 @@ class Port:
         if self._link is not None:
             self._link.transmit(self, frame)
 
+    def keeps(self, frame: bytes) -> bool:
+        """Whether the NIC receive filter passes ``frame``.
+
+        It keeps a frame whose destination MAC is in ``accept``, or is
+        any solicited-node group while ``proxy_nd`` is non-empty (an
+        interface answering NDP for addresses it does not own).  Of
+        those it drops an IPv4 broadcast UDP datagram to a port
+        ``udp_ports`` does not hold (``None`` keeps every such datagram):
+        another attendee's DHCP exchange costs a host one header read.
+        The stack would drop the datagram anyway, so all a host forgoes
+        is gleaning the sender's MAC.  :func:`repro.sim.link.flood`'s
+        drain applies this rule to each copy, from one classification
+        of the flood's frame.
+        """
+        accept = self.accept
+        if accept is None:
+            return True
+        if frame[:6] not in accept and not (
+            self.proxy_nd and frame.startswith(SOLICITED_PREFIX)
+        ):
+            return False
+        ports = self.udp_ports
+        if ports is None or frame[0] != 0xFF:
+            return True
+        udp_port = broadcast_udp_port(frame)
+        return udp_port < 0 or udp_port in ports
+
     def deliver(self, frame: bytes) -> None:
         """Called by the link when a frame arrives."""
         self.rx_frames += 1
         if self.trace is not None:
             self.trace.record(self.node.name, self.name, "rx", frame)
+        if self.accept is not None and not self.keeps(frame):
+            return
         if self.sink is not None:
             self.sink(frame)
         else:
@@ -64,30 +109,21 @@ class Port:
         """Deliver a same-tick batch in transmit order (one link drain).
 
         Equivalent to calling :meth:`deliver` per frame, hoisting the
-        trace/attribute lookups out of the per-frame loop.
+        attribute lookups out of the per-frame loop.
         """
         self.rx_frames += len(frames)
-        node = self.node
         trace = self.trace
+        keeps = None if self.accept is None else self.keeps
         sink = self.sink
-        if trace is not None:
-            record = trace.record
-            node_name = node.name
-            name = self.name
-            for frame in frames:
-                record(node_name, name, "rx", frame)
-                if sink is not None:
-                    sink(frame)
-                else:
-                    node.on_frame(self, frame)
-            return
-        if sink is not None:
-            for frame in frames:
-                sink(frame)
-            return
-        on_frame = node.on_frame
         for frame in frames:
-            on_frame(self, frame)
+            if trace is not None:
+                trace.record(self.node.name, self.name, "rx", frame)
+            if keeps is not None and not keeps(frame):
+                continue
+            if sink is not None:
+                sink(frame)
+            else:
+                self.node.on_frame(self, frame)
 
 
 class Node:

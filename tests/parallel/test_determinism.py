@@ -61,6 +61,17 @@ class TestSweepDeterminism:
         _points, stats = run_adoption_sweep_stats(MIXES)
         assert [s.index for s in stats.shards] == list(range(len(MIXES)))
 
+    def test_reversed_stages_give_the_forward_points_reversed(self):
+        # The shards run in one order in one process, so a shard that
+        # leaks module state into a later one gives the same bytes under
+        # every hash seed, and `sanitize` cannot see it.  Reversing the
+        # stages gives each shard other predecessors (and another derived
+        # seed, which stage outcomes do not depend on).
+        mixes = windows_refresh_mixes(fleet_size=7, stages=(0.0, 0.4, 0.8, 1.0))
+        forward = run_adoption_sweep(mixes)
+        assert forward != forward[::-1]
+        assert run_adoption_sweep(mixes[::-1]) == forward[::-1]
+
 
 class TestMatrixDeterminism:
     def test_jobs1_matches_pre_sharding_single_testbed(self):
