@@ -96,8 +96,10 @@ class DhcpMessage:
             raise ValueError(f"unsupported DHCP hardware type {htype}/{hlen}")
         if data[cls.FIXED_LEN : cls.FIXED_LEN + 4] != MAGIC_COOKIE:
             raise ValueError("missing DHCP magic cookie")
-        options = decode_options(data[cls.FIXED_LEN + 4 :])
-        return cls(
+        # One instance-dict write instead of the generated __init__'s
+        # call per field; the record has no __post_init__ to skip.
+        message = object.__new__(cls)
+        message.__dict__.update(
             op=op,
             xid=xid,
             chaddr=MacAddress.from_bytes(chaddr[:6]),
@@ -107,8 +109,9 @@ class DhcpMessage:
             giaddr=IPv4Address(giaddr),
             secs=secs,
             broadcast=bool(flags & 0x8000),
-            options=options,
+            options=decode_options(data[cls.FIXED_LEN + 4 :]),
         )
+        return message
 
     # -- typed option accessors --------------------------------------------
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import Set
 
 from repro.dhcp.message import DHCP_SERVER_PORT
-from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ethernet import EtherType
 from repro.net.ipv4 import IPProto
-from repro.net.lazy import LazyIPv4Packet
+from repro.net.lazy import LazyEthernetFrame, LazyIPv4Packet
 from repro.net.udp import UdpDatagram
 
 __all__ = ["SnoopAction", "DhcpSnooper"]
@@ -54,7 +54,7 @@ class DhcpSnooper:
     def untrust(self, port: str) -> None:
         self.trusted_ports.discard(port)
 
-    def inspect(self, ingress_port: str, frame: EthernetFrame) -> SnoopAction:
+    def inspect(self, ingress_port: str, frame: LazyEthernetFrame) -> SnoopAction:
         """Decide the fate of ``frame`` received on ``ingress_port``.
 
         Only server-sourced DHCP (UDP source port 67) can ever be

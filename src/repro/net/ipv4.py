@@ -14,7 +14,9 @@ from dataclasses import dataclass, field, replace
 from repro.net.addresses import IPv4Address
 from repro.net.checksum import internet_checksum, verify_checksum
 
-__all__ = ["IPProto", "IPv4Packet"]
+__all__ = ["IPProto", "IPv4Packet", "encode_ipv4"]
+
+_HEADER = struct.Struct("!BBHHHBBH4s4s")
 
 
 class IPProto(enum.IntEnum):
@@ -57,27 +59,17 @@ class IPv4Packet:
         return self.header_len + len(self.payload)
 
     def encode(self) -> bytes:
-        ihl = self.header_len // 4
-        flags_frag = 0x4000 if self.dont_fragment else 0
-        header = bytearray(
-            struct.pack(
-                "!BBHHHBBH4s4s",
-                (4 << 4) | ihl,
-                self.tos,
-                self.total_length,
-                self.identification,
-                flags_frag,
-                self.ttl,
-                self.proto,
-                0,
-                self.src.packed,
-                self.dst.packed,
-            )
+        return encode_ipv4(
+            self.src,
+            self.dst,
+            self.proto,
+            self.payload,
+            self.ttl,
+            self.tos,
+            self.identification,
+            self.dont_fragment,
+            self.options,
         )
-        header += self.options
-        csum = internet_checksum(bytes(header))
-        header[10:12] = csum.to_bytes(2, "big")
-        return bytes(header) + self.payload
 
     @classmethod
     def decode(cls, data: bytes, verify: bool = True) -> "IPv4Packet":
@@ -116,6 +108,33 @@ class IPv4Packet:
             raise ValueError("TTL expired")
         return replace(self, ttl=self.ttl - 1)
 
-    def materialize(self) -> "IPv4Packet":
-        """Already eager; lazy views return their dataclass equivalent."""
-        return self
+
+def encode_ipv4(
+    src: IPv4Address,
+    dst: IPv4Address,
+    proto: int,
+    payload: bytes,
+    ttl: int = 64,
+    tos: int = 0,
+    identification: int = 0,
+    dont_fragment: bool = True,
+    options: bytes = b"",
+) -> bytes:
+    """The wire bytes of an IPv4 packet, header checksum included.
+
+    Byte-identical to ``IPv4Packet(...).encode()`` with the same fields,
+    without building the record.  ``options`` must already be padded to
+    32-bit words (the record checks that; received options always are).
+    """
+    ihl = 5 + len(options) // 4
+    length = 4 * ihl + len(payload)
+    df = 0x4000 if dont_fragment else 0
+    src_packed, dst_packed = src.packed, dst.packed
+    header = _HEADER.pack(
+        0x40 | ihl, tos, length, identification, df, ttl, proto, 0, src_packed, dst_packed
+    )
+    checksum = internet_checksum(header + options)
+    header = _HEADER.pack(
+        0x40 | ihl, tos, length, identification, df, ttl, proto, checksum, src_packed, dst_packed
+    )
+    return header + options + payload

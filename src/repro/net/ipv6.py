@@ -12,7 +12,9 @@ from dataclasses import dataclass, replace
 
 from repro.net.addresses import IPv6Address
 
-__all__ = ["IPv6Packet"]
+__all__ = ["IPv6Packet", "encode_ipv6"]
+
+_HEADER = struct.Struct("!IHBB16s16s")
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,14 @@ class IPv6Packet:
             raise ValueError(f"traffic class out of range: {self.traffic_class}")
 
     def encode(self) -> bytes:
-        vtf = (6 << 28) | (self.traffic_class << 20) | self.flow_label
-        return (
-            struct.pack(
-                "!IHBB", vtf, len(self.payload), self.next_header, self.hop_limit
-            )
-            + self.src.packed
-            + self.dst.packed
-            + self.payload
+        return encode_ipv6(
+            self.src,
+            self.dst,
+            self.next_header,
+            self.payload,
+            self.hop_limit,
+            self.traffic_class,
+            self.flow_label,
         )
 
     @classmethod
@@ -72,6 +74,27 @@ class IPv6Packet:
             raise ValueError("hop limit expired")
         return replace(self, hop_limit=self.hop_limit - 1)
 
-    def materialize(self) -> "IPv6Packet":
-        """Already eager; lazy views return their dataclass equivalent."""
-        return self
+
+def encode_ipv6(
+    src: IPv6Address,
+    dst: IPv6Address,
+    next_header: int,
+    payload: bytes,
+    hop_limit: int = 64,
+    traffic_class: int = 0,
+    flow_label: int = 0,
+) -> bytes:
+    """The wire bytes of an IPv6 packet: byte-identical to
+    ``IPv6Packet(...).encode()`` with the same fields, without building
+    the record (or its range checks on the traffic class and flow label)."""
+    return (
+        _HEADER.pack(
+            (6 << 28) | (traffic_class << 20) | flow_label,
+            len(payload),
+            next_header,
+            hop_limit,
+            src.packed,
+            dst.packed,
+        )
+        + payload
+    )

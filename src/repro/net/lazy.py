@@ -1,39 +1,41 @@
-"""Lazy, zero-copy packet views over received wire bytes.
+"""Lazy, zero-copy views over Ethernet and IP wire bytes: the one
+decoded form of a packet in the simulator.
 
-Every hop in the seed simulator fully re-parsed each frame — MAC objects,
-address objects and payload copies were built even when the consumer (a
-learning switch, a forwarding router) only looked at two header fields.
-The classes here keep the original wire bytes and decode individual
-fields on first access, caching the result in ``__slots__``.
+Packets are built straight to wire bytes (:func:`repro.net.ipv4.encode_ipv4`,
+:func:`repro.net.ipv6.encode_ipv6` and the transport builders beside
+them), and everything that reads a packet back reads it through the
+classes here: the L2 interfaces and the nodes above them, the
+translators, the DHCP snooper and the packet trace.  A view keeps the
+wire bytes and decodes individual fields on first access, caching the
+result in ``__slots__``.  The translators (NAT64, NAT44, CLAT/SIIT)
+return views over the bytes they built.
 
-Contracts kept with the eager codecs in :mod:`repro.net.ethernet`,
-:mod:`repro.net.ipv4` and :mod:`repro.net.ipv6`:
+The frozen records of :mod:`repro.net.ethernet`, :mod:`repro.net.ipv4`
+and :mod:`repro.net.ipv6` remain the public field-by-field constructors
+(and the reference the tests hold these views to).  Contracts kept
+with them:
 
-- construction performs the *same validation* as ``decode()`` and raises
-  :class:`ValueError` for the same malformed inputs (runt frames, bad
-  version, bad IHL, bad header checksum, fragments, truncated payloads);
-- attribute names match the eager dataclasses, so all consumers work
-  unchanged;
-- ``encode()`` returns the received wire bytes (trimmed to the declared
-  length), which for simulator-generated traffic is byte-identical to
-  the eager ``decode(...).encode()`` round-trip;
-- ``materialize()`` converts to the frozen eager dataclass for code
-  that needs ``dataclasses.replace`` (the NAT44/NAT64 rewrite paths).
+- construction performs the *same validation* as the record's
+  ``decode()`` and raises :class:`ValueError` for the same malformed
+  inputs (runt frames, bad version, bad IHL, bad header checksum,
+  fragments, truncated payloads);
+- attribute names match the records', so a consumer reads either;
+- ``encode()`` returns the wire bytes (trimmed to the declared length),
+  byte-identical to the record's ``decode(...).encode()`` round trip for
+  anything the simulator builds;
+- a view is read-only: ``decremented()`` returns a new view, so the
+  decode caches below can hand one view to every receiver.
 
 Address objects are interned: the simulator sees the same few hundred
 MACs and IPs millions of times, so a dict lookup replaces repeated
 ``ipaddress`` constructor calls (the single hottest line in the seed
 profile after the checksum loop).
-
-The :data:`AnyEthernetFrame` / :data:`AnyIPv4Packet` /
-:data:`AnyIPv6Packet` union aliases name signatures that accept either
-representation.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.net.addresses import IPv4Address, IPv6Address, MacAddress
 from repro.net.checksum import internet_checksum, verify_checksum
@@ -51,9 +53,6 @@ __all__ = [
     "intern_mac",
     "intern_ipv4",
     "intern_ipv6",
-    "AnyEthernetFrame",
-    "AnyIPv4Packet",
-    "AnyIPv6Packet",
 ]
 
 # -- address interning --------------------------------------------------------
@@ -163,12 +162,6 @@ class LazyEthernetFrame:
 
     def encode(self) -> bytes:
         return self._wire
-
-    def materialize(self) -> EthernetFrame:
-        """The equivalent eager :class:`EthernetFrame`."""
-        return EthernetFrame(
-            dst=self.dst, src=self.src, ethertype=self.ethertype, payload=self.payload
-        )
 
     def __len__(self) -> int:
         return len(self._wire)
@@ -280,20 +273,6 @@ class LazyIPv4Packet:
 
     def encode(self) -> bytes:
         return self._wire
-
-    def materialize(self) -> IPv4Packet:
-        """The equivalent eager :class:`IPv4Packet`."""
-        return IPv4Packet(
-            src=self.src,
-            dst=self.dst,
-            proto=self.proto,
-            payload=self.payload,
-            ttl=self.ttl,
-            tos=self.tos,
-            identification=self.identification,
-            dont_fragment=self.dont_fragment,
-            options=self.options,
-        )
 
     def decremented(self) -> "LazyIPv4Packet":
         """A copy with TTL reduced by one (router forwarding).
@@ -413,18 +392,6 @@ class LazyIPv6Packet:
     def encode(self) -> bytes:
         return self._wire
 
-    def materialize(self) -> IPv6Packet:
-        """The equivalent eager :class:`IPv6Packet`."""
-        return IPv6Packet(
-            src=self.src,
-            dst=self.dst,
-            next_header=self.next_header,
-            payload=self.payload,
-            hop_limit=self.hop_limit,
-            traffic_class=self.traffic_class,
-            flow_label=self.flow_label,
-        )
-
     def decremented(self) -> "LazyIPv6Packet":
         """A copy with hop limit reduced by one (router forwarding)."""
         if self.hop_limit <= 1:
@@ -494,8 +461,3 @@ def decode_ipv6_cached(data: bytes) -> LazyIPv6Packet:
     _V6_DECODE_CACHE[key] = packet
     return packet
 
-
-#: Union aliases for signatures that accept either representation.
-AnyEthernetFrame = Union[EthernetFrame, LazyEthernetFrame]
-AnyIPv4Packet = Union[IPv4Packet, LazyIPv4Packet]
-AnyIPv6Packet = Union[IPv6Packet, LazyIPv6Packet]

@@ -17,9 +17,11 @@ from typing import Union
 from repro.net.addresses import IPv4Address, IPv6Address
 from repro.net.checksum import internet_checksum, pseudo_sum_v4, pseudo_sum_v6
 
-__all__ = ["TcpFlags", "TcpSegment"]
+__all__ = ["TcpFlags", "TcpSegment", "encode_tcp"]
 
 Address = Union[IPv4Address, IPv6Address]
+
+_HEADER = struct.Struct("!HHIIBBHHH")
 
 
 class TcpFlags(enum.IntFlag):
@@ -76,30 +78,24 @@ class TcpSegment:
                     raise ValueError(f"{name} out of range: {val}")
 
     def encode(self, src_ip: Address, dst_ip: Address) -> bytes:
-        data_offset = (self.HEADER_LEN // 4) << 4
-        header = struct.pack(
-            "!HHIIBBHHH",
+        return encode_tcp(
+            src_ip,
+            dst_ip,
             self.src_port,
             self.dst_port,
             self.seq,
             self.ack,
-            data_offset,
-            int(self.flags),
+            self.flags,
             self.window,
-            0,
-            0,
+            self.payload,
         )
-        length = len(header) + len(self.payload)
-        csum = internet_checksum(header + self.payload, _pseudo_sum(src_ip, dst_ip, 6, length))
-        header = header[:16] + csum.to_bytes(2, "big") + header[18:]
-        return header + self.payload
 
     @classmethod
     def decode(cls, data: bytes, src_ip: Address, dst_ip: Address, verify: bool = True) -> "TcpSegment":
         if len(data) < cls.HEADER_LEN:
             raise ValueError(f"TCP segment too short: {len(data)} bytes")
-        src_port, dst_port, seq, ack, off_byte, flags, window, _csum, _urg = struct.unpack(
-            "!HHIIBBHHH", data[:20]
+        src_port, dst_port, seq, ack, off_byte, flags, window, _csum, _urg = _HEADER.unpack(
+            data[:20]
         )
         header_len = (off_byte >> 4) * 4
         if header_len < cls.HEADER_LEN or header_len > len(data):
@@ -107,7 +103,11 @@ class TcpSegment:
         if verify:
             if internet_checksum(data, _pseudo_sum(src_ip, dst_ip, 6, len(data))) != 0:
                 raise ValueError("TCP checksum mismatch")
-        return cls(
+        # Every field comes off a fixed-width unpack, so it is in range:
+        # the segment skips the generated __init__ and its range check
+        # and gets its fields in one instance-dict write.
+        segment = object.__new__(cls)
+        segment.__dict__.update(
             src_port=src_port,
             dst_port=dst_port,
             seq=seq,
@@ -116,6 +116,28 @@ class TcpSegment:
             window=window,
             payload=bytes(data[header_len:]),
         )
+        return segment
+
+
+def encode_tcp(
+    src_ip: Address,
+    dst_ip: Address,
+    src_port: int,
+    dst_port: int,
+    seq: int,
+    ack: int,
+    flags: int,
+    window: int = 65535,
+    payload: bytes = b"",
+) -> bytes:
+    """The wire bytes of a TCP segment (20-byte header, no options) with
+    its checksum over the ``src_ip``/``dst_ip`` pseudo-header:
+    byte-identical to ``TcpSegment(...).encode(src_ip, dst_ip)``, without
+    building the record."""
+    header = _HEADER.pack(src_port, dst_port, seq, ack, 0x50, flags, window, 0, 0)
+    length = TcpSegment.HEADER_LEN + len(payload)
+    checksum = internet_checksum(header + payload, _pseudo_sum(src_ip, dst_ip, 6, length))
+    return _HEADER.pack(src_port, dst_port, seq, ack, 0x50, flags, window, checksum, 0) + payload
 
 
 def _pseudo_sum(src_ip: Address, dst_ip: Address, proto: int, length: int) -> int:

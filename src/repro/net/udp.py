@@ -13,9 +13,11 @@ from typing import Union
 from repro.net.addresses import IPv4Address, IPv6Address
 from repro.net.checksum import internet_checksum, pseudo_sum_v4, pseudo_sum_v6
 
-__all__ = ["UdpDatagram"]
+__all__ = ["UdpDatagram", "encode_udp"]
 
 Address = Union[IPv4Address, IPv6Address]
+
+_HEADER = struct.Struct("!HHHH")
 
 # Broadcast DHCP datagrams are decoded once per receiving host; the frozen
 # datagram (bytes payload) is immutable, so receivers can share one decode.
@@ -44,11 +46,7 @@ class UdpDatagram:
         return self.HEADER_LEN + len(self.payload)
 
     def encode(self, src_ip: Address, dst_ip: Address) -> bytes:
-        header = struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
-        csum = internet_checksum(header + self.payload, _pseudo_sum(src_ip, dst_ip, 17, self.length))
-        if csum == 0:
-            csum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, csum) + self.payload
+        return encode_udp(src_ip, dst_ip, self.src_port, self.dst_port, self.payload)
 
     @classmethod
     def decode(cls, data: bytes, src_ip: Address, dst_ip: Address, verify: bool = True) -> "UdpDatagram":
@@ -60,7 +58,7 @@ class UdpDatagram:
                 return cached
         if len(data) < cls.HEADER_LEN:
             raise ValueError(f"UDP datagram too short: {len(data)} bytes")
-        src_port, dst_port, length, csum = struct.unpack("!HHHH", data[:8])
+        src_port, dst_port, length, csum = _HEADER.unpack(data[:8])
         if length < cls.HEADER_LEN or length > len(data):
             raise ValueError(f"bad UDP length: {length}")
         if verify and csum != 0:
@@ -68,12 +66,30 @@ class UdpDatagram:
                 raise ValueError("UDP checksum mismatch")
         elif verify and csum == 0 and isinstance(src_ip, IPv6Address):
             raise ValueError("UDP over IPv6 requires a checksum (RFC 8200 §8.1)")
+        # Built through __init__: the cache keeps this record, and one
+        # whose fields went in through a single instance-dict write
+        # takes about twice the memory.
         datagram = cls(src_port=src_port, dst_port=dst_port, payload=bytes(data[8:length]))
         if key is not None:
             if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
                 _DECODE_CACHE.clear()
             _DECODE_CACHE[key] = datagram
         return datagram
+
+
+def encode_udp(
+    src_ip: Address, dst_ip: Address, src_port: int, dst_port: int, payload: bytes
+) -> bytes:
+    """The wire bytes of a UDP datagram with its checksum over the
+    ``src_ip``/``dst_ip`` pseudo-header: byte-identical to
+    ``UdpDatagram(...).encode(src_ip, dst_ip)``, without building the
+    record."""
+    length = UdpDatagram.HEADER_LEN + len(payload)
+    header = _HEADER.pack(src_port, dst_port, length, 0)
+    checksum = internet_checksum(header + payload, _pseudo_sum(src_ip, dst_ip, 17, length))
+    if checksum == 0:
+        checksum = 0xFFFF  # RFC 768: transmitted zero means "no checksum"
+    return _HEADER.pack(src_port, dst_port, length, checksum) + payload
 
 
 def _pseudo_sum(src_ip: Address, dst_ip: Address, proto: int, length: int) -> int:

@@ -36,9 +36,10 @@ from repro.net.addresses import (
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import RouterPreference
 from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message, Icmpv6Type
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
-from repro.net.udp import UdpDatagram
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
+from repro.net.udp import encode_udp, UdpDatagram
 from repro.sim.engine import EventEngine
 from repro.sim.iface import ALL_NODES_V6, IPV4_BROADCAST, L2Interface
 from repro.sim.node import Node, Port
@@ -176,15 +177,10 @@ class MobileGateway5G(Node):
 
     def _emit_ra(self) -> None:
         ra = self._ra_daemon.build_ra()
-        payload = encode_icmpv6(ra, self.lan_iface.link_local, ALL_NODES_V6)
-        packet = IPv6Packet(
-            src=self.lan_iface.link_local,
-            dst=ALL_NODES_V6,
-            next_header=IPProto.ICMPV6,
-            payload=payload,
-            hop_limit=255,
-        )
-        self.lan_iface.send_ipv6(packet)
+        source = self.lan_iface.link_local
+        payload = encode_icmpv6(ra, source, ALL_NODES_V6)
+        raw = encode_ipv6(source, ALL_NODES_V6, IPProto.ICMPV6, payload, hop_limit=255)
+        self.lan_iface.send_ipv6_wire(raw, ALL_NODES_V6)
 
     # -- frame plumbing ------------------------------------------------------------
 
@@ -196,7 +192,7 @@ class MobileGateway5G(Node):
 
     # -- LAN side ---------------------------------------------------------------
 
-    def _lan_ipv4(self, packet: IPv4Packet) -> None:
+    def _lan_ipv4(self, packet: LazyIPv4Packet) -> None:
         # Built-in DHCP first: broadcast UDP to port 67.
         if packet.proto == IPProto.UDP:
             try:
@@ -206,15 +202,10 @@ class MobileGateway5G(Node):
             if datagram.dst_port == DHCP_SERVER_PORT:
                 reply = self.dhcp_server.handle_message(datagram.payload)
                 if reply is not None:
-                    out = UdpDatagram(DHCP_SERVER_PORT, DHCP_CLIENT_PORT, reply)
-                    self.lan_iface.send_ipv4(
-                        IPv4Packet(
-                            src=self.config.lan_ipv4,
-                            dst=IPV4_BROADCAST,
-                            proto=IPProto.UDP,
-                            payload=out.encode(self.config.lan_ipv4, IPV4_BROADCAST),
-                        )
-                    )
+                    src = self.config.lan_ipv4
+                    out = encode_udp(src, IPV4_BROADCAST, DHCP_SERVER_PORT, DHCP_CLIENT_PORT, reply)
+                    raw = encode_ipv4(src, IPV4_BROADCAST, IPProto.UDP, out)
+                    self.lan_iface.send_ipv4_wire(raw, IPV4_BROADCAST)
                 return
         if packet.dst == self.config.lan_ipv4:
             self._echo_v4(packet, via_lan=True)
@@ -229,7 +220,7 @@ class MobileGateway5G(Node):
             return
         self.wan_iface.send_ipv4(translated)
 
-    def _lan_ipv6(self, packet: IPv6Packet) -> None:
+    def _lan_ipv6(self, packet: LazyIPv6Packet) -> None:
         if packet.dst in self.lan_iface.ipv6_addresses:
             self._echo_v6(packet, via_lan=True)
             return
@@ -255,7 +246,7 @@ class MobileGateway5G(Node):
 
     # -- WAN side -----------------------------------------------------------------
 
-    def _wan_ipv4(self, packet: IPv4Packet) -> None:
+    def _wan_ipv4(self, packet: LazyIPv4Packet) -> None:
         if packet.dst == self.config.wan_ipv4_nat64:
             try:
                 translated = self.nat64.translate_in(packet)
@@ -278,7 +269,7 @@ class MobileGateway5G(Node):
                 return
             self.lan_iface.send_ipv4(translated)
 
-    def _wan_ipv6(self, packet: IPv6Packet) -> None:
+    def _wan_ipv6(self, packet: LazyIPv6Packet) -> None:
         if packet.dst in self.wan_iface.ipv6_addresses:
             self._echo_v6(packet, via_lan=False)
             return
@@ -291,7 +282,7 @@ class MobileGateway5G(Node):
 
     # -- echo responders -----------------------------------------------------------
 
-    def _echo_v4(self, packet: IPv4Packet, via_lan: bool) -> None:
+    def _echo_v4(self, packet: LazyIPv4Packet, via_lan: bool) -> None:
         if packet.proto != IPProto.ICMP:
             return
         try:
@@ -301,11 +292,11 @@ class MobileGateway5G(Node):
         if message.icmp_type != IcmpType.ECHO_REQUEST:
             return
         reply = IcmpMessage.echo_reply(message.echo_ident, message.echo_seq, message.body)
-        out = IPv4Packet(src=packet.dst, dst=packet.src, proto=IPProto.ICMP, payload=reply.encode())
+        raw = encode_ipv4(packet.dst, packet.src, IPProto.ICMP, reply.encode())
         iface = self.lan_iface if via_lan else self.wan_iface
-        iface.send_ipv4(out)
+        iface.send_ipv4_wire(raw, packet.src)
 
-    def _echo_v6(self, packet: IPv6Packet, via_lan: bool) -> None:
+    def _echo_v6(self, packet: LazyIPv6Packet, via_lan: bool) -> None:
         if packet.next_header != IPProto.ICMPV6:
             return
         try:
@@ -315,11 +306,7 @@ class MobileGateway5G(Node):
         if not isinstance(message, Icmpv6Message) or message.icmp_type != Icmpv6Type.ECHO_REQUEST:
             return
         reply = Icmpv6Message.echo_reply(message.echo_ident, message.echo_seq, message.body)
-        out = IPv6Packet(
-            src=packet.dst,
-            dst=packet.src,
-            next_header=IPProto.ICMPV6,
-            payload=encode_icmpv6(reply, packet.dst, packet.src),
-        )
+        payload = encode_icmpv6(reply, packet.dst, packet.src)
+        raw = encode_ipv6(packet.dst, packet.src, IPProto.ICMPV6, payload)
         iface = self.lan_iface if via_lan else self.wan_iface
-        iface.send_ipv6(out)
+        iface.send_ipv6_wire(raw, packet.src)

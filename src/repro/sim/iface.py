@@ -41,9 +41,14 @@ from repro.net.icmpv6 import (
     RouterAdvertisement,
     RouterSolicitation,
 )
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
-from repro.net.lazy import decode_ipv4_cached, decode_ipv6_cached, LazyIPv6Packet
+from repro.net.ipv4 import IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import (
+    decode_ipv4_cached,
+    decode_ipv6_cached,
+    LazyIPv4Packet,
+    LazyIPv6Packet,
+)
 from repro.sim.engine import EventEngine
 from repro.sim.link import SOLICITED_PREFIX
 from repro.sim.node import Port
@@ -160,8 +165,8 @@ class L2Interface:
         self.v6_neighbors: Dict[IPv6Address, MacAddress] = {}
         self._pending_v4: Dict[IPv4Address, List[bytes]] = {}
         self._pending_v6: Dict[IPv6Address, List[bytes]] = {}
-        self.on_ipv4: Optional[Callable[[IPv4Packet], None]] = None
-        self.on_ipv6: Optional[Callable[[IPv6Packet], None]] = None
+        self.on_ipv4: Optional[Callable[[LazyIPv4Packet], None]] = None
+        self.on_ipv6: Optional[Callable[[LazyIPv6Packet], None]] = None
         self.on_ra: Optional[Callable[[RouterAdvertisement, IPv6Address], None]] = None
         self.on_rs: Optional[Callable[[RouterSolicitation, IPv6Address], None]] = None
         self.arp_requests_sent = 0
@@ -339,14 +344,21 @@ class L2Interface:
             return True
         return any(destination in prefix for prefix in self.ipv6_prefixes)
 
-    def send_ipv4(self, packet: IPv4Packet, next_hop: Optional[IPv4Address] = None) -> None:
-        """Transmit an IPv4 packet, resolving the next-hop MAC via ARP."""
-        raw = packet.encode()
-        if packet.dst == IPV4_BROADCAST or self._is_subnet_broadcast(packet.dst):
+    def send_ipv4(self, packet: LazyIPv4Packet, next_hop: Optional[IPv4Address] = None) -> None:
+        """Transmit an IPv4 packet (a view or a record), resolving the
+        next-hop MAC via ARP."""
+        self.send_ipv4_wire(packet.encode(), packet.dst, next_hop)
+
+    def send_ipv4_wire(
+        self, raw: bytes, dst: IPv4Address, next_hop: Optional[IPv4Address] = None
+    ) -> None:
+        """Transmit the IPv4 packet ``raw``, bound for ``dst``: what a
+        packet built straight to wire bytes is sent with."""
+        if dst == IPV4_BROADCAST or self._is_subnet_broadcast(dst):
             self._send_frame(MAC_BROADCAST, EtherType.IPV4, raw)
             return
         self.tx_ipv4_unicast += 1
-        hop = next_hop or packet.dst
+        hop = next_hop or dst
         # EAFP: the neighbor table hits on every frame after the first.
         try:
             self._send_frame(self.v4_neighbors[hop], EtherType.IPV4, raw)
@@ -358,14 +370,20 @@ class L2Interface:
         # args-style scheduling: no closure allocation per unresolved packet.
         self.engine.schedule(RESOLUTION_TIMEOUT, self._expire_pending_v4, hop)
 
-    def send_ipv6(self, packet: IPv6Packet, next_hop: Optional[IPv6Address] = None) -> None:
-        """Transmit an IPv6 packet, resolving the next-hop MAC via NDP."""
-        raw = packet.encode()
-        if packet.dst.is_multicast:
-            self._send_frame(multicast_mac_for_ipv6(packet.dst), EtherType.IPV6, raw)
+    def send_ipv6(self, packet: LazyIPv6Packet, next_hop: Optional[IPv6Address] = None) -> None:
+        """Transmit an IPv6 packet (a view or a record), resolving the
+        next-hop MAC via NDP."""
+        self.send_ipv6_wire(packet.encode(), packet.dst, next_hop)
+
+    def send_ipv6_wire(
+        self, raw: bytes, dst: IPv6Address, next_hop: Optional[IPv6Address] = None
+    ) -> None:
+        """Transmit the IPv6 packet ``raw``, bound for ``dst``."""
+        if dst.is_multicast:
+            self._send_frame(multicast_mac_for_ipv6(dst), EtherType.IPV6, raw)
             return
         self.tx_ipv6_unicast += 1
-        hop = next_hop or packet.dst
+        hop = next_hop or dst
         try:
             self._send_frame(self.v6_neighbors[hop], EtherType.IPV6, raw)
             return
@@ -388,15 +406,9 @@ class L2Interface:
         group = solicited_node_multicast(target)
         ns = NeighborSolicitation(target=target, source_lladdr=self.mac)
         payload = encode_icmpv6(ns, self.link_local, group)
-        packet = IPv6Packet(
-            src=self.link_local,
-            dst=group,
-            next_header=IPProto.ICMPV6,
-            payload=payload,
-            hop_limit=255,
-        )
+        raw = encode_ipv6(self.link_local, group, _IPPROTO_ICMPV6, payload, hop_limit=255)
         self.ns_sent += 1
-        self._send_frame(multicast_mac_for_ipv6(group), EtherType.IPV6, packet.encode())
+        self._send_frame(multicast_mac_for_ipv6(group), EtherType.IPV6, raw)
 
     def _send_na(self, target: IPv6Address, requester: IPv6Address) -> None:
         na = NeighborAdvertisement(
@@ -404,10 +416,9 @@ class L2Interface:
         )
         dst = requester if requester != UNSPECIFIED_V6 else ALL_NODES_V6
         payload = encode_icmpv6(na, target, dst)
-        packet = IPv6Packet(
-            src=target, dst=dst, next_header=IPProto.ICMPV6, payload=payload, hop_limit=255
+        self.send_ipv6_wire(
+            encode_ipv6(target, dst, _IPPROTO_ICMPV6, payload, hop_limit=255), dst
         )
-        self.send_ipv6(packet)
 
     def _expire_pending_v4(self, hop: IPv4Address) -> None:
         if hop not in self.v4_neighbors:
@@ -421,13 +432,7 @@ class L2Interface:
         """Hosts send an RS on link-up to trigger immediate RAs."""
         rs = RouterSolicitation(source_lladdr=self.mac)
         payload = encode_icmpv6(rs, self.link_local, ALL_ROUTERS_V6)
-        packet = IPv6Packet(
-            src=self.link_local,
-            dst=ALL_ROUTERS_V6,
-            next_header=IPProto.ICMPV6,
-            payload=payload,
-            hop_limit=255,
+        raw = encode_ipv6(
+            self.link_local, ALL_ROUTERS_V6, _IPPROTO_ICMPV6, payload, hop_limit=255
         )
-        self._send_frame(
-            multicast_mac_for_ipv6(ALL_ROUTERS_V6), EtherType.IPV6, packet.encode()
-        )
+        self._send_frame(multicast_mac_for_ipv6(ALL_ROUTERS_V6), EtherType.IPV6, raw)

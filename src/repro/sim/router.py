@@ -16,8 +16,9 @@ from repro._compat import slotted_dataclass
 from repro.net.addresses import IPv4Address, IPv4Network, IPv6Address, IPv6Network, MacAddress
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message, Icmpv6Type
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
 from repro.sim.engine import EventEngine
 from repro.sim.iface import L2Interface
 from repro.sim.node import Node, Port
@@ -99,7 +100,7 @@ class Router(Node):
 
     # -- forwarding ---------------------------------------------------------------
 
-    def _on_ipv4(self, in_iface: str, packet: IPv4Packet) -> None:
+    def _on_ipv4(self, in_iface: str, packet: LazyIPv4Packet) -> None:
         local = any(packet.dst in i.ipv4_addresses for i in self.ifaces.values())
         if local:
             self._local_v4(packet)
@@ -121,7 +122,7 @@ class Router(Node):
         self.forwarded_v4 += 1
         self.ifaces[out_name].send_ipv4(forwarded, next_hop)
 
-    def _on_ipv6(self, in_iface: str, packet: IPv6Packet) -> None:
+    def _on_ipv6(self, in_iface: str, packet: LazyIPv6Packet) -> None:
         local = any(packet.dst in i.ipv6_addresses for i in self.ifaces.values())
         if local or packet.dst.is_multicast:
             self._local_v6(packet)
@@ -153,7 +154,7 @@ class Router(Node):
 
     # -- local delivery (ping responder only) -----------------------------------
 
-    def _local_v4(self, packet: IPv4Packet) -> None:
+    def _local_v4(self, packet: LazyIPv4Packet) -> None:
         if packet.proto != IPProto.ICMP:
             return
         try:
@@ -163,10 +164,11 @@ class Router(Node):
         if message.icmp_type != IcmpType.ECHO_REQUEST:
             return
         reply = IcmpMessage.echo_reply(message.echo_ident, message.echo_seq, message.body)
-        out = IPv4Packet(src=packet.dst, dst=packet.src, proto=IPProto.ICMP, payload=reply.encode())
-        self._route_and_send_v4(out)
+        self._route_and_send_v4(
+            encode_ipv4(packet.dst, packet.src, IPProto.ICMP, reply.encode()), packet.src
+        )
 
-    def _local_v6(self, packet: IPv6Packet) -> None:
+    def _local_v6(self, packet: LazyIPv6Packet) -> None:
         if packet.next_header != IPProto.ICMPV6:
             return
         try:
@@ -176,30 +178,27 @@ class Router(Node):
         if not isinstance(message, Icmpv6Message) or message.icmp_type != Icmpv6Type.ECHO_REQUEST:
             return
         reply = Icmpv6Message.echo_reply(message.echo_ident, message.echo_seq, message.body)
-        out = IPv6Packet(
-            src=packet.dst,
-            dst=packet.src,
-            next_header=IPProto.ICMPV6,
-            payload=encode_icmpv6(reply, packet.dst, packet.src),
+        payload = encode_icmpv6(reply, packet.dst, packet.src)
+        self._route_and_send_v6(
+            encode_ipv6(packet.dst, packet.src, IPProto.ICMPV6, payload), packet.src
         )
-        self._route_and_send_v6(out)
 
-    def _route_and_send_v4(self, packet: IPv4Packet) -> None:
-        route = self._best_route(self.routes_v4, packet.dst)
+    def _route_and_send_v4(self, raw: bytes, dst: IPv4Address) -> None:
+        route = self._best_route(self.routes_v4, dst)
         if route is not None:
-            self.ifaces[route[1]].send_ipv4(packet, route[2])
+            self.ifaces[route[1]].send_ipv4_wire(raw, dst, route[2])
 
-    def _route_and_send_v6(self, packet: IPv6Packet) -> None:
-        route = self._best_route(self.routes_v6, packet.dst)
+    def _route_and_send_v6(self, raw: bytes, dst: IPv6Address) -> None:
+        route = self._best_route(self.routes_v6, dst)
         if route is not None:
-            self.ifaces[route[1]].send_ipv6(packet, route[2])
+            self.ifaces[route[1]].send_ipv6_wire(raw, dst, route[2])
 
-    def _send_admin_prohibited_v4(self, in_iface: str, offending: IPv4Packet) -> None:
+    def _send_admin_prohibited_v4(self, in_iface: str, offending: LazyIPv4Packet) -> None:
         iface = self.ifaces[in_iface]
         src = iface.primary_ipv4()
         if src is None:
             return
         body = offending.encode()[:28]  # IP header + 8 bytes, per RFC 792
         message = IcmpMessage(IcmpType.DEST_UNREACHABLE, 13, 0, body)
-        packet = IPv4Packet(src=src, dst=offending.src, proto=IPProto.ICMP, payload=message.encode())
-        self._route_and_send_v4(packet)
+        raw = encode_ipv4(src, offending.src, IPProto.ICMP, message.encode())
+        self._route_and_send_v4(raw, offending.src)

@@ -37,9 +37,9 @@ from repro.net.addresses import (
 )
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import encode_icmpv6, Icmpv6Message, Icmpv6Type
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
-from repro.net.lazy import LazyIPv6Packet
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
 
 # Plain ints for the per-packet protocol demux (IntEnum __eq__ is
 # measurably slower on the hot path — see repro.sim.iface).
@@ -47,11 +47,11 @@ _IPPROTO_UDP = int(IPProto.UDP)
 _IPPROTO_TCP = int(IPProto.TCP)
 _IPPROTO_ICMP = int(IPProto.ICMP)
 _IPPROTO_ICMPV6 = int(IPProto.ICMPV6)
-from repro.net.tcp import TcpFlags, TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.tcp import encode_tcp, TcpFlags, TcpSegment
+from repro.net.udp import encode_udp, UdpDatagram
 from repro.sim.engine import EventEngine
 from repro.sim.iface import ALL_NODES_V6, IPV4_BROADCAST, L2Interface, UNSPECIFIED_V4
-from repro.sim.node import Node, Port
+from repro.sim.node import Node
 from repro.xlat.clat import Clat, ClatConfig
 from repro.xlat.siit import TranslationError
 
@@ -67,11 +67,10 @@ _TCP_FIN = int(TcpFlags.FIN)
 _TCP_SYN = int(TcpFlags.SYN)
 _TCP_RST = int(TcpFlags.RST)
 _TCP_ACK = int(TcpFlags.ACK)
-_TCP_ACK_ONLY = TcpFlags.ACK
-_TCP_PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
-_TCP_FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
-_TCP_SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
-_TCP_RST_ACK = TcpFlags.RST | TcpFlags.ACK
+_TCP_PSH_ACK = _TCP_ACK | int(TcpFlags.PSH)
+_TCP_FIN_ACK = _TCP_ACK | _TCP_FIN
+_TCP_SYN_ACK = _TCP_ACK | _TCP_SYN
+_TCP_RST_ACK = _TCP_ACK | _TCP_RST
 
 
 @slotted_dataclass()
@@ -187,16 +186,19 @@ class TcpConnection:
 
     # -- wire ------------------------------------------------------------------
 
-    def _emit(self, flags: TcpFlags, payload: bytes = b"") -> None:
-        segment = TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self.snd_nxt,
-            ack=self.rcv_nxt,
-            flags=flags,
+    def _emit(self, flags: int, payload: bytes = b"") -> None:
+        src, dst = self.local_addr, self.remote_addr
+        segment = encode_tcp(
+            src,
+            dst,
+            self.local_port,
+            self.remote_port,
+            self.snd_nxt,
+            self.rcv_nxt,
+            flags,
             payload=payload,
         )
-        self.stack._send_tcp_segment(self.local_addr, self.remote_addr, segment)
+        self.stack._send_tcp(src, dst, segment)
 
     def _handle(self, segment: TcpSegment) -> None:
         flags = int(segment.flags)
@@ -212,7 +214,7 @@ class TcpConnection:
             self.rcv_nxt = (segment.seq + 1) & 0xFFFFFFFF
             self.snd_nxt = (self.snd_nxt + 1) & 0xFFFFFFFF
             self.state = self.ESTABLISHED
-            self._emit(_TCP_ACK_ONLY)
+            self._emit(_TCP_ACK)
             return
         if self.state == self.SYN_RCVD and flags & _TCP_ACK and not segment.payload:
             self.state = self.ESTABLISHED
@@ -224,13 +226,13 @@ class TcpConnection:
         if segment.payload and segment.seq == self.rcv_nxt:
             self.rcv_nxt = (self.rcv_nxt + len(segment.payload)) & 0xFFFFFFFF
             self.recv_buffer += segment.payload
-            self._emit(_TCP_ACK_ONLY)
+            self._emit(_TCP_ACK)
             if self.on_data:
                 self.on_data(self)
         if flags & _TCP_FIN and segment.seq == self.rcv_nxt:
             self.rcv_nxt = (self.rcv_nxt + 1) & 0xFFFFFFFF
             self.remote_closed = True
-            self._emit(_TCP_ACK_ONLY)
+            self._emit(_TCP_ACK)
             if self.state == self.FIN_WAIT:
                 self.state = self.CLOSED
                 self.stack._forget_connection(self)
@@ -281,12 +283,6 @@ class HostStack(Node):
         self._xid = itertools.count(0x10000 + (zlib.crc32(name.encode()) & 0xFFFF))
         # Why the last active TCP open failed; None after a success.
         self.last_connect_error: Optional[str] = None
-
-    # -- node plumbing -----------------------------------------------------------
-
-    def on_frame(self, port: Port, frame: bytes) -> None:
-        del port
-        self.iface.handle_frame(frame)
 
     # -- IPv6 autoconfiguration --------------------------------------------------
 
@@ -464,35 +460,43 @@ class HostStack(Node):
 
     # -- raw IP send ------------------------------------------------------------
 
-    def send_ipv6_packet(self, packet: IPv6Packet) -> bool:
-        next_hop = self._next_hop_v6(packet.dst)
-        if next_hop is None and not packet.dst.is_multicast:
+    def send_ipv6_packet(self, packet: LazyIPv6Packet) -> bool:
+        """Send an IPv6 packet (a view or a record)."""
+        return self._send_ipv6_wire(packet.encode(), packet.dst)
+
+    def _send_ipv6_wire(self, raw: bytes, dst: IPv6Address) -> bool:
+        next_hop = self._next_hop_v6(dst)
+        if next_hop is None and not dst.is_multicast:
             return False
-        self.iface.send_ipv6(packet, next_hop)
+        self.iface.send_ipv6_wire(raw, dst, next_hop)
         return True
 
-    def send_ipv4_packet(self, packet: IPv4Packet) -> bool:
-        """Send an application IPv4 packet — through CLAT when v6-only."""
+    def send_ipv4_packet(self, packet: LazyIPv4Packet) -> bool:
+        """Send an application IPv4 packet (a view or a record) — through
+        CLAT when v6-only."""
+        return self._send_ipv4_wire(packet.encode(), packet.src, packet.dst)
+
+    def _send_ipv4_wire(self, raw: bytes, src: IPv4Address, dst: IPv4Address) -> bool:
         if not self.config.ipv4_enabled or self.ipv4_config is None:
-            if packet.dst == IPV4_BROADCAST or packet.src == UNSPECIFIED_V4:
+            if dst == IPV4_BROADCAST or src == UNSPECIFIED_V4:
                 # DHCP bootstrapping traffic stays on the local link —
                 # never through the CLAT — and is allowed without config
                 # (that is how config is obtained) unless v4 is hard-off.
                 if self.config.ipv4_enabled:
-                    self.iface.send_ipv4(packet)
+                    self.iface.send_ipv4_wire(raw, dst)
                     return True
                 return False
             if self.clat is not None and self.clat.enabled:
                 try:
-                    translated = self.clat.outbound(packet)
+                    translated = self.clat.outbound(LazyIPv4Packet(raw, verify=False))
                 except TranslationError:
                     return False
                 return self.send_ipv6_packet(translated)
             return False
-        next_hop = self._next_hop_v4(packet.dst)
+        next_hop = self._next_hop_v4(dst)
         if next_hop is None:
             return False
-        self.iface.send_ipv4(packet, next_hop)
+        self.iface.send_ipv4_wire(raw, dst, next_hop)
         return True
 
     # -- UDP ---------------------------------------------------------------------
@@ -512,7 +516,6 @@ class HostStack(Node):
         return sock
 
     def send_udp(self, src_port: int, dst: AnyAddress, dport: int, payload: bytes) -> bool:
-        datagram = UdpDatagram(src_port, dport, payload)
         if isinstance(dst, IPv4Address):
             src = self._source_for(dst)
             if src is None:
@@ -524,20 +527,13 @@ class HostStack(Node):
             ):
                 # CLAT path: app sees the RFC 7335 address as its source.
                 src = self.clat.config.clat_ipv4
-            packet = IPv4Packet(
-                src=src, dst=dst, proto=IPProto.UDP, payload=datagram.encode(src, dst)
-            )
-            return self.send_ipv4_packet(packet)
+            datagram = encode_udp(src, dst, src_port, dport, payload)
+            return self._send_ipv4_wire(encode_ipv4(src, dst, _IPPROTO_UDP, datagram), src, dst)
         src6 = self._source_for(dst)
         if src6 is None or not self.config.ipv6_enabled:
             return False
-        packet = IPv6Packet(
-            src=src6,
-            dst=dst,
-            next_header=IPProto.UDP,
-            payload=datagram.encode(src6, dst),
-        )
-        return self.send_ipv6_packet(packet)
+        datagram = encode_udp(src6, dst, src_port, dport, payload)
+        return self._send_ipv6_wire(encode_ipv6(src6, dst, _IPPROTO_UDP, datagram), dst)
 
     def udp_exchange(
         self,
@@ -588,7 +584,7 @@ class HostStack(Node):
         conn = TcpConnection(self, src, local_port, dst, dport)
         self._tcp_conns[(local_port, dst, dport)] = conn
         conn.state = TcpConnection.SYN_SENT
-        conn._emit(TcpFlags.SYN)
+        conn._emit(_TCP_SYN)
         return conn
 
     def tcp_connect(
@@ -630,25 +626,12 @@ class HostStack(Node):
             return None
         return self._source_for(dst)
 
-    def _send_tcp_segment(
-        self, src: AnyAddress, dst: AnyAddress, segment: TcpSegment
-    ) -> None:
+    def _send_tcp(self, src: AnyAddress, dst: AnyAddress, segment: bytes) -> None:
         if isinstance(dst, IPv4Address):
-            packet = IPv4Packet(
-                src=src if isinstance(src, IPv4Address) else UNSPECIFIED_V4,
-                dst=dst,
-                proto=IPProto.TCP,
-                payload=segment.encode(src, dst),
-            )
-            self.send_ipv4_packet(packet)
+            src4 = src if isinstance(src, IPv4Address) else UNSPECIFIED_V4
+            self._send_ipv4_wire(encode_ipv4(src4, dst, _IPPROTO_TCP, segment), src4, dst)
         else:
-            packet = IPv6Packet(
-                src=src,
-                dst=dst,
-                next_header=IPProto.TCP,
-                payload=segment.encode(src, dst),
-            )
-            self.send_ipv6_packet(packet)
+            self._send_ipv6_wire(encode_ipv6(src, dst, _IPPROTO_TCP, segment), dst)
 
     def _forget_connection(self, conn: TcpConnection) -> None:
         self._tcp_conns.pop(
@@ -682,14 +665,16 @@ class HostStack(Node):
             self._send_rst(dst, src, segment)
 
     def _send_rst(self, src: AnyAddress, dst: AnyAddress, offending: TcpSegment) -> None:
-        rst = TcpSegment(
-            src_port=offending.dst_port,
-            dst_port=offending.src_port,
-            seq=offending.ack,
-            ack=(offending.seq + 1) & 0xFFFFFFFF,
-            flags=_TCP_RST_ACK,
+        rst = encode_tcp(
+            src,
+            dst,
+            offending.dst_port,
+            offending.src_port,
+            offending.ack,
+            (offending.seq + 1) & 0xFFFFFFFF,
+            _TCP_RST_ACK,
         )
-        self._send_tcp_segment(src, dst, rst)
+        self._send_tcp(src, dst, rst)
 
     # -- ICMP ping -----------------------------------------------------------------
 
@@ -703,26 +688,19 @@ class HostStack(Node):
         key = (ident, seq)
         if isinstance(dst, IPv4Address):
             message = IcmpMessage.echo_request(ident, seq, payload)
-            packet = IPv4Packet(
-                src=self.ipv4_address() or (self.clat.config.clat_ipv4 if self.clat else UNSPECIFIED_V4),
-                dst=dst,
-                proto=IPProto.ICMP,
-                payload=message.encode(),
+            src = self.ipv4_address() or (
+                self.clat.config.clat_ipv4 if self.clat else UNSPECIFIED_V4
             )
-            if not self.send_ipv4_packet(packet):
+            raw = encode_ipv4(src, dst, _IPPROTO_ICMP, message.encode())
+            if not self._send_ipv4_wire(raw, src, dst):
                 return None
         else:
             src6 = self._source_for(dst)
             if src6 is None or not self.config.ipv6_enabled:
                 return None
             message6 = Icmpv6Message.echo_request(ident, seq, payload)
-            packet6 = IPv6Packet(
-                src=src6,
-                dst=dst,
-                next_header=IPProto.ICMPV6,
-                payload=encode_icmpv6(message6, src6, dst),
-            )
-            if not self.send_ipv6_packet(packet6):
+            raw = encode_ipv6(src6, dst, _IPPROTO_ICMPV6, encode_icmpv6(message6, src6, dst))
+            if not self._send_ipv6_wire(raw, dst):
                 return None
         deadline = self.engine.now + timeout
         self.engine.run_until(lambda: key in self._ping_replies, deadline=deadline)
@@ -733,7 +711,7 @@ class HostStack(Node):
 
     # -- local delivery ----------------------------------------------------------
 
-    def _deliver_ipv4(self, packet: IPv4Packet) -> None:
+    def _deliver_ipv4(self, packet: LazyIPv4Packet) -> None:
         if not self.config.ipv4_enabled and self.clat is None:
             return
         # ``packet.dst`` is a lazy-decode property; one read serves the
@@ -766,7 +744,7 @@ class HostStack(Node):
             return
         sock._deliver(src, datagram.src_port, datagram.payload)
 
-    def _demux_ipv4(self, packet: IPv4Packet) -> None:
+    def _demux_ipv4(self, packet: LazyIPv4Packet) -> None:
         if packet.proto == _IPPROTO_UDP:
             self._deliver_udp(packet.src, packet.dst, packet.payload)
             return
@@ -782,10 +760,8 @@ class HostStack(Node):
                 reply = IcmpMessage.echo_reply(
                     message.echo_ident, message.echo_seq, message.body
                 )
-                out = IPv4Packet(
-                    src=packet.dst, dst=packet.src, proto=IPProto.ICMP, payload=reply.encode()
-                )
-                self.send_ipv4_packet(out)
+                src, dst = packet.dst, packet.src
+                self._send_ipv4_wire(encode_ipv4(src, dst, _IPPROTO_ICMP, reply.encode()), src, dst)
             elif message.icmp_type == IcmpType.ECHO_REPLY:
                 self._ping_replies[(message.echo_ident, message.echo_seq)] = self.engine.now
 
@@ -830,12 +806,8 @@ class HostStack(Node):
                 reply = Icmpv6Message.echo_reply(
                     message.echo_ident, message.echo_seq, message.body
                 )
-                out = IPv6Packet(
-                    src=packet.dst,
-                    dst=packet.src,
-                    next_header=IPProto.ICMPV6,
-                    payload=encode_icmpv6(reply, packet.dst, packet.src),
-                )
-                self.send_ipv6_packet(out)
+                src6, dst6 = packet.dst, packet.src
+                payload = encode_icmpv6(reply, src6, dst6)
+                self._send_ipv6_wire(encode_ipv6(src6, dst6, _IPPROTO_ICMPV6, payload), dst6)
             elif message.icmp_type == Icmpv6Type.ECHO_REPLY:
                 self._ping_replies[(message.echo_ident, message.echo_seq)] = self.engine.now

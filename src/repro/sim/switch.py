@@ -11,10 +11,10 @@ from typing import Dict, List, Optional
 from repro.dhcp.snooping import DhcpSnooper, SnoopAction
 from repro.nd.ra import RaDaemon, RaDaemonConfig
 from repro.net.addresses import IPv6Address, link_local_from_mac, MacAddress, multicast_mac_for_ipv6
-from repro.net.ethernet import EthernetFrame, EtherType
+from repro.net.ethernet import EtherType
 from repro.net.icmpv6 import encode_icmpv6
 from repro.net.ipv4 import IPProto
-from repro.net.ipv6 import IPv6Packet
+from repro.net.ipv6 import encode_ipv6, IPv6Packet
 from repro.net.lazy import LazyEthernetFrame
 
 # Plain int for the raw-bytes ethertype test on the forwarding path.
@@ -26,6 +26,9 @@ from repro.sim.node import Node, Port
 __all__ = ["ManagedSwitch"]
 
 ALL_NODES = IPv6Address("ff02::1")
+#: The Ethernet header's destination and EtherType of an RA to all nodes.
+_ALL_NODES_MAC_WIRE = multicast_mac_for_ipv6(ALL_NODES).to_bytes()
+_IPV6_ETHERTYPE_WIRE = _ETHERTYPE_IPV6.to_bytes(2, "big")
 
 
 class ManagedSwitch(Node):
@@ -155,20 +158,9 @@ class ManagedSwitch(Node):
             return
         ra = self._ra_daemon.build_ra()
         payload = encode_icmpv6(ra, self.link_local, ALL_NODES)
-        packet = IPv6Packet(
-            src=self.link_local,
-            dst=ALL_NODES,
-            next_header=IPProto.ICMPV6,
-            payload=payload,
-            hop_limit=255,
-        )
-        frame = EthernetFrame(
-            dst=multicast_mac_for_ipv6(ALL_NODES),
-            src=self.mac,
-            ethertype=EtherType.IPV6,
-            payload=packet.encode(),
-        )
-        flood(self.engine, self._live_ports, frame.encode())
+        packet = encode_ipv6(self.link_local, ALL_NODES, IPProto.ICMPV6, payload, hop_limit=255)
+        frame = _ALL_NODES_MAC_WIRE + self._mac_bytes + _IPV6_ETHERTYPE_WIRE + packet
+        flood(self.engine, self._live_ports, frame)
 
     @staticmethod
     def _is_router_solicitation_raw(frame_bytes: bytes) -> bool:

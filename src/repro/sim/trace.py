@@ -8,12 +8,13 @@ ever reached the Windows 10 client").
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, List
 
 from repro._compat import slotted_dataclass
-from repro.net.ethernet import EthernetFrame, EtherType
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
+from repro.net.ethernet import EtherType
+from repro.net.ipv4 import IPProto
+from repro.net.lazy import LazyEthernetFrame, LazyIPv4Packet, LazyIPv6Packet
 from repro.net.udp import UdpDatagram
 
 __all__ = ["TraceEntry", "PacketTrace"]
@@ -35,38 +36,38 @@ class TraceEntry:
 def summarize_frame(raw: bytes) -> str:
     """A best-effort one-line decode of an Ethernet frame."""
     try:
-        frame = EthernetFrame.decode(raw)
+        frame = LazyEthernetFrame(raw)
     except ValueError:
         return f"<malformed frame, {len(raw)} bytes>"
     if frame.ethertype == EtherType.ARP:
         return f"ARP {frame.src} -> {frame.dst}"
     if frame.ethertype == EtherType.IPV4:
         try:
-            packet = IPv4Packet.decode(frame.payload, verify=False)
+            packet = LazyIPv4Packet(frame.payload, verify=False)
         except ValueError:
             return "IPv4 <malformed>"
-        extra = ""
-        if packet.proto == IPProto.UDP:
-            try:
-                d = UdpDatagram.decode(packet.payload, packet.src, packet.dst, verify=False)
-                extra = f" udp {d.src_port}->{d.dst_port}"
-            except ValueError:
-                pass
+        extra = _udp_ports(packet.proto, packet.payload)
         return f"IPv4 {packet.src} -> {packet.dst} proto={packet.proto}{extra}"
     if frame.ethertype == EtherType.IPV6:
         try:
-            packet = IPv6Packet.decode(frame.payload)
+            packet6 = LazyIPv6Packet(frame.payload)
         except ValueError:
             return "IPv6 <malformed>"
-        extra = ""
-        if packet.next_header == IPProto.UDP:
-            try:
-                d = UdpDatagram.decode(packet.payload, packet.src, packet.dst, verify=False)
-                extra = f" udp {d.src_port}->{d.dst_port}"
-            except ValueError:
-                pass
-        return f"IPv6 {packet.src} -> {packet.dst} nh={packet.next_header}{extra}"
+        extra = _udp_ports(packet6.next_header, packet6.payload)
+        return f"IPv6 {packet6.src} -> {packet6.dst} nh={packet6.next_header}{extra}"
     return f"ethertype={frame.ethertype:#06x} {len(raw)} bytes"
+
+
+def _udp_ports(proto: int, payload: bytes) -> str:
+    """`` udp SPORT->DPORT`` for a UDP header whose length field fits
+    the payload (the checks ``UdpDatagram.decode`` makes unverified),
+    else the empty string."""
+    if proto != IPProto.UDP or len(payload) < UdpDatagram.HEADER_LEN:
+        return ""
+    src_port, dst_port, length = struct.unpack("!HHH", payload[:6])
+    if length < UdpDatagram.HEADER_LEN or length > len(payload):
+        return ""
+    return f" udp {src_port}->{dst_port}"
 
 
 class PacketTrace:

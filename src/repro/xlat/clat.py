@@ -24,8 +24,7 @@ from repro.net.addresses import (
     IPv6Network,
     WELL_KNOWN_NAT64_PREFIX,
 )
-from repro.net.ipv4 import IPv4Packet
-from repro.net.ipv6 import IPv6Packet
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
 from repro.xlat.siit import translate_v4_to_v6, translate_v6_to_v4, TranslationError
 
 __all__ = ["ClatConfig", "Clat"]
@@ -67,7 +66,7 @@ class Clat:
         self.translated_out = 0
         self.translated_in = 0
 
-    def outbound(self, packet: IPv4Packet) -> IPv6Packet:
+    def outbound(self, packet: LazyIPv4Packet) -> LazyIPv6Packet:
         """Translate an application IPv4 packet for the IPv6-only wire."""
         if not self.enabled:
             raise TranslationError("CLAT disabled")
@@ -76,7 +75,7 @@ class Clat:
         self.translated_out += 1
         return translated
 
-    def inbound(self, packet: IPv6Packet) -> IPv4Packet:
+    def inbound(self, packet: LazyIPv6Packet) -> LazyIPv4Packet:
         """Translate a returning IPv6 packet back to application IPv4."""
         if not self.enabled:
             raise TranslationError("CLAT disabled")

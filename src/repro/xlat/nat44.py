@@ -10,14 +10,15 @@ Internet access", §VI).  The Nintendo-Switch escape hatch of figure 6
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple, Union
 
 from repro.net.addresses import IPv4Address
 from repro.net.icmp import IcmpMessage
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.tcp import TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.lazy import LazyIPv4Packet
+from repro.net.tcp import encode_tcp, TcpSegment
+from repro.net.udp import encode_udp, UdpDatagram
 from repro.xlat.siit import TranslationError
 
 __all__ = ["Nat44Session", "StatefulNat44"]
@@ -25,6 +26,8 @@ __all__ = ["Nat44Session", "StatefulNat44"]
 UDP_LIFETIME = 300
 TCP_LIFETIME = 7440
 ICMP_LIFETIME = 60
+
+Transport = Union[UdpDatagram, TcpSegment, IcmpMessage]
 
 
 @dataclass
@@ -57,7 +60,7 @@ class StatefulNat44:
         self.translated_in = 0
         self.dropped = 0
 
-    def translate_out(self, packet: IPv4Packet) -> IPv4Packet:
+    def translate_out(self, packet: LazyIPv4Packet) -> LazyIPv4Packet:
         """Rewrite an outbound packet's source to the public address."""
         proto, inside_port, transport = self._flow_key(packet, outbound=True)
         session = self._lookup_or_create(proto, packet.src, inside_port)
@@ -65,7 +68,7 @@ class StatefulNat44:
         self.translated_out += 1
         return self._rewrite(packet, session, outbound=True, transport=transport)
 
-    def translate_in(self, packet: IPv4Packet) -> IPv4Packet:
+    def translate_in(self, packet: LazyIPv4Packet) -> LazyIPv4Packet:
         """Rewrite a returning packet back to the inside host."""
         proto, outside_port, transport = self._flow_key(packet, outbound=False)
         session = self._by_outside.get((proto, outside_port))
@@ -78,7 +81,7 @@ class StatefulNat44:
 
     # -- internals -----------------------------------------------------------
 
-    def _flow_key(self, packet: IPv4Packet, outbound: bool) -> Tuple[int, int, object]:
+    def _flow_key(self, packet: LazyIPv4Packet, outbound: bool) -> Tuple[int, int, Transport]:
         """(proto, flow port, decoded transport) — the decoded object is
         threaded through to ``_rewrite`` so each packet is parsed once."""
         if packet.proto == IPProto.UDP:
@@ -130,30 +133,27 @@ class StatefulNat44:
         return ICMP_LIFETIME
 
     def _rewrite(
-        self, packet: IPv4Packet, session: Nat44Session, outbound: bool, transport: object
-    ) -> IPv4Packet:
+        self, packet: LazyIPv4Packet, session: Nat44Session, outbound: bool, transport: Transport
+    ) -> LazyIPv4Packet:
         if outbound:
             new_src, new_dst = self.public_address, packet.dst
         else:
             new_src, new_dst = packet.src, session.inside_addr
-        if packet.proto == IPProto.UDP:
+        if isinstance(transport, UdpDatagram):
             d = transport
             if outbound:
-                d = UdpDatagram(session.outside_port, d.dst_port, d.payload)
+                payload = encode_udp(new_src, new_dst, session.outside_port, d.dst_port, d.payload)
             else:
-                d = UdpDatagram(d.src_port, session.inside_port, d.payload)
-            payload = d.encode(new_src, new_dst)
-        elif packet.proto == IPProto.TCP:
+                payload = encode_udp(new_src, new_dst, d.src_port, session.inside_port, d.payload)
+        elif isinstance(transport, TcpSegment):
             s = transport
             if outbound:
-                s = TcpSegment(
-                    session.outside_port, s.dst_port, s.seq, s.ack, s.flags, s.window, s.payload
-                )
+                src_port, dst_port = session.outside_port, s.dst_port
             else:
-                s = TcpSegment(
-                    s.src_port, session.inside_port, s.seq, s.ack, s.flags, s.window, s.payload
-                )
-            payload = s.encode(new_src, new_dst)
+                src_port, dst_port = s.src_port, session.inside_port
+            payload = encode_tcp(
+                new_src, new_dst, src_port, dst_port, s.seq, s.ack, s.flags, s.window, s.payload
+            )
         else:  # ICMP echo
             m = transport
             ident = session.outside_port if outbound else session.inside_port
@@ -161,9 +161,20 @@ class StatefulNat44:
                 m.icmp_type, m.code, ((ident & 0xFFFF) << 16) | m.echo_seq, m.body
             )
             payload = m.encode()
-        # materialize(): lazy packet views are not dataclasses, so convert
-        # before replace(); eager packets return themselves.
-        return replace(packet.materialize(), src=new_src, dst=new_dst, payload=payload)
+        # Only the addresses and the transport change: the TTL, TOS,
+        # identification, DF bit and options go out as they arrived.
+        wire = encode_ipv4(
+            new_src,
+            new_dst,
+            packet.proto,
+            payload,
+            packet.ttl,
+            packet.tos,
+            packet.identification,
+            packet.dont_fragment,
+            packet.options,
+        )
+        return LazyIPv4Packet(wire, verify=False)
 
     @property
     def session_count(self) -> int:

@@ -32,11 +32,12 @@ from repro.net.addresses import (
     WELL_KNOWN_NAT64_PREFIX,
 )
 from repro.net.icmp import IcmpMessage
-from repro.net.icmpv6 import decode_icmpv6, Icmpv6Message
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
-from repro.net.tcp import TcpFlags, TcpSegment
-from repro.net.udp import UdpDatagram
+from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
+from repro.net.tcp import encode_tcp, TcpFlags, TcpSegment
+from repro.net.udp import encode_udp, UdpDatagram
 from repro.xlat.siit import translate_v4_to_v6, translate_v6_to_v4, TranslationError
 
 __all__ = ["Nat64Config", "Nat64Session", "StatefulNAT64"]
@@ -95,16 +96,16 @@ class StatefulNAT64:
     def covers(self, destination: IPv6Address) -> bool:
         return destination in self.config.prefix
 
-    def translate_out(self, packet: IPv6Packet) -> IPv4Packet:
+    def translate_out(self, packet: LazyIPv6Packet) -> LazyIPv4Packet:
         """Translate an IPv6 packet heading into the translation prefix.
 
         UDP and TCP are fused single-pass paths: the transport header is
-        decoded once and re-encoded once with the NAPT source port and
-        the translated pseudo-header, where the generic composition
-        (SIIT translate, then port rewrite) decoded it three times and
-        encoded it twice per forwarded packet.  The output bytes are
-        identical; ICMP echo takes the generic path, and anything else
-        is dropped.
+        decoded once and built once, straight to wire bytes, with the
+        NAPT source port and the translated pseudo-header, where the
+        generic composition (SIIT translate, then port rewrite) decoded
+        it three times and encoded it twice per forwarded packet.  The
+        output bytes are identical; ICMP echo takes the generic path,
+        and anything else is dropped.
         """
         if not self.covers(packet.dst):
             self.dropped += 1
@@ -119,40 +120,39 @@ class StatefulNAT64:
             session = self._lookup_or_create(IPProto.TCP, packet.src, s.src_port)
             self._advance_tcp_state(session, s.flags, outbound=True)
             session.packets_out += 1
-            out = TcpSegment(
-                session.pool_port, s.dst_port, s.seq, s.ack, s.flags, s.window, s.payload
+            segment = encode_tcp(
+                session.pool_addr,
+                dst_v4,
+                session.pool_port,
+                s.dst_port,
+                s.seq,
+                s.ack,
+                s.flags,
+                s.window,
+                s.payload,
             )
             self.translated_out += 1
-            return IPv4Packet(
-                src=session.pool_addr,
-                dst=dst_v4,
-                proto=IPProto.TCP,
-                payload=out.encode(session.pool_addr, dst_v4),
-                ttl=packet.hop_limit,
-                tos=packet.traffic_class,
-            )
+            return self._v4(session.pool_addr, dst_v4, IPProto.TCP, segment, packet)
         if next_header == IPProto.UDP:
             d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
             session = self._lookup_or_create(IPProto.UDP, packet.src, d.src_port)
             session.packets_out += 1
-            out = UdpDatagram(session.pool_port, d.dst_port, d.payload)
-            self.translated_out += 1
-            return IPv4Packet(
-                src=session.pool_addr,
-                dst=dst_v4,
-                proto=IPProto.UDP,
-                payload=out.encode(session.pool_addr, dst_v4),
-                ttl=packet.hop_limit,
-                tos=packet.traffic_class,
+            datagram = encode_udp(
+                session.pool_addr, dst_v4, session.pool_port, d.dst_port, d.payload
             )
+            self.translated_out += 1
+            return self._v4(session.pool_addr, dst_v4, IPProto.UDP, datagram, packet)
         session = self._lookup_or_create(IPProto.ICMP, packet.src, self._echo_ident_v6(packet))
         session.packets_out += 1
         translated = translate_v6_to_v4(packet, session.pool_addr, dst_v4)
-        translated = self._rewrite_v4_echo_ident(translated, session)
+        m = IcmpMessage.decode(translated.payload)
+        rewritten = IcmpMessage(
+            m.icmp_type, m.code, ((session.pool_port & 0xFFFF) << 16) | m.echo_seq, m.body
+        )
         self.translated_out += 1
-        return translated
+        return self._v4(session.pool_addr, dst_v4, IPProto.ICMP, rewritten.encode(), packet)
 
-    def translate_in(self, packet: IPv4Packet) -> IPv6Packet:
+    def translate_in(self, packet: LazyIPv4Packet) -> LazyIPv6Packet:
         """Translate a returning IPv4 packet back to the IPv6 client.
 
         UDP/TCP take the fused single-pass path (see
@@ -170,18 +170,19 @@ class StatefulNAT64:
             self._advance_tcp_state(session, s.flags, outbound=False)
             session.packets_in += 1
             src_v6 = self._embed(packet.src)
-            out = TcpSegment(
-                s.src_port, session.v6_port, s.seq, s.ack, s.flags, s.window, s.payload
+            segment = encode_tcp(
+                src_v6,
+                session.v6_addr,
+                s.src_port,
+                session.v6_port,
+                s.seq,
+                s.ack,
+                s.flags,
+                s.window,
+                s.payload,
             )
             self.translated_in += 1
-            return IPv6Packet(
-                src=src_v6,
-                dst=session.v6_addr,
-                next_header=IPProto.TCP,
-                payload=out.encode(src_v6, session.v6_addr),
-                hop_limit=packet.ttl,
-                traffic_class=packet.tos,
-            )
+            return self._v6(src_v6, session.v6_addr, IPProto.TCP, segment, packet)
         if proto == IPProto.UDP:
             d = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
             session = self._by_v4.get((IPProto.UDP, packet.dst, d.dst_port))
@@ -192,16 +193,9 @@ class StatefulNAT64:
                 )
             session.packets_in += 1
             src_v6 = self._embed(packet.src)
-            out = UdpDatagram(d.src_port, session.v6_port, d.payload)
+            datagram = encode_udp(src_v6, session.v6_addr, d.src_port, session.v6_port, d.payload)
             self.translated_in += 1
-            return IPv6Packet(
-                src=src_v6,
-                dst=session.v6_addr,
-                next_header=IPProto.UDP,
-                payload=out.encode(src_v6, session.v6_addr),
-                hop_limit=packet.ttl,
-                traffic_class=packet.tos,
-            )
+            return self._v6(src_v6, session.v6_addr, IPProto.UDP, datagram, packet)
         pool_port = self._echo_ident_v4(packet)
         session = self._by_v4.get((IPProto.ICMP, packet.dst, pool_port))
         now = self._clock()
@@ -211,12 +205,45 @@ class StatefulNAT64:
         session.packets_in += 1
         src_v6 = self._embed(packet.src)
         translated = translate_v4_to_v6(packet, src_v6, session.v6_addr)
-        translated = self._restore_v6_echo_ident(translated, session)
+        m = decode_icmpv6(translated.payload, src_v6, session.v6_addr)
+        if isinstance(m, Icmpv6Message):
+            # Restore the client's original identifier.
+            rewritten = Icmpv6Message(
+                m.icmp_type, m.code, ((session.v6_port & 0xFFFF) << 16) | m.echo_seq, m.body
+            )
+            payload = encode_icmpv6(rewritten, src_v6, session.v6_addr)
+            translated = self._v6(src_v6, session.v6_addr, IPProto.ICMPV6, payload, packet)
         self.translated_in += 1
         return translated
 
     def _embed(self, addr: IPv4Address) -> IPv6Address:
         return embed_ipv4_in_nat64(addr, self.config.prefix)
+
+    @staticmethod
+    def _v4(
+        src: IPv4Address, dst: IPv4Address, proto: int, payload: bytes, original: LazyIPv6Packet
+    ) -> LazyIPv4Packet:
+        """The translated IPv4 packet: RFC 7915 §5.1 maps the hop limit
+        to the TTL and the traffic class to the TOS."""
+        wire = encode_ipv4(
+            src, dst, proto, payload, ttl=original.hop_limit, tos=original.traffic_class
+        )
+        return LazyIPv4Packet(wire, verify=False)
+
+    @staticmethod
+    def _v6(
+        src: IPv6Address,
+        dst: IPv6Address,
+        next_header: int,
+        payload: bytes,
+        original: LazyIPv4Packet,
+    ) -> LazyIPv6Packet:
+        """The translated IPv6 packet: RFC 7915 §4.1 maps the TTL to the
+        hop limit and the TOS to the traffic class."""
+        wire = encode_ipv6(
+            src, dst, next_header, payload, hop_limit=original.ttl, traffic_class=original.tos
+        )
+        return LazyIPv6Packet(wire)
 
     # -- session management ------------------------------------------------
 
@@ -305,7 +332,7 @@ class StatefulNAT64:
 
     # -- the ICMP echo path: identifier keys and rewriting --------------------
 
-    def _echo_ident_v6(self, packet: IPv6Packet) -> int:
+    def _echo_ident_v6(self, packet: LazyIPv6Packet) -> int:
         if packet.next_header == IPProto.ICMPV6:
             msg = decode_icmpv6(packet.payload, packet.src, packet.dst)
             if isinstance(msg, Icmpv6Message):
@@ -313,41 +340,11 @@ class StatefulNAT64:
         self.dropped += 1
         raise TranslationError(f"untrackable IPv6 next header {packet.next_header}")
 
-    def _echo_ident_v4(self, packet: IPv4Packet) -> int:
+    def _echo_ident_v4(self, packet: LazyIPv4Packet) -> int:
         if packet.proto == IPProto.ICMP:
             return IcmpMessage.decode(packet.payload).echo_ident
         self.dropped += 1
         raise TranslationError(f"untrackable IPv4 protocol {packet.proto}")
-
-    def _rewrite_v4_echo_ident(self, packet: IPv4Packet, session: Nat64Session) -> IPv4Packet:
-        """Apply the NAPT identifier rewrite on the IPv4 side."""
-        from dataclasses import replace
-
-        m = IcmpMessage.decode(packet.payload)
-        rewritten = IcmpMessage(
-            m.icmp_type,
-            m.code,
-            ((session.pool_port & 0xFFFF) << 16) | m.echo_seq,
-            m.body,
-        )
-        return replace(packet, payload=rewritten.encode())
-
-    def _restore_v6_echo_ident(self, packet: IPv6Packet, session: Nat64Session) -> IPv6Packet:
-        """Restore the client's original identifier on the IPv6 side."""
-        from dataclasses import replace
-
-        from repro.net.icmpv6 import encode_icmpv6
-
-        m = decode_icmpv6(packet.payload, packet.src, packet.dst)
-        if not isinstance(m, Icmpv6Message):
-            return packet
-        rewritten = Icmpv6Message(
-            m.icmp_type,
-            m.code,
-            ((session.v6_port & 0xFFFF) << 16) | m.echo_seq,
-            m.body,
-        )
-        return replace(packet, payload=encode_icmpv6(rewritten, packet.src, packet.dst))
 
     # -- introspection ---------------------------------------------------------
 

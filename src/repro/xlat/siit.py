@@ -2,9 +2,10 @@
 revision of the RFC 6145 algorithm the paper names.
 
 Both NAT64 (network side) and CLAT (customer side) are built on these
-two functions.  Translation operates on fully-encoded IP packets,
-re-deriving transport checksums because UDP/TCP checksums cover the IP
-pseudo-header, which changes family:
+two functions.  Translation reads a packet view and builds the
+translated packet straight to wire bytes, returned as a view over them.
+It re-derives transport checksums because UDP/TCP checksums cover the
+IP pseudo-header, which changes family:
 
 - IPv4 → IPv6: TTL → hop limit, protocol → next header, ICMP type/code
   mapped to ICMPv6 equivalents;
@@ -20,8 +21,9 @@ from __future__ import annotations
 from repro.net.addresses import IPv4Address, IPv6Address
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import decode_icmpv6, encode_icmpv6, Icmpv6Message, Icmpv6Type
-from repro.net.ipv4 import IPProto, IPv4Packet
-from repro.net.ipv6 import IPv6Packet
+from repro.net.ipv4 import encode_ipv4, IPProto
+from repro.net.ipv6 import encode_ipv6
+from repro.net.lazy import LazyIPv4Packet, LazyIPv6Packet
 from repro.net.tcp import TcpSegment
 from repro.net.udp import UdpDatagram
 
@@ -33,10 +35,10 @@ class TranslationError(Exception):
 
 
 def translate_v4_to_v6(
-    packet: IPv4Packet,
+    packet: LazyIPv4Packet,
     new_src: IPv6Address,
     new_dst: IPv6Address,
-) -> IPv6Packet:
+) -> LazyIPv6Packet:
     """Translate one IPv4 packet to IPv6 (RFC 7915 §4).
 
     The caller supplies the translated addresses (stateless derivation
@@ -57,21 +59,18 @@ def translate_v4_to_v6(
         next_header = IPProto.ICMPV6
     else:
         raise TranslationError(f"untranslatable IPv4 protocol {packet.proto}")
-    return IPv6Packet(
-        src=new_src,
-        dst=new_dst,
-        next_header=next_header,
-        payload=payload,
-        hop_limit=packet.ttl,
-        traffic_class=packet.tos,
+    return LazyIPv6Packet(
+        encode_ipv6(
+            new_src, new_dst, next_header, payload, hop_limit=packet.ttl, traffic_class=packet.tos
+        )
     )
 
 
 def translate_v6_to_v4(
-    packet: IPv6Packet,
+    packet: LazyIPv6Packet,
     new_src: IPv4Address,
     new_dst: IPv4Address,
-) -> IPv4Packet:
+) -> LazyIPv4Packet:
     """Translate one IPv6 packet to IPv4 (RFC 7915 §5)."""
     if packet.next_header == IPProto.UDP:
         datagram = UdpDatagram.decode(packet.payload, packet.src, packet.dst)
@@ -89,14 +88,10 @@ def translate_v6_to_v4(
         proto = IPProto.ICMP
     else:
         raise TranslationError(f"untranslatable IPv6 next header {packet.next_header}")
-    return IPv4Packet(
-        src=new_src,
-        dst=new_dst,
-        proto=proto,
-        payload=payload,
-        ttl=packet.hop_limit,
-        tos=packet.traffic_class,
+    wire = encode_ipv4(
+        new_src, new_dst, proto, payload, ttl=packet.hop_limit, tos=packet.traffic_class
     )
+    return LazyIPv4Packet(wire, verify=False)
 
 
 # -- ICMP type/code mapping (RFC 7915 §4.2 / §5.2, echo subset + errors) -----
