@@ -66,10 +66,6 @@ _FAMILIES = {
 }
 
 
-def _rule_kind(rule) -> str:
-    return "program" if rule.program else "file"
-
-
 def _list_rules(fmt: str) -> int:
     """``--list-rules``: grouped text, or a diffable JSON inventory."""
     rules = all_rules()
@@ -83,7 +79,6 @@ def _list_rules(fmt: str) -> int:
                             "name": r.name,
                             "summary": r.summary,
                             "family": _FAMILIES.get(r.code[:3], r.code[:3] + "xx"),
-                            "kind": _rule_kind(r),
                             "scope": list(r.scope),
                         }
                         for r in rules
@@ -103,7 +98,7 @@ def _list_rules(fmt: str) -> int:
             print(family)
             previous_family = family
         scope = ", ".join(rule.scope) if rule.scope else "all files"
-        print(f"  {rule.code}  {rule.name:28s} [{scope}] ({_rule_kind(rule)})")
+        print(f"  {rule.code}  {rule.name:28s} [{scope}]")
         print(f"         {rule.summary}")
     return 0
 

@@ -3,19 +3,16 @@
 The linter is a plain ``ast`` walker — no third-party dependencies —
 organised around small rule plugins (see :mod:`repro.lint.rules`).
 Each rule owns one error code, a scope (the dotted module prefixes it
-applies to) and either a per-file ``check(ctx)`` or — for the
-interprocedural RL701 — a ``check_program(program, report)`` that runs
-once over the whole-tree call graph built by :mod:`repro.lint.program`.
-Suppression happens in one place: an inline pragma
-``# repro: allow[CODE]`` on the flagged line (or on the first line of
-the flagged statement), with a justification comment right where the
-exception lives.  RL001 keeps pragmas honest: one that no longer
-suppresses anything is itself a finding.
+applies to) and a per-file ``check(ctx)``.  Suppression happens in one
+place: an inline pragma ``# repro: allow[CODE]`` on the flagged line
+(or on the first line of the flagged statement), with a justification
+comment right where the exception lives.  RL001 keeps pragmas honest:
+one that no longer suppresses anything is itself a finding.
 
 ``lint_paths`` is the one orchestration point: it parses each file
-once, runs the per-file rules on its AST and, when a selected rule is
-a program rule (by default, always), digests the same AST into the
-module summary from which the program rules build the call graph.
+once, runs every rule on its AST and then audits the file's pragmas.
+A file that is not UTF-8 or does not parse is one RL000 finding, and
+the run goes on with the next file.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type, Union
 
 __all__ = [
     "Finding",
@@ -125,9 +122,7 @@ class Rule:
 
     Subclasses set :attr:`code`, :attr:`name`, :attr:`scope` (dotted
     module prefixes the rule applies to; empty = every file) and
-    implement :meth:`check`.  Interprocedural rules set
-    :attr:`program` and implement :meth:`check_program` instead — they
-    run once per invocation, over the assembled program, not per file.
+    implement :meth:`check`.
     """
 
     code: str = ""
@@ -135,16 +130,11 @@ class Rule:
     summary: str = ""
     #: Dotted module prefixes this rule fires in; () applies everywhere.
     scope: Tuple[str, ...] = ()
-    #: True for rules that judge the whole program (RL701).
-    program: bool = False
 
     def applies_to(self, ctx: LintContext) -> bool:
         return not self.scope or ctx.in_module(self.scope)
 
     def check(self, ctx: LintContext) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def check_program(self, program, report) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -219,20 +209,33 @@ def _effective_module(path: Path, source: str) -> str:
     return module
 
 
-def _parse(path: Path, source: str) -> Tuple[Optional[ast.Module], Optional[Finding]]:
+def _load(path: Path) -> Union[LintContext, Finding]:
+    """The context to lint ``path`` in, or the RL000 finding that says
+    why it cannot be linted."""
+    raw = path.read_bytes()
     try:
-        return ast.parse(source, filename=str(path)), None
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = raw.rfind(b"\n", 0, exc.start) + 1
+        return Finding(
+            str(path),
+            raw.count(b"\n", 0, exc.start) + 1,
+            exc.start - line_start,
+            "RL000",
+            f"not UTF-8: {exc.reason} at byte {exc.start}",
+        )
+    try:
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as exc:
-        return None, Finding(
+        return Finding(
             str(path),
             exc.lineno or 1,
             exc.offset or 0,
             "RL000",
             f"syntax error: {exc.msg}",
         )
-
-
-def _make_context(path: Path, source: str, tree: ast.Module) -> LintContext:
+    except ValueError as exc:  # a NUL byte, on Python 3.9 and 3.10
+        return Finding(str(path), 1, 0, "RL000", f"syntax error: {exc}")
     return LintContext(
         path=path,
         module=_effective_module(path, source),
@@ -268,69 +271,41 @@ class LintRun:
     files: int = 0
 
 
-def _run_file_rules(
-    ctx: LintContext, rules: Sequence[Rule]
-) -> List[Finding]:
-    for rule in rules:
-        if not rule.program and rule.applies_to(ctx):
-            rule.check(ctx)
-    ctx.findings.sort(key=lambda f: (f.line, f.col, f.code))
-    return ctx.findings
+def _stale_suppressions(ctx: LintContext, registered_codes: Set[str]) -> List[Finding]:
+    """RL001: the file's pragmas that suppressed nothing.
 
-
-def _stale_suppression_findings(
-    pragma_maps: Dict[str, Dict[int, Set[str]]],
-    used_pragmas: Dict[str, Set[Tuple[int, str]]],
-    checked_codes: Set[str],
-    registered_codes: Set[str],
-) -> List[Finding]:
-    """RL001: pragmas that suppressed nothing.
-
-    A pragma is judged only when every code it names was actually
-    checked this run (a ``--select RL101`` run says nothing about an
-    ``allow[RL302]`` pragma).  A pragma naming a code that is not in
-    the registry at all — a rule that was renamed or deleted — is
-    flagged unconditionally: it can never suppress anything again.
+    Every registered rule has just run on the file, so each pragma
+    naming a registered code is judged.  A pragma naming an ``RLnnn``
+    code that is not in the registry at all — a rule that was renamed
+    or deleted — can never suppress anything again.  Other shapes are
+    left alone: docs legitimately write placeholder pragmas like
+    ``allow[CODE]`` in prose.
     """
     findings: List[Finding] = []
-    for path, pragmas in pragma_maps.items():
-        used = used_pragmas.get(path, set())
-        for line in sorted(pragmas):
-            for code in sorted(pragmas[line]):
-                if code == "*":
+    for line in sorted(ctx.pragmas):
+        for code in sorted(ctx.pragmas[line]):
+            if code in registered_codes:
+                if (line, code) in ctx.used_pragmas:
                     continue
-                # Only real rule-code shapes are audited for existence:
-                # docs legitimately write placeholder pragmas like
-                # ``allow[CODE]`` in prose.
-                if re.fullmatch(r"RL\d{3}", code) and code not in registered_codes:
-                    findings.append(
-                        Finding(
-                            path,
-                            line,
-                            0,
-                            STALE_SUPPRESSION_CODE,
-                            f"suppression references unknown rule code "
-                            f"`{code}` — no registered rule emits it",
-                            "the rule was renamed or removed; delete the "
-                            "pragma or update the code",
-                        )
-                    )
-                    continue
-                if code not in checked_codes:
-                    continue
-                if (line, code) not in used:
-                    findings.append(
-                        Finding(
-                            path,
-                            line,
-                            0,
-                            STALE_SUPPRESSION_CODE,
-                            f"stale suppression: `# repro: allow[{code}]` no "
-                            "longer suppresses any finding",
-                            "delete the pragma (or the justification comment "
-                            "is describing code that moved — re-anchor it)",
-                        )
-                    )
+                message = (
+                    f"stale suppression: `# repro: allow[{code}]` no "
+                    "longer suppresses any finding"
+                )
+                hint = (
+                    "delete the pragma (or the justification comment "
+                    "is describing code that moved — re-anchor it)"
+                )
+            elif re.fullmatch(r"RL\d{3}", code):
+                message = (
+                    f"suppression references unknown rule code "
+                    f"`{code}` — no registered rule emits it"
+                )
+                hint = "the rule was renamed or removed; delete the pragma or update the code"
+            else:
+                continue
+            findings.append(
+                Finding(str(ctx.path), line, 0, STALE_SUPPRESSION_CODE, message, hint)
+            )
     return findings
 
 
@@ -346,76 +321,27 @@ def lint_paths_run(
     paths: Iterable[Path],
     select: Optional[Set[str]] = None,
 ) -> LintRun:
-    """Like :func:`lint_paths` but returns the full :class:`LintRun`."""
-    from repro.lint.program.summary import extract_summary
+    """Like :func:`lint_paths` but returns the full :class:`LintRun`.
 
+    Every rule runs on every file; ``select`` only filters what is
+    reported (RL000 is always reported).
+    """
     rules = all_rules()
-    file_rules = [r for r in rules if not r.program]
-    program_rules = [r for r in rules if r.program]
-    # The program is built only when a selected rule judges it.
-    build = any(select is None or r.code in select for r in program_rules)
-
-    run = LintRun()
+    registered_codes = {r.code for r in rules}
     files = iter_python_files(paths)
-    run.files = len(files)
-
     findings: List[Finding] = []
-    summaries: Dict[str, Any] = {}
-    pragma_maps: Dict[str, Dict[int, Set[str]]] = {}
-    used_pragmas: Dict[str, Set[Tuple[int, str]]] = {}
-
     for path in files:
-        source = path.read_bytes().decode("utf-8")
-        tree, error = _parse(path, source)
-        if tree is None:
-            if error is not None:
-                findings.append(error)
-            pragma_maps[str(path)] = {}
+        ctx = _load(path)
+        if isinstance(ctx, Finding):
+            findings.append(ctx)
             continue
-        ctx = _make_context(path, source, tree)
-        findings.extend(_run_file_rules(ctx, file_rules))
-        pragma_maps[str(path)] = ctx.pragmas
-        used_pragmas[str(path)] = set(ctx.used_pragmas)
-        if build:
-            summary = extract_summary(
-                ctx.module,
-                str(path),
-                tree,
-                is_package=path.name == "__init__.py",
-                pragmas=ctx.pragmas,
-                statement_starts=ctx.statement_starts,
-            )
-            summaries[summary.module] = summary
-
-    checked_codes = {r.code for r in file_rules}
-    if summaries:
-        from repro.lint.program.analyzer import build_program, ProgramReporter
-
-        context = build_program(summaries)
-        reporter = ProgramReporter()
-        for rule in program_rules:
-            rule.check_program(context, reporter)
-        findings.extend(reporter.findings)  # type: ignore[arg-type]
-        for path_str, used in reporter.used_pragmas.items():
-            used_pragmas.setdefault(path_str, set()).update(used)
-        # Without the dispatch roots the cone is empty, so a silent
-        # program rule says nothing about its pragmas.
-        if context.dispatch_roots:
-            checked_codes.update(r.code for r in program_rules)
-
-    if select is None or STALE_SUPPRESSION_CODE in select:
-        findings.extend(
-            _stale_suppression_findings(
-                pragma_maps,
-                used_pragmas,
-                checked_codes,
-                registered_codes={r.code for r in rules},
-            )
-        )
+        for rule in rules:
+            if rule.applies_to(ctx):
+                rule.check(ctx)
+        findings.extend(ctx.findings)
+        findings.extend(_stale_suppressions(ctx, registered_codes))
 
     if select is not None:
         findings = [f for f in findings if f.code in select or f.code == "RL000"]
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    run.findings = findings
-    return run
+    return LintRun(findings, len(files))

@@ -2,73 +2,38 @@
 
 A callback on the event-dispatch path that silences errors leaves the
 event queue consistent but the simulated world half-updated: the run
-goes on and prints a wrong table instead of failing.
+goes on and prints a wrong table instead of failing.  Every callback
+the engine dispatches lives in a deterministic package, so both rules
+are per-file rules scoped to those packages.
 
-- RL701 — a broad/bare ``except`` on the event-dispatch path that
-  neither re-raises nor demonstrably records the failure (references
-  the bound exception, formats the traceback).  A program rule: it
-  judges the broad-handler facts each
-  :class:`~repro.lint.program.summary.FunctionSummary` records against
-  the functions reachable from the event engine's dispatch loop.
+- RL701 — a bare ``except:``, or an ``except`` naming ``Exception`` or
+  ``BaseException`` (alone or in a tuple), that neither re-raises, nor
+  reads the bound exception, nor calls ``traceback.*``.  Every such
+  handler in scope is judged, whether the event loop can reach it or
+  not, so the rule needs no call graph.
 - RL702 — ``return``/``break``/``continue`` lexically inside a
-  ``finally`` block in a deterministic package: the jump silently
-  discards any in-flight exception (and with it the scheduler state
-  the handler was supposed to restore or report).  A per-file rule.
+  ``finally`` block: the jump silently discards any in-flight exception
+  (and with it the scheduler state the handler was supposed to restore
+  or report).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.core import LintContext, register_rule, Rule
-from repro.lint.program.analyzer import ProgramContext, ProgramReporter
+from repro.lint.rules._util import dotted_name
 from repro.lint.rules.determinism import DETERMINISTIC_PACKAGES
 
-__all__ = ["SwallowedDispatchException", "FinallyMasksFlow"]
-
-
-@register_rule
-class SwallowedDispatchException(Rule):
-    code = "RL701"
-    name = "swallowed-dispatch-exception"
-    summary = "broad except swallows failures on the event-dispatch path"
-    program = True
-
-    def check(self, ctx: LintContext) -> None:
-        return None
-
-    def check_program(self, program: ProgramContext, report: ProgramReporter) -> None:
-        for fid in sorted(program.dispatch_reachable):
-            found = program.index.function(fid)
-            if found is None:
-                continue
-            ms, fs = found
-            for handler in fs.handlers:
-                if handler["handled"]:
-                    continue
-                what = (
-                    "a bare `except:`"
-                    if handler["what"] == "bare"
-                    else f"`except {handler['what']}:`"
-                )
-                report.add(
-                    ms,
-                    handler,
-                    self.code,
-                    f"`{fs.qualname}` is reachable from the event-dispatch path "
-                    f"and {what} swallows the exception — the event loop keeps "
-                    "dispatching over half-updated state",
-                    "catch the narrowest exception that is actually expected, "
-                    "or re-raise / record the failure",
-                )
+__all__ = ["SwallowedException", "FinallyMasksFlow"]
 
 
 def _try_statements(
     node: ast.AST, prefix: str = "", function: str = "<module>"
 ) -> Iterator[Tuple[str, ast.AST]]:
     """Every ``try`` with the qualname of the function it sits in
-    (``f``, ``Cls.m``, ``f.<locals>.g``, as the program summaries name them)."""
+    (``f``, ``Cls.m``, ``f.<locals>.g``; ``<module>`` outside any)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             qualname = prefix + child.name
@@ -80,6 +45,62 @@ def _try_statements(
         if isinstance(child, ast.Try) or child.__class__.__name__ == "TryStar":
             yield function, child
         yield from _try_statements(child, prefix, function)
+
+
+def _broad_handler(handler: ast.ExceptHandler) -> Optional[str]:
+    """How a broad handler reads in a message, or None for a narrow one."""
+    if handler.type is None:
+        return "a bare `except:`"
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    for node in types:
+        tail = (dotted_name(node) or "").rsplit(".", 1)[-1]
+        if tail in ("Exception", "BaseException"):
+            return f"`except {tail}:`"
+    return None
+
+
+def _keeps_error(handler: ast.ExceptHandler) -> bool:
+    """True when the handler re-raises, reads its bound name or calls
+    ``traceback.*``.  A nested function or lambda runs later, if ever,
+    so what its body does keeps nothing."""
+    stack: List[ast.AST] = list(handler.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Raise):
+            return True
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id == handler.name:
+                return True
+        elif isinstance(node, ast.Call):
+            if (dotted_name(node.func) or "").split(".", 1)[0] == "traceback":
+                return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+@register_rule
+class SwallowedException(Rule):
+    code = "RL701"
+    name = "swallowed-exception"
+    summary = "broad except swallows failures in a deterministic package"
+    scope = DETERMINISTIC_PACKAGES
+
+    def check(self, ctx: LintContext) -> None:
+        for qualname, node in _try_statements(ctx.tree):
+            for handler in getattr(node, "handlers", []):
+                what = _broad_handler(handler)
+                if what is None or _keeps_error(handler):
+                    continue
+                ctx.add(
+                    handler,
+                    self.code,
+                    f"`{qualname}` has {what} that swallows the exception — "
+                    "the run goes on over half-updated state and can print a "
+                    "wrong table",
+                    "catch the narrowest exception that is actually expected, "
+                    "or re-raise / record the failure",
+                )
 
 
 def _finally_jumps(finalbody: Sequence[ast.stmt]) -> List[Tuple[ast.stmt, str]]:

@@ -6,8 +6,9 @@ the paper's testbed depends on:
 - Recursive DNS Server, RDNSS (RFC 8106 §5.1) — how the gateway leaked
   the *dead* ``fd00:976a::9``/``::10`` resolvers (paper figure 3), and how
   the healthy DNS64 is advertised;
-- DNS Search List, DNSSL (RFC 8106 §5.2) — the ``rfc8925.com`` suffix the
-  paper's figure 9 nslookup appends;
+- DNS Search List, DNSSL (RFC 8106 §5.2) — no testbed RA sets it: the
+  ``rfc8925.com`` suffix the paper's figure 9 nslookup appends reaches
+  clients only as DHCP option 15 (``ClientDevice.search_domains``);
 - MTU, Source/Target Link-Layer Address;
 - default-router preference (RFC 4191) — the managed switch sends its RA
   at *low* priority so the gateway keeps winning default-route selection.
@@ -222,8 +223,9 @@ class DnsslOption:
     """DNS Search List option (RFC 8106 §5.2).
 
     Domains are encoded in DNS wire format, padded with zeros to an
-    8-byte boundary.  The testbed's DHCP/RA advertise ``rfc8925.com``,
-    which is how figure 9's ``vpn.anl.gov.rfc8925.com`` lookup arises.
+    8-byte boundary.  No testbed RA carries one: ``rfc8925.com``, the
+    suffix behind figure 9's ``vpn.anl.gov.rfc8925.com`` lookup, is DHCP
+    option 15.
     """
 
     domains: Sequence[str]

@@ -1,18 +1,6 @@
-# repro-lint-module: repro.fix701.engine
+# repro-lint-module: repro.sim.fix701
 """RL701 positive: a callback the event engine dispatches swallows
 every exception — the loop keeps running over half-updated state."""
-
-
-class EventEngine:
-    def __init__(self):
-        self.queue = []
-
-    def schedule(self, callback):
-        self.queue.append(callback)
-
-    def run_until(self):
-        while self.queue:
-            self.queue.pop(0)()
 
 
 def deliver(frame):
@@ -27,4 +15,4 @@ def on_timer():
 
 
 def arm(engine):
-    engine.schedule(on_timer)
+    engine.schedule(0.0, on_timer)

@@ -1,18 +1,6 @@
-# repro-lint-module: repro.fix701g.engine
+# repro-lint-module: repro.sim.fix701g
 """RL701 negative: the dispatched callbacks keep failures visible — one
 handler is narrow, the other binds the exception and records it."""
-
-
-class EventEngine:
-    def __init__(self):
-        self.queue = []
-
-    def schedule(self, callback):
-        self.queue.append(callback)
-
-    def run_until(self):
-        while self.queue:
-            self.queue.pop(0)()
 
 
 def deliver(frame):
@@ -37,5 +25,5 @@ def on_probe():
 
 
 def arm(engine):
-    engine.schedule(on_timer)
-    engine.schedule(on_probe)
+    engine.schedule(0.0, on_timer)
+    engine.schedule(0.0, on_probe)

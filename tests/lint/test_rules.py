@@ -2,10 +2,11 @@
 negative snippet in ``tests/lint/corpus`` (one pair per shipped rule).
 
 Fixtures are linted through :func:`lint_paths`, the pipeline the CLI
-runs, so the per-file rules, the whole-program RL701 and the RL001
-stale-suppression check all see them.  The planted defects
-at the end pin that every determinism source is flagged where it
-occurs, however far its value travels before it reaches an output.
+runs, so every rule and the RL001 stale-suppression check see them.
+The exception-flow cases pin which handlers and jumps RL701 and RL702
+judge.  The planted defects at the end pin that every determinism
+source is flagged where it occurs, however far its value travels
+before it reaches an output.
 """
 
 from __future__ import annotations
@@ -76,6 +77,84 @@ def test_interprocedural_fixture_flagged_at_its_source():
     sources = {n for n, line in enumerate(lines, start=1) if "return id(" in line}
     assert len(sources) == 3
     assert sources <= {f.line for f in lint_paths([path], select={"RL104"})}
+
+
+def _handler_in_poll(clause: str, *body: str) -> str:
+    """A function whose one ``try`` ends in ``clause`` and ``body``."""
+    lines = ["def poll(x):", "    try:", "        x.step()", f"    {clause}"]
+    return "\n".join(lines + [f"        {line}" for line in body]) + "\n"
+
+
+#: RL701 cases: case -> (module, source).  ``# <- RL701`` marks each
+#: handler that must be flagged, and only those.  Nothing schedules
+#: ``poll``: the rule judges a handler wherever it sits in scope.
+RL701_CASES = {
+    "bare": ("repro.sim.fixture", _handler_in_poll("except:  # <- RL701", "pass")),
+    "exception": ("repro.sim.fixture", _handler_in_poll("except Exception:  # <- RL701", "pass")),
+    "base-exception": (
+        "repro.core.fixture",
+        _handler_in_poll("except BaseException:  # <- RL701", "return None"),
+    ),
+    "tuple": (
+        "repro.services.fixture",
+        _handler_in_poll("except (KeyError, Exception):  # <- RL701", "pass"),
+    ),
+    "narrow": ("repro.sim.fixture", _handler_in_poll("except KeyError:", "pass")),
+    "re-raise": ("repro.sim.fixture", _handler_in_poll("except Exception:", "x.reset()", "raise")),
+    "reads-bound-name": (
+        "repro.sim.fixture",
+        _handler_in_poll("except Exception as exc:", "x.failures.append(repr(exc))"),
+    ),
+    "traceback": (
+        "repro.sim.fixture",
+        _handler_in_poll("except BaseException:", "traceback.print_exc()"),
+    ),
+    "raise-in-nested-def": (
+        "repro.sim.fixture",
+        _handler_in_poll("except Exception:  # <- RL701", "def later():", "    raise"),
+    ),
+    "module-level": (
+        "repro.sim.fixture",
+        "try:\n    import fastpath\nexcept Exception:  # <- RL701\n    fastpath = None\n",
+    ),
+    "out-of-scope-main": ("repro.__main__", _handler_in_poll("except Exception:", "pass")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RL701_CASES))
+def test_rl701_judges_broad_handlers(case, tmp_path):
+    module, body = RL701_CASES[case]
+    text = f"# repro-lint-module: {module}\n{body}"
+    path = tmp_path / "fixture.py"
+    path.write_text(text, encoding="utf-8")
+    marked = [n for n, line in enumerate(text.splitlines(), start=1) if "# <- RL701" in line]
+    assert [f.line for f in lint_paths([path], {"RL701"})] == marked
+
+
+def test_finally_jump_local_loop_exempt(tmp_path):
+    def rl702_lines(body: str) -> list:
+        path = tmp_path / "fixture.py"
+        path.write_text("# repro-lint-module: repro.sim.fixture\n" + body)
+        return [f.line for f in lint_paths([path], {"RL702"})]
+
+    local_loop = rl702_lines(
+        "def f(q):\n"
+        "    try:\n"
+        "        g(q)\n"
+        "    finally:\n"
+        "        while q:\n"
+        "            if not q.pop():\n"
+        "                break\n"
+    )
+    assert local_loop == []
+    returns = rl702_lines(
+        "def f(q):\n"
+        "    try:\n"
+        "        g(q)\n"
+        "    finally:\n"
+        "        return 0\n"
+    )
+    assert returns == [6]
 
 
 #: Planted determinism defects, one per case: module name -> source.

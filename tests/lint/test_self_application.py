@@ -1,9 +1,9 @@
 """The linter applied to its own repository: the committed tree must be
-clean (whole-program rules included), and the CLI must fail loudly on
-the deliberately-broken corpus.
+clean, and the CLI must fail loudly on the deliberately-broken corpus.
 
 The whole tree is analysed with every rule through both entry points:
-in process with :func:`lint_paths`, and through the CLI.
+in process with :func:`lint_paths`, and through the CLI.  The CLI's
+report formats and wall-time gate run in subprocesses, as CI runs them.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ def test_cli_select_filters_codes():
     assert result.returncode == 0
 
 
-def test_cli_select_program_rule_implies_program():
-    """Selecting RL701 builds the program it judges."""
-    result = run_cli("--select", "RL701", str(CORPUS / "bad_rl701.py"))
-    assert result.returncode == 1
-    assert "RL701" in result.stdout
-
-
 def test_cli_list_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
@@ -68,10 +61,41 @@ def test_cli_list_rules_json():
     codes = [entry["code"] for entry in inventory["rules"]]
     assert codes == sorted(rule.code for rule in all_rules())
     by_code = {entry["code"]: entry for entry in inventory["rules"]}
-    assert by_code["RL701"]["kind"] == "program"
-    assert by_code["RL101"]["kind"] == "file"
-    assert by_code["RL702"]["kind"] == "file"
     assert by_code["RL701"]["family"].startswith("RL7xx")
+
+
+def test_cli_json_format():
+    result = run_cli("--format", "json", str(CORPUS / "bad_rl101.py"))
+    assert result.returncode == 1
+    payload = json.loads(result.stdout)
+    assert {"findings", "stats"} <= set(payload)
+    codes = {f["code"] for f in payload["findings"]}
+    assert "RL101" in codes
+    assert payload["stats"]["files"] == 1
+    for key in ("elapsed_s", "findings"):
+        assert key in payload["stats"]
+
+
+def test_cli_gha_format():
+    result = run_cli("--format", "gha", str(CORPUS / "bad_rl101.py"), str(CORPUS / "bad_rl001.py"))
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    assert any(
+        line.startswith("::error file=") and "title=RL101" in line for line in lines
+    )
+    # Stale suppressions annotate as warnings, not errors.
+    assert any(
+        line.startswith("::warning file=") and "title=RL001" in line for line in lines
+    )
+
+
+def test_cli_max_seconds_gate(tmp_path):
+    clean = tmp_path / "clean.py"
+    clean.write_text("x = 1\n", encoding="utf-8")
+    result = run_cli("--max-seconds", "0", str(clean))
+    assert result.returncode == 3
+    result = run_cli("--max-seconds", "600", str(clean))
+    assert result.returncode == 0
 
 
 def test_cli_missing_path_is_usage_error():

@@ -1,4 +1,4 @@
-"""Pragma and scoping behaviour of the analysis driver."""
+"""Pragma, scoping and unreadable-file behaviour of the analysis driver."""
 
 from __future__ import annotations
 
@@ -53,6 +53,38 @@ def test_pragma_on_statement_first_line_covers_multiline(tmp_path):
         "    )\n"
     )
     assert "RL101" not in _lint_source(tmp_path, source)
+
+
+def test_stale_rl701_pragma_reported_on_one_file(tmp_path):
+    """Every rule judges each file alone, so a pragma that no longer
+    suppresses an RL701 finding is stale on a run over that one file."""
+    source = (
+        "# repro-lint-module: repro.sim.fixture\n"
+        "def on_timer(x):\n"
+        "    try:\n"
+        "        return x.step()\n"
+        "    except ValueError:  # repro: allow[RL701]\n"
+        "        return 0\n"
+    )
+    path = tmp_path / "fixture.py"
+    path.write_text(source)
+    assert [(f.line, f.code) for f in lint_paths([path])] == [(5, "RL001")]
+
+
+def test_unreadable_files_are_rl000_findings(tmp_path):
+    """A file that does not parse, holds a NUL byte or is not UTF-8 is
+    one RL000 finding, and the run goes on to lint the other files."""
+    (tmp_path / "a_syntax.py").write_text("def f(:\n")
+    (tmp_path / "b_nul.py").write_bytes(b"x = 1\x00\n")
+    (tmp_path / "c_bytes.py").write_bytes(b"x = 1\ny = '\xff'\n")
+    (tmp_path / "d_clock.py").write_text(BANNED_CALL.format(pragma=""))
+    found = [(Path(f.path).name, f.line, f.code) for f in lint_paths([tmp_path])]
+    assert found == [
+        ("a_syntax.py", 1, "RL000"),
+        ("b_nul.py", 1, "RL000"),
+        ("c_bytes.py", 2, "RL000"),
+        ("d_clock.py", 5, "RL101"),
+    ]
 
 
 def test_out_of_scope_module_not_flagged(tmp_path):
