@@ -5,8 +5,8 @@ The package implements, from scratch and in pure Python:
 
 - byte-accurate wire formats for Ethernet, ARP, IPv4, IPv6, UDP, TCP,
   ICMP and ICMPv6/NDP (:mod:`repro.net`);
-- a complete DNS implementation with name compression, zones, caching and
-  a suffix-search-list-aware stub resolver (:mod:`repro.dns`);
+- the DNS the testbed serves, with name compression, A/AAAA/SOA zones,
+  caching and a suffix-search-list-aware stub resolver (:mod:`repro.dns`);
 - DHCPv4 with RFC 8925 option 108 support (:mod:`repro.dhcp`);
 - IPv6 host configuration: SLAAC, RA/RDNSS processing and RFC 6724
   address selection (:mod:`repro.nd`);

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro._cli import run_piped
 from repro.analysis.adoption import FIXED_DEVICES, sweep_table, windows_refresh_mixes
 from repro.analysis.fleet import distinct_profiles, run_fleet_adoption_sweep_stats
 from repro.analysis.matrix import matrix_table, run_device_matrix
@@ -179,6 +180,13 @@ def cmd_experiments(args) -> int:
     return 0 if ok else 1
 
 
+def print_version() -> int:
+    from repro import __version__
+
+    print(f"repro {__version__}")
+    return 0
+
+
 def cmd_sanitize(args) -> int:
     from repro.lint.sanitize import main as sanitize_main
 
@@ -194,14 +202,11 @@ def main(argv=None) -> int:
     if arguments and arguments[0] == "lint":
         from repro.lint.cli import main as lint_main
 
-        return lint_main(arguments[1:])
+        return run_piped(lint_main, arguments[1:])
     # Same treatment for ``--version``: the subcommand is required, so
     # argparse would reject a bare ``--version`` unless short-circuited.
     if arguments and arguments[0] in ("--version", "-V"):
-        from repro import __version__
-
-        print(f"repro {__version__}")
-        return 0
+        return run_piped(print_version)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -269,17 +274,7 @@ def main(argv=None) -> int:
     p_sanitize.set_defaults(fn=cmd_sanitize)
 
     args = parser.parse_args(arguments)
-    try:
-        return args.fn(args)
-    except BrokenPipeError:
-        # Output was piped into a pager/head that exited early.
-        import os
-
-        try:
-            sys.stdout.close()
-        except Exception:
-            pass
-        os._exit(0)
+    return run_piped(args.fn, args)
 
 
 if __name__ == "__main__":

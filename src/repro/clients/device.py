@@ -193,13 +193,11 @@ class ClientDevice:
         return rdnss + dhcp
 
     def search_domains(self) -> List[str]:
-        domains: List[str] = []
+        """The DHCP domain (option 15), the one search suffix a client
+        learns: no testbed RA carries a DNSSL option."""
         if self.dhcp_result is not None and getattr(self.dhcp_result, "domain_name", None):
-            domains.append(self.dhcp_result.domain_name)
-        for d in self.host.slaac.search_domains:
-            if d not in domains:
-                domains.append(d)
-        return domains
+            return [self.dhcp_result.domain_name]
+        return []
 
     def rebuild_resolver(self) -> StubResolver:
         config = ResolverConfig(

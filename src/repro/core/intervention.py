@@ -60,7 +60,7 @@ class PoisonedDNSServer(ForwardingDnsServer):
         name: str = "poisoned-dns",
     ) -> None:
         super().__init__(upstream, (), name)
-        self.config = config
+        self._config = config
         self.poison_answers = 0
 
     def _forwards(self, question: DnsQuestion) -> bool:

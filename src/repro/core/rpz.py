@@ -50,7 +50,7 @@ class RPZPolicyServer(ForwardingDnsServer):
         name: str = "rpz-dns",
     ) -> None:
         super().__init__(upstream, (), name)
-        self.config = config
+        self._config = config
         self.rewritten = 0
         self.passed_negative = 0
 

@@ -281,12 +281,8 @@ class Testbed:
             ipv4_gateway=self.gateway.config.lan_ipv4,
         )
         self.pi_healthy.add_static_ipv6(PI_HEALTHY_V6, ULA_PREFIX)
-        from repro.xlat.dns64 import Dns64Config
-
         self.dns64 = DNS64Resolver(
-            self.zones,
-            Dns64Config(prefix=self.config.nat64_prefix),
-            name="healthy-dns64",
+            self.zones, prefix=self.config.nat64_prefix, name="healthy-dns64"
         )
         self.pi_healthy.udp_serve(
             53, lambda payload, src, sport: self.dns64.handle_query(payload, client=src)

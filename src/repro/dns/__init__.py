@@ -1,6 +1,7 @@
-"""A complete DNS implementation: names with compression, messages,
-record data, authoritative zones, caching and a suffix-search-list-aware
-stub resolver.
+"""The DNS the testbed serves: names with compression, messages, A, AAAA
+and SOA record data (every other type carried opaquely), authoritative
+zones that only grow, caching and a suffix-search-list-aware stub
+resolver.
 
 This is the substrate the paper's contribution manipulates: the healthy
 DNS64 (:class:`repro.xlat.dns64.DNS64Resolver`), the dnsmasq-style
@@ -12,21 +13,7 @@ the wire format defined here.
 from repro.dns.cache import DnsCache
 from repro.dns.message import DnsHeader, DnsMessage, DnsQuestion, ResourceRecord
 from repro.dns.name import DnsName
-from repro.dns.rdata import (
-    A,
-    AAAA,
-    CNAME,
-    MX,
-    NS,
-    OpaqueRData,
-    PTR,
-    RCode,
-    RRClass,
-    RRType,
-    SOA,
-    SRV,
-    TXT,
-)
+from repro.dns.rdata import A, AAAA, OpaqueRData, RCode, RRClass, RRType, SOA
 from repro.dns.resolver import DnsTransportError, ResolutionResult, ResolverConfig, StubResolver
 from repro.dns.server import DnsServer, ForwardingDnsServer
 from repro.dns.zone import Zone, ZoneError
@@ -38,13 +25,7 @@ __all__ = [
     "RCode",
     "A",
     "AAAA",
-    "CNAME",
-    "NS",
-    "PTR",
     "SOA",
-    "MX",
-    "TXT",
-    "SRV",
     "OpaqueRData",
     "DnsHeader",
     "DnsQuestion",

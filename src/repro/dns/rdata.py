@@ -1,8 +1,10 @@
 """DNS record data (RDATA) types and the numeric registries.
 
-Each RDATA class knows how to encode itself and decode from a message
-buffer (names inside RDATA may use compression, hence decode receives the
-whole message plus an offset).
+The testbed's zones hold A, AAAA and SOA records only, so those are the
+three types modelled.  Each knows how to encode itself and decode from a
+message buffer (the SOA's names may use compression, hence decode
+receives the whole message plus an offset).  Every other type is carried
+as :class:`OpaqueRData`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.dns.name import DnsName, NameCompressor
 from repro.net.addresses import IPv4Address, IPv6Address
@@ -21,20 +23,15 @@ __all__ = [
     "RCode",
     "A",
     "AAAA",
-    "CNAME",
-    "NS",
-    "PTR",
     "SOA",
-    "MX",
-    "TXT",
-    "SRV",
     "OpaqueRData",
     "decode_rdata",
 ]
 
 
 class RRType(enum.IntEnum):
-    """DNS resource-record type codes."""
+    """DNS resource-record type codes.  A client may ask for any of
+    them; only A, AAAA and SOA have RDATA classes."""
 
     A = 1
     NS = 2
@@ -111,42 +108,6 @@ class AAAA:
 
 
 @dataclass(frozen=True)
-class _SingleName:
-    target: DnsName
-
-    def encode(self, compressor: Optional[NameCompressor] = None) -> bytes:
-        # RFC 3597 discourages compression inside newer RDATA, but CNAME/NS/PTR
-        # are compressible legacy types. We encode uncompressed for simplicity
-        # and decode either form.
-        del compressor
-        return self.target.encode()
-
-    @classmethod
-    def decode(cls, message: bytes, offset: int, rdlength: int):
-        del rdlength
-        name, _ = DnsName.decode(message, offset)
-        return cls(name)
-
-    def __str__(self) -> str:
-        return str(self.target)
-
-
-@dataclass(frozen=True)
-class CNAME(_SingleName):
-    rrtype = RRType.CNAME
-
-
-@dataclass(frozen=True)
-class NS(_SingleName):
-    rrtype = RRType.NS
-
-
-@dataclass(frozen=True)
-class PTR(_SingleName):
-    rrtype = RRType.PTR
-
-
-@dataclass(frozen=True)
 class SOA:
     mname: DnsName
     rname: DnsName
@@ -180,79 +141,12 @@ class SOA:
 
 
 @dataclass(frozen=True)
-class MX:
-    preference: int
-    exchange: DnsName
-
-    rrtype = RRType.MX
-
-    def encode(self, compressor: Optional[NameCompressor] = None) -> bytes:
-        del compressor
-        return struct.pack("!H", self.preference) + self.exchange.encode()
-
-    @classmethod
-    def decode(cls, message: bytes, offset: int, rdlength: int) -> "MX":
-        del rdlength
-        (preference,) = struct.unpack("!H", message[offset : offset + 2])
-        exchange, _ = DnsName.decode(message, offset + 2)
-        return cls(preference, exchange)
-
-
-@dataclass(frozen=True)
-class TXT:
-    strings: Tuple[bytes, ...]
-
-    rrtype = RRType.TXT
-
-    @classmethod
-    def from_text(cls, *texts: str) -> "TXT":
-        return cls(tuple(t.encode("utf-8") for t in texts))
-
-    def encode(self, compressor: Optional[NameCompressor] = None) -> bytes:
-        del compressor
-        out = bytearray()
-        for s in self.strings:
-            if len(s) > 255:
-                raise ValueError("TXT character-string longer than 255 bytes")
-            out.append(len(s))
-            out += s
-        return bytes(out)
-
-    @classmethod
-    def decode(cls, message: bytes, offset: int, rdlength: int) -> "TXT":
-        strings = []
-        end = offset + rdlength
-        while offset < end:
-            length = message[offset]
-            strings.append(bytes(message[offset + 1 : offset + 1 + length]))
-            offset += 1 + length
-        return cls(tuple(strings))
-
-
-@dataclass(frozen=True)
-class SRV:
-    priority: int
-    weight: int
-    port: int
-    target: DnsName
-
-    rrtype = RRType.SRV
-
-    def encode(self, compressor: Optional[NameCompressor] = None) -> bytes:
-        del compressor
-        return struct.pack("!HHH", self.priority, self.weight, self.port) + self.target.encode()
-
-    @classmethod
-    def decode(cls, message: bytes, offset: int, rdlength: int) -> "SRV":
-        del rdlength
-        priority, weight, port = struct.unpack("!HHH", message[offset : offset + 6])
-        target, _ = DnsName.decode(message, offset + 6)
-        return cls(priority, weight, port, target)
-
-
-@dataclass(frozen=True)
 class OpaqueRData:
-    """RDATA of a type we don't model, carried verbatim (RFC 3597)."""
+    """RDATA of a type we don't model, carried verbatim (RFC 3597).
+
+    Only the wire can bring one: the forwarders relay replies of the
+    in-tree servers, whose RDATA is A, AAAA or SOA, so no compressed
+    name inside well-known RDATA is ever carried here."""
 
     rrtype_value: int
     data: bytes
@@ -275,13 +169,7 @@ class OpaqueRData:
 _RDATA_CLASSES = {
     RRType.A: A,
     RRType.AAAA: AAAA,
-    RRType.CNAME: CNAME,
-    RRType.NS: NS,
-    RRType.PTR: PTR,
     RRType.SOA: SOA,
-    RRType.MX: MX,
-    RRType.TXT: TXT,
-    RRType.SRV: SRV,
 }
 
 

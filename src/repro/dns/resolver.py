@@ -82,7 +82,6 @@ class ResolverConfig:
     ndots: int = 1
     timeout: float = 2.0
     attempts: int = 2
-    max_cname_depth: int = 8
 
 
 @dataclass
@@ -174,21 +173,6 @@ class StubResolver:
                 cached.rcode, list(cached.records), queried_name=name, from_cache=True
             )
         result = self._query_servers(name, rrtype)
-        # Chase CNAMEs the server didn't flatten for us.
-        depth = 0
-        while (
-            result.rcode == RCode.NOERROR
-            and result.records
-            and all(rr.rrtype == RRType.CNAME for rr in result.records)
-            and rrtype != RRType.CNAME
-            and depth < self.config.max_cname_depth
-        ):
-            depth += 1
-            target = result.records[-1].rdata.target
-            nxt = self._query_servers(target, rrtype)
-            nxt.records = result.records + nxt.records
-            result = nxt
-            result.queried_name = name
         if result.rcode == RCode.NOERROR and result.records:
             self._cache.put_positive(name, rrtype, result.records)
         elif result.rcode in (RCode.NOERROR, RCode.NXDOMAIN):
@@ -216,14 +200,9 @@ class StubResolver:
                 if response.header.ident != ident or not response.header.is_response:
                     errors.append(f"{server}: id mismatch")
                     continue
-                relevant = [
-                    rr
-                    for rr in response.answers
-                    if rr.rrtype in (rrtype, RRType.CNAME)
-                ]
                 return ResolutionResult(
                     response.rcode,
-                    relevant,
+                    [rr for rr in response.answers if rr.rrtype == rrtype],
                     queried_name=name,
                     server_used=server,
                 )

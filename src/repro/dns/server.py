@@ -23,9 +23,8 @@ from repro.dns.zone import Zone
 
 __all__ = ["DnsServer", "ForwardingDnsServer", "QueryLogEntry"]
 
-#: A cache epoch: the policy part, ``(policy_epoch, config)``, and the
-#: version of each zone.
-_Epoch = Tuple[Tuple[int, Any], Tuple[int, ...]]
+#: A cache epoch: the version of each served zone, in order.
+_Epoch = Tuple[int, ...]
 
 
 @slotted_dataclass(frozen=True)
@@ -53,8 +52,8 @@ class _CachedResponse:
     ident (``forwarded`` and ``reply``); records of zone answers keep
     ``None`` in both.
 
-    ``labels`` is the query name's label tuple when the record may outlive
-    its epoch by the per-name rule (see :class:`DnsServer`), else ``None``.
+    ``labels`` is the query name's label tuple for a record of the zone
+    rule (see :class:`DnsServer`), ``None`` for one of the upstream rule.
     ``log_entries`` hold no client."""
 
     epoch: _Epoch
@@ -77,23 +76,22 @@ class DnsServer:
     Responses are cached as wire templates keyed by the query wire
     *minus its 2-byte ident* (``wire[2:]`` — flags, counts and question
     included), so a hit skips query *decoding* entirely; the ident is
-    patched into the template on each hit.  Every record carries the
-    cache epoch it was last known valid under: a policy part
-    (:attr:`policy_epoch` and :attr:`config`) and the zone versions.
-    The server memoizes its epoch, and only the writers of its inputs
-    clear the memo: :meth:`bump_policy_epoch`, assigning :attr:`config`,
-    :meth:`add_zone` and each zone's own mutation.  So a hit reads the
-    memo and compares it with the record's epoch by identity first, by
-    equality only after the memo was rebuilt.  One of two validity rules
-    applies:
+    patched into the template on each hit.  A server's zones and its
+    :attr:`config` are fixed when it is built (``config`` has no
+    setter), so answers depend on nothing else that changes but the
+    zones' records.  Every record carries the cache epoch it was last
+    known valid under: the tuple of zone versions.  The server memoizes
+    its epoch, and each zone clears the memo on every addition.  So a
+    hit reads the memo and compares it with the record's epoch by
+    identity first, by equality only after the memo was rebuilt.  One of
+    two validity rules applies:
 
     - the *zone* rule: an answer built from this server's own data holds
       while the epoch does.  After zone writes it still holds, and is
-      re-stamped with the new epoch, when the policy part and the set of
-      zones are unchanged, no lookup made for it followed a CNAME, and
-      no write since touched its query name or any name below it
-      (:meth:`Zone.touched`).  So an answer is rebuilt when its own name
-      or the policy changes, not once per query or per zone write;
+      re-stamped with the new epoch, when no write since touched its
+      query name or any name below it (:meth:`Zone.touched`).  So an
+      answer is rebuilt when its own name changes, not once per query
+      or per zone write;
     - the *upstream* rule (:class:`ForwardingDnsServer`): an answer
       built from an upstream exchange also depends on the upstream's
       reply, so a hit still sends the upstream the same query and
@@ -120,43 +118,19 @@ class DnsServer:
         self.query_log: List[QueryLogEntry] = []
         #: Least recently used first.
         self._response_cache: "OrderedDict[bytes, _CachedResponse]" = OrderedDict()
-        self._policy_epoch = 0
         self._config: Any = None
-        #: The cache epoch, or ``None`` once one of its inputs changed.
+        #: The cache epoch, or ``None`` once a zone changed.
         self._epoch: Optional[_Epoch] = None
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Set by :meth:`respond` when a zone lookup followed a CNAME.
-        self._chased = False
         for zone in self._zones:
             zone._watch(self)
 
     @property
-    def policy_epoch(self) -> int:
-        """Advanced by :meth:`bump_policy_epoch`, its one writer."""
-        return self._policy_epoch
-
-    @property
     def config(self) -> Any:
-        """What answers depend on besides zone data: the DNS64's,
-        poisoner's or RPZ server's configuration, ``None`` here.
-        Assigning it invalidates every cached response."""
+        """The poisoner's or RPZ server's configuration, ``None`` here;
+        read-only, so cached answers never outlive it."""
         return self._config
-
-    @config.setter
-    def config(self, config: Any) -> None:
-        self._config = config
-        self._epoch = None
-
-    def add_zone(self, zone: Zone) -> None:
-        self._zones.append(zone)
-        zone._watch(self)
-        self._epoch = None
-
-    def bump_policy_epoch(self) -> None:
-        """Invalidate all cached responses after a policy change."""
-        self._policy_epoch += 1
-        self._epoch = None
 
     def _forget_epoch(self) -> None:
         """Called by a served zone after each of its mutations."""
@@ -183,7 +157,9 @@ class DnsServer:
         cache = self._response_cache
         cached = cache.get(key)
         if cached is not None:
-            epoch = self._epoch or self._cache_epoch()
+            epoch = self._epoch
+            if epoch is None:
+                epoch = self._cache_epoch()
             if cached.epoch is epoch or self._still_holds(cached, epoch):
                 cache.move_to_end(key)
                 return self._hit(cached, wire, client)
@@ -204,11 +180,9 @@ class DnsServer:
         with ``epoch``, so the next hit matches by identity."""
         if cached.epoch != epoch:
             labels = cached.labels
-            policy, versions = epoch
-            stamped_policy, stamped_versions = cached.epoch
-            if labels is None or policy != stamped_policy or len(versions) != len(stamped_versions):
+            if labels is None:
                 return False
-            for zone, stamped in zip(self._zones, stamped_versions):
+            for zone, stamped in zip(self._zones, cached.epoch):
                 if zone.touched(labels) > stamped:
                     return False
         cached.epoch = epoch
@@ -225,10 +199,8 @@ class DnsServer:
         epoch = self._cache_epoch()
         self.cache_misses += 1
         mark = self._mark()
-        self._chased = False
         answer = self.respond(query, client).encode()
-        labels = None if self._chased else query.question.name.labels
-        self._store(key, epoch, answer, mark, labels)
+        self._store(key, epoch, answer, mark, query.question.name.labels)
         return answer
 
     def _mark(self) -> Tuple[int, List[int]]:
@@ -287,12 +259,11 @@ class DnsServer:
         return bytes(wire[:2]) + answer[2:]
 
     def _cache_epoch(self) -> _Epoch:
-        """Validity token compared on every hit: the policy part and the
-        zone versions, memoized until one of them changes."""
+        """Validity token compared on every hit: the zone versions,
+        memoized until a zone changes."""
         epoch = self._epoch
         if epoch is None:
-            policy = (self._policy_epoch, self._config)
-            epoch = self._epoch = (policy, tuple(zone.version for zone in self._zones))
+            epoch = self._epoch = tuple(zone.version for zone in self._zones)
         return epoch
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
@@ -305,14 +276,12 @@ class DnsServer:
             self._log(question, RCode.REFUSED, "refused", client)
             return query.response(rcode=RCode.REFUSED, recursion_available=False)
         result = zone.lookup(question.name, question.rrtype)
-        if result.cname_chain:
-            self._chased = True
         authorities: List[ResourceRecord] = []
-        if not result.answers or result.rcode == RCode.NXDOMAIN:
+        if not result.records:
             authorities = [zone.negative_soa()]
         self._log(question, result.rcode, "zone", client)
         return query.response(
-            answers=result.answers,
+            answers=result.records,
             rcode=result.rcode,
             authoritative=True,
             authorities=authorities,
@@ -390,7 +359,7 @@ class ForwardingDnsServer(DnsServer):
         raw = self._upstream(sent)
         if raw is not None and raw[2:] == cached.reply and cached.epoch == self._cache_epoch():
             return self._replay(cached, wire, client)
-        # A new reply (or a policy change mid-exchange): build the answer
+        # A new reply (or a zone write mid-exchange): build the answer
         # from the reply in hand rather than asking the upstream again.
         query = DnsMessage.decode(wire)
         return self._record_exchange(bytes(wire[2:]), query, sent, raw, cached.epoch, client)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.dns.message import ResourceRecord
 from repro.dns.name import DnsName
-from repro.dns.rdata import A, AAAA, CNAME, RCode, RRType, SOA
+from repro.dns.rdata import A, AAAA, RCode, RRType, SOA
 from repro.net.addresses import IPv4Address, IPv6Address
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ __all__ = ["Zone", "ZoneError", "LookupResult"]
 
 
 class ZoneError(Exception):
-    """Raised for structural zone problems (CNAME conflicts, out-of-zone names)."""
+    """Raised for a name outside the zone."""
 
 
 @dataclass
@@ -33,38 +33,28 @@ class LookupResult:
     """Outcome of a zone lookup.
 
     ``rcode`` distinguishes NXDOMAIN (name does not exist) from NOERROR
-    with an empty answer (name exists but has no records of that type) —
+    with no records (name exists but has no records of that type) —
     the distinction the dnsmasq-style poisoner erases and the RPZ
     alternative preserves (paper figure 9 and §VI).
     """
 
     rcode: int
     records: List[ResourceRecord] = field(default_factory=list)
-    cname_chain: List[ResourceRecord] = field(default_factory=list)
-
-    @property
-    def answers(self) -> List[ResourceRecord]:
-        return self.cname_chain + self.records
 
 
 class Zone:
-    """A single authoritative zone: an apex name, a SOA and a record set.
+    """A single authoritative zone: an apex name, a SOA and a record set
+    that only grows.
 
-    Besides the records themselves the zone keeps three indexes, all
-    keyed by a name's label tuple (hashed in C, and sliced to reach
-    ancestors):
+    Besides the records themselves the zone keeps one index, keyed by a
+    name's label tuple (hashed in C, and sliced to reach ancestors):
+    ``_touched`` maps every name that exists in the zone — each owner
+    and each of its ancestors up to the apex, so empty non-terminals
+    exist too — to the :attr:`version` of the last record added at or
+    below it (see :meth:`touched`).  Records are never removed, so a
+    name exists from its first record on, for good.
 
-    * ``_below`` maps every name that exists in the zone to the number of
-      records owned at or below it.  A name exists — answers NOERROR,
-      possibly with no data — exactly while it has an entry; the apex and
-      empty non-terminals exist because records below them are counted.
-    * ``_touched`` maps every name a mutation ever reached — its owner and
-      each ancestor, the names whose count it changed — to the
-      :attr:`version` of the last such mutation (see :meth:`touched`).
-    * ``_rrtypes`` lists the record types present at each owner, so a
-      mutation touches only the types at its one name.
-
-    Every mutation goes through :meth:`_mutated`, the one writer of the
+    Every addition goes through :meth:`_mutated`, the one writer of the
     read-only :attr:`version`.  It also clears the memoized cache epoch
     of every server serving the zone, so a server's response cache never
     re-reads the versions on a hit.  The zone holds those servers as weak
@@ -80,8 +70,6 @@ class Zone:
             serial=2024110100,
         )
         self._records: Dict[Tuple[DnsName, int], List[ResourceRecord]] = {}
-        self._rrtypes: Dict[Tuple[str, ...], List[int]] = {}
-        self._below: Dict[Tuple[str, ...], int] = {}
         self._touched: Dict[Tuple[str, ...], int] = {}
         self._version = 0
         #: The servers serving this zone (see :meth:`_watch`).
@@ -106,17 +94,9 @@ class Zone:
         dname = DnsName(name)
         if not dname.is_subdomain_of(self.origin):
             raise ZoneError(f"{dname} is not within zone {self.origin}")
-        rrtypes = self._rrtypes.get(dname.labels)
-        if rrtype == RRType.CNAME and rrtypes and RRType.CNAME not in rrtypes:
-            if dname != self.origin:
-                raise ZoneError(f"CNAME at {dname} conflicts with existing records")
         record = ResourceRecord(dname, rrtype, ttl, rdata)
-        if rrtypes is None:
-            self._rrtypes[dname.labels] = [rrtype]
-        elif rrtype not in rrtypes:
-            rrtypes.append(rrtype)
         self._records.setdefault((dname, rrtype), []).append(record)
-        self._mutated(dname, 1)
+        self._mutated(dname)
         return self
 
     def add_a(self, name, address, ttl: int = 300) -> "Zone":
@@ -129,31 +109,11 @@ class Zone:
             address = IPv6Address(str(address))
         return self.add(name, RRType.AAAA, AAAA(address), ttl)
 
-    def add_cname(self, name, target, ttl: int = 300) -> "Zone":
-        return self.add(name, RRType.CNAME, CNAME(DnsName(target)), ttl)
-
-    def remove(self, name, rrtype: Optional[int] = None) -> int:
-        """Remove records at ``name`` (optionally one type). Returns count."""
-        dname = DnsName(name)
-        rrtypes = self._rrtypes.get(dname.labels)
-        if not rrtypes:
-            return 0
-        doomed = list(rrtypes) if rrtype is None else [t for t in rrtypes if t == rrtype]
-        removed = 0
-        for t in doomed:
-            removed += len(self._records.pop((dname, t)))
-            rrtypes.remove(t)
-        if not rrtypes:
-            del self._rrtypes[dname.labels]
-        if removed:
-            self._mutated(dname, -removed)
-        return removed
-
-    def _mutated(self, owner: DnsName, delta: int) -> None:
-        """Record one mutation that added ``delta`` records at ``owner``:
-        advance :attr:`version`, clear the cache epoch memo of each
-        watching server, add ``delta`` to ``owner`` and each ancestor up
-        to the origin, and stamp each of them with the new version."""
+    def _mutated(self, owner: DnsName) -> None:
+        """Record one addition at ``owner``: advance :attr:`version`,
+        clear the cache epoch memo of each watching server, and stamp
+        ``owner`` and each ancestor up to the origin with the new
+        version."""
         self._version = version = self._version + 1
         live = []
         for ref in self._watchers:
@@ -162,25 +122,18 @@ class Zone:
                 server._forget_epoch()
                 live.append(ref)
         self._watchers = live
-        below = self._below
         touched = self._touched
         labels = owner.labels
         for start in range(len(labels) - len(self.origin.labels) + 1):
-            node = labels[start:]
-            touched[node] = version
-            count = below.get(node, 0) + delta
-            if count:
-                below[node] = count
-            else:
-                del below[node]
+            touched[labels[start:]] = version
 
     def touched(self, labels: Tuple[str, ...]) -> int:
-        """The version of the last mutation at or below the name with
+        """The version of the last addition at or below the name with
         these labels, or 0 if none ever was.
 
-        A lookup of a name that follows no CNAME reads only the records
-        at that name and whether it exists, so its result is the same at
-        every version from ``touched(labels)`` on."""
+        A lookup reads only the records at its name and whether the name
+        exists, so its result is the same at every version from
+        ``touched(labels)`` on."""
         return self._touched.get(labels, 0)
 
     # -- lookup ---------------------------------------------------------------
@@ -189,40 +142,22 @@ class Zone:
         """True when this zone is authoritative for ``name``."""
         return DnsName(name).is_subdomain_of(self.origin)
 
-    def lookup(self, name, rrtype: int, follow_cname: bool = True) -> LookupResult:
-        """Authoritative lookup with CNAME chasing inside the zone."""
+    def lookup(self, name, rrtype: int) -> LookupResult:
+        """Authoritative lookup: the ``rrtype`` records at ``name``;
+        NOERROR with none when the name exists without them."""
         dname = DnsName(name)
         if not self.covers(dname):
             raise ZoneError(f"{dname} is out of zone {self.origin}")
-        chain: List[ResourceRecord] = []
-        seen = set()
-        while True:
-            direct = self._records.get((dname, rrtype))
-            if direct:
-                return LookupResult(RCode.NOERROR, list(direct), chain)
-            cname = self._records.get((dname, RRType.CNAME))
-            if cname and rrtype != RRType.CNAME and follow_cname:
-                if dname in seen:
-                    return LookupResult(RCode.SERVFAIL, [], chain)
-                seen.add(dname)
-                chain.extend(cname)
-                target = cname[0].rdata.target
-                if not self.covers(target):
-                    # Chain leaves the zone; resolver continues elsewhere.
-                    return LookupResult(RCode.NOERROR, [], chain)
-                dname = target
-                continue
-            if dname.labels in self._below:
-                return LookupResult(RCode.NOERROR, [], chain)
-            return LookupResult(RCode.NXDOMAIN, [], chain)
+        records = self._records.get((dname, rrtype))
+        if records:
+            return LookupResult(RCode.NOERROR, list(records))
+        if dname.labels in self._touched:
+            return LookupResult(RCode.NOERROR, [])
+        return LookupResult(RCode.NXDOMAIN, [])
 
     def negative_soa(self) -> ResourceRecord:
         """The SOA record placed in the authority section of negative answers."""
         return ResourceRecord(self.origin, RRType.SOA, self.soa.minimum, self.soa)
-
-    def iter_records(self) -> Iterable[ResourceRecord]:
-        for records in self._records.values():
-            yield from records
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._records.values())

@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence
 
 from repro.net.addresses import IPv6Address, IPv6Network, MacAddress
 from repro.net.icmpv6 import (
-    DnsslOption,
     LinkLayerAddressOption,
     MtuOption,
     NdOptionType,
@@ -39,7 +38,6 @@ class RaDaemonConfig:
 
     prefixes: Sequence[IPv6Network] = ()
     rdnss: Sequence[IPv6Address] = ()
-    search_domains: Sequence[str] = ()
     preference: RouterPreference = RouterPreference.MEDIUM
     router_lifetime: int = 1800
     mtu: Optional[int] = 1500
@@ -73,8 +71,6 @@ class RaDaemon:
             )
         if cfg.rdnss:
             options.append(RdnssOption(tuple(cfg.rdnss)))
-        if cfg.search_domains:
-            options.append(DnsslOption(tuple(cfg.search_domains)))
         self.sent += 1
         return RouterAdvertisement(
             preference=cfg.preference,

@@ -3,8 +3,8 @@ autoconfiguration, RFC 4862 flavour).
 
 :class:`SlaacState` accumulates what a host learns from RAs on one
 interface: on-link prefixes (and the EUI-64 addresses formed from
-them), default routers ranked by RFC 4191 preference, RDNSS resolvers
-and DNSSL search domains.  The figure-3 condition — a default route
+them), default routers ranked by RFC 4191 preference and RDNSS
+resolvers.  The figure-3 condition — a default route
 from the gateway but *dead* RDNSS addresses — falls out naturally: the
 state faithfully records whatever the RA said, and liveness is decided
 by actually querying through the simulator.
@@ -64,7 +64,6 @@ class SlaacState:
         self.prefixes: Dict[IPv6Network, LearnedPrefix] = {}
         self.routers: Dict[IPv6Address, LearnedRouter] = {}
         self.rdnss: List[IPv6Address] = []
-        self.search_domains: List[str] = []
         self.ras_processed = 0
         #: Bumped on every *structural* prefix change (learn/withdraw,
         #: not lifetime refresh) so consumers can skip re-applying
@@ -95,9 +94,9 @@ class SlaacState:
         # identity.  If this router's last application of the same
         # object changed no prefix, and no prefix has changed since
         # (the epoch), applying it again could only move lifetimes on
-        # the records it refreshed: its RDNSS and DNSSL entries are
-        # merged already, and only RAs from this router touch its
-        # router record or the prefixes it advertises.
+        # the records it refreshed: its RDNSS entries are merged
+        # already, and only RAs from this router touch its router
+        # record or the prefixes it advertises.
         refresh = self._refreshes.get(router_source)
         if refresh is not None and refresh[0] is ra and refresh[3] == self.epoch:
             router = refresh[1]
@@ -158,9 +157,6 @@ class SlaacState:
         for server in ra.rdnss_servers:
             if server not in self.rdnss:
                 self.rdnss.append(server)
-        for domain in ra.search_domains:
-            if domain not in self.search_domains:
-                self.search_domains.append(domain)
         # Recording the epoch from before this application means only
         # an application that changed no prefix can be replayed: after
         # one that did, the next repeat takes this full path again (and

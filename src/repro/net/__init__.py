@@ -30,7 +30,6 @@ from repro.net.checksum import (
 from repro.net.ethernet import EthernetFrame, EtherType, MAC_BROADCAST
 from repro.net.icmp import IcmpMessage, IcmpType
 from repro.net.icmpv6 import (
-    DnsslOption,
     Icmpv6Message,
     Icmpv6Type,
     LinkLayerAddressOption,
@@ -87,7 +86,6 @@ __all__ = [
     "NdOptionType",
     "PrefixInformation",
     "RdnssOption",
-    "DnsslOption",
     "MtuOption",
     "LinkLayerAddressOption",
     "RouterAdvertisement",

@@ -6,9 +6,6 @@ the paper's testbed depends on:
 - Recursive DNS Server, RDNSS (RFC 8106 §5.1) — how the gateway leaked
   the *dead* ``fd00:976a::9``/``::10`` resolvers (paper figure 3), and how
   the healthy DNS64 is advertised;
-- DNS Search List, DNSSL (RFC 8106 §5.2) — no testbed RA sets it: the
-  ``rfc8925.com`` suffix the paper's figure 9 nslookup appends reaches
-  clients only as DHCP option 15 (``ClientDevice.search_domains``);
 - MTU, Source/Target Link-Layer Address;
 - default-router preference (RFC 4191) — the managed switch sends its RA
   at *low* priority so the gateway keeps winning default-route selection.
@@ -37,7 +34,6 @@ __all__ = [
     "PrefixInformation",
     "MtuOption",
     "RdnssOption",
-    "DnsslOption",
     "Icmpv6Message",
     "RouterSolicitation",
     "RouterAdvertisement",
@@ -218,44 +214,6 @@ class RdnssOption:
         return cls(servers=servers, lifetime=lifetime)
 
 
-@dataclass(frozen=True)
-class DnsslOption:
-    """DNS Search List option (RFC 8106 §5.2).
-
-    Domains are encoded in DNS wire format, padded with zeros to an
-    8-byte boundary.  No testbed RA carries one: ``rfc8925.com``, the
-    suffix behind figure 9's ``vpn.anl.gov.rfc8925.com`` lookup, is DHCP
-    option 15.
-    """
-
-    domains: Sequence[str]
-    lifetime: int = 1800
-
-    def encode(self) -> bytes:
-        from repro.dns.name import DnsName  # local import: dns builds on net
-
-        body = b"".join(DnsName(d).encode() for d in self.domains)
-        # Total option length (2 type/len + 2 reserved + 4 lifetime + body)
-        # must be a multiple of 8.
-        body += b"\x00" * ((-len(body)) % 8)
-        length = (8 + len(body)) // 8
-        return struct.pack("!BBHI", NdOptionType.DNSSL, length, 0, self.lifetime) + body
-
-    @classmethod
-    def decode(cls, body: bytes) -> "DnsslOption":
-        from repro.dns.name import DnsName
-
-        if len(body) < 6:
-            raise ValueError("malformed DNSSL option")
-        _res, lifetime = struct.unpack("!HI", body[:6])
-        domains: List[str] = []
-        off = 6
-        while off < len(body) and body[off] != 0:
-            name, off = DnsName.decode(body, off)
-            domains.append(str(name))
-        return cls(domains=tuple(domains), lifetime=lifetime)
-
-
 AnyNdOption = object  # documentation alias; options are duck-typed on .encode()
 
 
@@ -284,8 +242,6 @@ def _decode_options(data: bytes) -> List[Any]:
             options.append(MtuOption.decode(body))
         elif opt_type == NdOptionType.RDNSS:
             options.append(RdnssOption.decode(body))
-        elif opt_type == NdOptionType.DNSSL:
-            options.append(DnsslOption.decode(body))
         else:
             options.append(NdOption.decode(opt_type, body))
         off += total
@@ -361,7 +317,7 @@ class RouterSolicitation:
 
 @dataclass(frozen=True)
 class RouterAdvertisement:
-    """RA (type 134) with RFC 4191 preference and RFC 8106 DNS options.
+    """RA (type 134) with RFC 4191 preference and RFC 8106 RDNSS options.
 
     ``router_lifetime == 0`` means "not a default router" (the managed
     switch uses a non-zero lifetime but LOW preference so that the 5G
@@ -436,14 +392,6 @@ class RouterAdvertisement:
         for o in self.options:
             if isinstance(o, RdnssOption):
                 out.extend(o.servers)
-        return out
-
-    @cached_property
-    def search_domains(self) -> List[str]:
-        out: List[str] = []
-        for o in self.options:
-            if isinstance(o, DnsslOption):
-                out.extend(o.domains)
         return out
 
     @cached_property

@@ -172,7 +172,9 @@ def run_test_ipv6(client, mirror: TestIpv6Mirror) -> TestReport:
     are used for every step — the whole point is observing how a given
     OS profile behaves behind a given DNS configuration.
     """
-    from repro.dns.rdata import RRType  # late import to stay layer-clean
+    # Late imports to stay layer-clean.
+    from repro.dns.rdata import RRType
+    from repro.dns.resolver import DnsTransportError
 
     report = TestReport(client_name=client.name, mirror_domain=mirror.domain)
 
@@ -239,14 +241,14 @@ def run_test_ipv6(client, mirror: TestIpv6Mirror) -> TestReport:
         a_result = client.resolver.resolve(mirror.hostname_v4only, RRType.A)
         a_ok = a_result.ok
         a_detail = f"rcode={a_result.rcode}"
-    except Exception as exc:  # DnsTransportError: resolver dead
+    except DnsTransportError as exc:  # resolver dead
         a_ok, a_detail = False, f"error={exc}"
     report.subtests.append(SubtestResult("dns_resolves_a", a_ok, detail=a_detail))
     try:
         aaaa_result = client.resolver.resolve(mirror.hostname_v6only, RRType.AAAA)
         aaaa_ok = aaaa_result.ok
         aaaa_detail = f"rcode={aaaa_result.rcode}"
-    except Exception as exc:
+    except DnsTransportError as exc:
         aaaa_ok, aaaa_detail = False, f"error={exc}"
     report.subtests.append(SubtestResult("dns_resolves_aaaa", aaaa_ok, detail=aaaa_detail))
 

@@ -5,11 +5,10 @@ single :mod:`heapq`.  Dispatch order is ``(when, sequence)``: ties
 break by insertion order, and every trace, table and counter the
 simulator prints depends on that order.
 
-A pending entry is cancelled by tombstoning it in place (callback slot
-set to ``None``); the dispatch loop drops tombstones as they reach the
-head of the heap.  Dispatch clears the callback and args slots of the
-entry it runs, so a fired entry keeps nothing alive, reads as not
-pending, and tombstoning it afterwards is a no-op.
+Nothing is ever cancelled: every entry queued runs.  Dispatch clears
+the callback and args slots of the entry it runs, so a fired entry
+keeps nothing alive and reads as delivered (:mod:`repro.sim.link`
+checks the callback slot before it adds a frame to a pending delivery).
 
 The queue stays shallow: it never holds more than 12 entries in a
 traced 300-arrival ``show_floor`` round (seed 1), nor more than 18 in
@@ -30,8 +29,8 @@ from typing import Any, Callable, List, Optional
 __all__ = ["EventEngine"]
 
 #: A queue entry: ``[when, sequence, callback, args]``; the callback
-#: slot is ``None`` for tombstones and fired entries.  A mutable list
-#: (not a tuple or an object) so cancellation can patch it in place.
+#: slot is ``None`` once the entry fired.  A mutable list (not a tuple
+#: or an object) so a pending delivery can be patched in place.
 Entry = List[Any]
 
 
@@ -61,9 +60,7 @@ class EventEngine:
         which matters on the frame-delivery path where every transmitted
         frame schedules exactly one delivery.
 
-        Returns the queue entry.  Setting its callback slot (index 2) to
-        ``None`` cancels it while it is pending and does nothing once it
-        has fired.
+        Returns the queue entry.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past: {delay}")
@@ -72,59 +69,39 @@ class EventEngine:
         heapq.heappush(self._queue, entry)
         return entry
 
-    def schedule_every(self, interval: float, callback: Callable[[], None]) -> Callable[[], None]:
-        """Run ``callback`` now and then every ``interval`` seconds.
-        Returns a canceller.
+    def schedule_every(self, interval: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` now and then every ``interval`` seconds, for
+        as long as the simulation runs.
 
         Each timer keeps one pending entry: the next period's tick is
         queued before the first tick, and each tick re-arms after its
         callback returns, so a timer's period is measured from its own
-        start.  Cancelling tombstones the pending tick; cancelling
-        twice, or from inside the callback, is safe.
+        start.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
-        pending: Optional[Entry] = None
 
         def tick() -> None:
-            nonlocal pending
             callback()
-            if pending is not None:
-                pending = self.schedule(interval, tick)
+            self.schedule(interval, tick)
 
-        pending = self.schedule(interval, tick)
-        first = self.schedule(0.0, callback)
-
-        def cancel() -> None:
-            nonlocal pending
-            first[2] = None
-            if pending is not None:
-                pending[2] = None
-                pending = None
-
-        return cancel
+        self.schedule(interval, tick)
+        self.schedule(0.0, callback)
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Run the next event.  Returns False when nothing is pending.
-
-        Tombstoned (cancelled) entries are dropped without counting
-        toward ``events_run``.
-        """
+        """Run the next event.  Returns False when nothing is pending."""
         queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            callback = entry[2]
-            if callback is None:
-                continue
-            self._now = entry[0]
-            self.events_run += 1
-            args = entry[3]
-            entry[2] = entry[3] = None
-            callback(*args)
-            return True
-        return False
+        if not queue:
+            return False
+        entry = heapq.heappop(queue)
+        self._now = entry[0]
+        self.events_run += 1
+        callback, args = entry[2], entry[3]
+        entry[2] = entry[3] = None
+        callback(*args)
+        return True
 
     def run_until(
         self,
@@ -168,8 +145,6 @@ class EventEngine:
                     return condition is not None and condition()
                 pop(queue)
                 callback = entry[2]
-                if callback is None:  # tombstone: drop, don't dispatch
-                    continue
                 self._now = entry[0]
                 args = entry[3]
                 entry[2] = entry[3] = None
@@ -186,6 +161,5 @@ class EventEngine:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) entries still queued.  O(n), but only
-        tests and diagnostics use it."""
-        return sum(1 for entry in self._queue if entry[2] is not None)
+        """Entries still queued."""
+        return len(self._queue)

@@ -65,7 +65,6 @@ class ManagedSwitch(Node):
         self._mac_bytes = self.mac.to_bytes()
         self.link_local = link_local_from_mac(self.mac)
         self._ra_daemon: Optional[RaDaemon] = None
-        self._ra_cancel = None
         self.flooded = 0
         self.forwarded = 0
 
@@ -140,22 +139,16 @@ class ManagedSwitch(Node):
         """Start advertising ``config`` from the switch's own MAC.
 
         RAs are flooded to every port whose link is up, immediately and
-        then every ``config.interval`` seconds.
+        then every ``config.interval`` seconds, for as long as the
+        simulation runs.  A switch runs at most one daemon.
         """
-        self.disable_ra_daemon()
+        if self._ra_daemon is not None:
+            raise RuntimeError(f"{self.name} already runs an RA daemon")
         self._ra_daemon = RaDaemon(config, self.mac)
-        self._ra_cancel = self.engine.schedule_every(config.interval, self._emit_ra)
+        self.engine.schedule_every(config.interval, self._emit_ra)
         return self._ra_daemon
 
-    def disable_ra_daemon(self) -> None:
-        if self._ra_cancel is not None:
-            self._ra_cancel()
-            self._ra_cancel = None
-        self._ra_daemon = None
-
     def _emit_ra(self) -> None:
-        if self._ra_daemon is None:
-            return
         ra = self._ra_daemon.build_ra()
         payload = encode_icmpv6(ra, self.link_local, ALL_NODES)
         packet = encode_ipv6(self.link_local, ALL_NODES, IPProto.ICMPV6, payload, hop_limit=255)

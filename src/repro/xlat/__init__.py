@@ -11,7 +11,7 @@ IPv6-only client reach the IPv4 internet.
 """
 
 from repro.xlat.clat import Clat, ClatConfig
-from repro.xlat.dns64 import Dns64Config, DNS64Resolver
+from repro.xlat.dns64 import DNS64Resolver
 from repro.xlat.nat64 import Nat64Config, Nat64Session, StatefulNAT64
 from repro.xlat.siit import translate_v4_to_v6, translate_v6_to_v4, TranslationError
 
@@ -23,7 +23,6 @@ __all__ = [
     "Nat64Config",
     "Nat64Session",
     "DNS64Resolver",
-    "Dns64Config",
     "Clat",
     "ClatConfig",
 ]

@@ -17,7 +17,6 @@ overrides only the A path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.dns.message import DnsMessage, ResourceRecord
@@ -32,25 +31,17 @@ from repro.net.addresses import (
     WELL_KNOWN_NAT64_PREFIX,
 )
 
-__all__ = ["Dns64Config", "DNS64Resolver"]
+__all__ = ["DNS64Resolver", "EXCLUDE_V4", "SYNTHETIC_TTL"]
 
-
-@dataclass(frozen=True)
-class Dns64Config:
-    """DNS64 behaviour knobs (RFC 6147 §5.1)."""
-
-    prefix: IPv6Network = WELL_KNOWN_NAT64_PREFIX
-    #: A-record networks excluded from synthesis (RFC 6147 §5.1.4 —
-    #: e.g. RFC 1918 space that the NAT64 cannot reach).
-    exclude_v4: Sequence[IPv4Network] = (
-        IPv4Network("10.0.0.0/8"),
-        IPv4Network("127.0.0.0/8"),
-        IPv4Network("169.254.0.0/16"),
-    )
-    #: Synthesize even when native AAAA exist ("always" mode, off by
-    #: default per RFC 6147).
-    always_synthesize: bool = False
-    synthetic_ttl: int = 300
+#: A-record networks excluded from synthesis (RFC 6147 §5.1.4 — e.g.
+#: RFC 1918 space that the NAT64 cannot reach).
+EXCLUDE_V4 = (
+    IPv4Network("10.0.0.0/8"),
+    IPv4Network("127.0.0.0/8"),
+    IPv4Network("169.254.0.0/16"),
+)
+#: The TTL cap of a synthesized AAAA record.
+SYNTHETIC_TTL = 300
 
 
 class DNS64Resolver(DnsServer):
@@ -59,20 +50,28 @@ class DNS64Resolver(DnsServer):
     In the simulation its zones hold the whole simulated internet's
     records, so it stands in for "BIND9 with recursion + DNS64" without
     modelling iterative resolution (which the paper does not exercise).
+    It synthesizes only when a name has no native AAAA records, RFC
+    6147's default.
     """
 
     def __init__(
         self,
         zones: Sequence[Zone] = (),
-        config: Optional[Dns64Config] = None,
+        prefix: IPv6Network = WELL_KNOWN_NAT64_PREFIX,
         name: str = "dns64",
     ) -> None:
         super().__init__(zones, name)
-        self.config = config or Dns64Config()
+        self._prefix = prefix
         self.synthesized = 0
         self.passed_through = 0
 
     _CACHE_COUNTERS = ("synthesized", "passed_through")
+
+    @property
+    def prefix(self) -> IPv6Network:
+        """The NAT64 prefix synthesized addresses embed; read-only, so
+        cached answers never outlive it."""
+        return self._prefix
 
     def respond(self, query: DnsMessage, client: Optional[object] = None) -> DnsMessage:
         question = query.question
@@ -82,8 +81,7 @@ class DNS64Resolver(DnsServer):
             # working (paper figure 7).
             return super().respond(query, client)
         native = super().respond(query, client)
-        native_aaaa = [rr for rr in native.answers if rr.rrtype == RRType.AAAA]
-        if native_aaaa and not self.config.always_synthesize:
+        if native.answers:  # a zone answers records of the asked type only
             self.passed_through += 1
             return native
         if native.rcode == RCode.NXDOMAIN:
@@ -94,26 +92,23 @@ class DNS64Resolver(DnsServer):
         a_query = DnsMessage.query(question.name, RRType.A, ident=query.header.ident)
         a_response = super().respond(a_query, client)
         synthesized: List[ResourceRecord] = []
-        cname_chain = [rr for rr in a_response.answers if rr.rrtype == RRType.CNAME]
         for rr in a_response.answers:
-            if rr.rrtype != RRType.A:
-                continue
             address: IPv4Address = rr.rdata.address
-            if any(address in net for net in self.config.exclude_v4):
+            if any(address in net for net in EXCLUDE_V4):
                 continue
             synthesized.append(
                 ResourceRecord(
                     rr.name,
                     RRType.AAAA,
-                    min(rr.ttl, self.config.synthetic_ttl),
-                    AAAA(embed_ipv4_in_nat64(address, self.config.prefix)),
+                    min(rr.ttl, SYNTHETIC_TTL),
+                    AAAA(embed_ipv4_in_nat64(address, self._prefix)),
                 )
             )
         if not synthesized:
             return native
         self.synthesized += len(synthesized)
         return query.response(
-            answers=tuple(cname_chain) + tuple(synthesized),
+            answers=tuple(synthesized),
             rcode=RCode.NOERROR,
             recursion_available=True,
         )

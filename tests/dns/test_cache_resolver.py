@@ -1,12 +1,12 @@
-"""DNS cache TTL behaviour and the stub resolver's search-list,
-failover and CNAME logic — tested against in-process servers."""
+"""DNS cache TTL behaviour and the stub resolver's search-list and
+failover logic — tested against in-process servers."""
 
 import pytest
 
 from repro.dns.cache import DnsCache
 from repro.dns.message import DnsMessage, ResourceRecord
 from repro.dns.name import DnsName
-from repro.dns.rdata import A, RCode, RRType
+from repro.dns.rdata import A, OpaqueRData, RCode, RRType
 from repro.dns.resolver import DnsTransportError, ResolverConfig, SearchOrder, StubResolver
 from repro.dns.server import DnsServer, ForwardingDnsServer
 from repro.dns.zone import Zone
@@ -30,7 +30,6 @@ def make_zone():
     z = Zone("example.com")
     z.add_a("web.example.com", "192.0.2.10")
     z.add_aaaa("web.example.com", "2001:db8::10")
-    z.add_cname("alias.example.com", "web.example.com")
     return z
 
 
@@ -119,11 +118,22 @@ class TestResolver:
         assert result.rcode == RCode.NXDOMAIN and result.from_cache
         assert resolver.queries_sent == sent
 
-    def test_cname_flattened_by_server(self, clock):
-        resolver = self._resolver(clock)
+    def test_answers_of_other_types_dropped(self, clock):
+        """The resolver keeps only the answers of the type it asked for,
+        and chases no CNAME among the others."""
+        alias, target = DnsName("alias.example.com"), DnsName("web.example.com")
+        answers = (
+            ResourceRecord(alias, RRType.CNAME, 60, OpaqueRData(RRType.CNAME, target.encode())),
+            ResourceRecord(target, RRType.A, 60, A(IPv4Address("192.0.2.10"))),
+        )
+
+        def transport(server_addr, wire, timeout):
+            return DnsMessage.decode(wire).response(answers=answers).encode()
+
+        resolver = StubResolver(ResolverConfig(servers=(SERVER_V4,)), transport, clock)
         result = resolver.resolve("alias.example.com", RRType.A)
-        assert result.ok
-        assert IPv4Address("192.0.2.10") in result.addresses()
+        assert result.ok and result.records == [answers[1]]
+        assert resolver.queries_sent == 1
 
     def test_failover_to_second_server(self, clock):
         healthy = DnsServer([make_zone()])

@@ -15,7 +15,6 @@ from repro.nd.ra import RaDaemon, RaDaemonConfig
 from repro.nd.slaac import SlaacState
 from repro.net.addresses import IPv4Address, IPv6Address, IPv6Network, MacAddress
 from repro.net.icmpv6 import (
-    DnsslOption,
     LinkLayerAddressOption,
     NdOptionType,
     PrefixInformation,
@@ -164,7 +163,6 @@ class TestRaRefresh:
         IPv6Network("2001:db8:100::/56"),
     )
     RDNSS = (IPv6Address("fd00:976a::9"), IPv6Address("fd00:976a::10"), IPv6Address("2001:db8::53"))
-    DOMAINS = ("rfc8925.com", "sc24.org")
 
     def _pio(self, rng, prefix, valid):
         return PrefixInformation(
@@ -179,8 +177,6 @@ class TestRaRefresh:
             router_lifetime = rng.choice((0, 40, 600, 1800))
         options = list(pios)
         options.append(RdnssOption(tuple(rng.sample(self.RDNSS, rng.randint(1, 2)))))
-        if rng.random() < 0.5:
-            options.append(DnsslOption((rng.choice(self.DOMAINS),)))
         if rng.random() < 0.5:
             mac = MacAddress(rng.randrange(1 << 40))
             options.append(LinkLayerAddressOption(NdOptionType.SOURCE_LINK_LAYER_ADDRESS, mac))
@@ -244,7 +240,6 @@ class TestRaRefresh:
             assert state.routers == reference.routers, where
             assert list(state.prefixes.items()) == list(reference.prefixes.items()), where
             assert state.rdnss == reference.rdnss, where
-            assert state.search_domains == reference.search_domains, where
             assert state.epoch == reference.epoch, where
             assert state.addresses() == reference.addresses(), where
             assert state.default_router() == reference.default_router(), where
@@ -256,7 +251,6 @@ class TestRaDaemon:
         config = RaDaemonConfig(
             prefixes=(IPv6Network("fd00:976a::/64"),),
             rdnss=(IPv6Address("fd00:976a::9"),),
-            search_domains=("rfc8925.com",),
             preference=RouterPreference.LOW,
             mtu=1500,
         )
@@ -265,7 +259,6 @@ class TestRaDaemon:
         assert ra.preference == RouterPreference.LOW
         assert ra.prefixes[0].prefix == IPv6Network("fd00:976a::/64")
         assert ra.rdnss_servers == [IPv6Address("fd00:976a::9")]
-        assert ra.search_domains == ["rfc8925.com"]
         assert ra.source_lladdr == MAC
         assert daemon.sent == 1
 

@@ -103,16 +103,16 @@ class TestSwitchRaDaemon:
         # LOW-preference lifetime-0 RA must NOT install a default route.
         assert client.slaac.default_router() is None
 
-    def test_disable_ra_daemon(self, engine):
+    def test_one_ra_daemon_per_switch(self, engine):
+        # A daemon runs for as long as the simulation: a second one is
+        # refused, and the first keeps its period.
         switch = ManagedSwitch(engine, "sw")
-        daemon = switch.enable_ra_daemon(
-            RaDaemonConfig(prefixes=(IPv6Network("fd00:976a::/64"),), interval=10.0)
-        )
+        config = RaDaemonConfig(prefixes=(IPv6Network("fd00:976a::/64"),), interval=10.0)
+        daemon = switch.enable_ra_daemon(config)
+        with pytest.raises(RuntimeError, match="already runs an RA daemon"):
+            switch.enable_ra_daemon(config)
         engine.run_for(25.0)
-        sent = daemon.sent
-        switch.disable_ra_daemon()
-        engine.run_for(50.0)
-        assert daemon.sent == sent
+        assert daemon.sent == 3  # t=0, 10 and 20
 
 
 class TestTcpOverFabric:

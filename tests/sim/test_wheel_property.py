@@ -7,9 +7,8 @@ scheduler, stripped to the scheduling semantics; randomized seeded
 workloads drive both implementations through the same operation stream
 and the observation logs must match exactly.
 
-Also covers tombstoned entries, periodic timers (nothing left pending
-once every timer cancels, each timer on its own phase), and the link's
-same-tick entry-upgrade batching.
+Also covers periodic timers (each timer on its own phase) and the
+link's same-tick entry-upgrade batching.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ class _ReferenceEngine:
     """The plain scheduler: one heapq, ``(when, seq)`` entries.
 
     Implements just enough of :class:`EventEngine`'s surface for the
-    workload driver: ``schedule`` returning a tombstonable entry,
-    ``now``, and ``run_until``.
+    workload driver: ``schedule``, ``now`` and ``run_until``.
     """
 
     def __init__(self) -> None:
@@ -59,8 +57,6 @@ class _ReferenceEngine:
                 self._now = deadline
                 return condition is not None and condition()
             heapq.heappop(self._queue)
-            if entry[2] is None:
-                continue
             self._now = entry[0]
             self.events_run += 1
             entry[2](*entry[3])
@@ -76,7 +72,7 @@ _DELAY_SCALES = (0.0, 1e-4, 3e-3, 0.08, 0.4, 7.0, 45.0, 900.0)
 
 
 def _run_workload(engine, seed: int):
-    """Drive ``engine`` through a seeded random schedule/cancel stream.
+    """Drive ``engine`` through a seeded random schedule stream.
 
     Returns the observation log: ``(tag, clock)`` per callback firing.
     The RNG is re-seeded per engine so both implementations see an
@@ -84,7 +80,6 @@ def _run_workload(engine, seed: int):
     """
     rng = random.Random(seed)
     log = []
-    cancellable = []
     counter = [0]
 
     def fire(tag):
@@ -95,17 +90,11 @@ def _run_workload(engine, seed: int):
             # at the current time.
             delay = rng.choice(_DELAY_SCALES) * rng.random()
             _schedule(delay, nested=True)
-        elif roll < 0.35 and cancellable:
-            # Tombstone a random entry; one that already fired must
-            # not be affected.
-            cancellable.pop(rng.randrange(len(cancellable)))[2] = None
 
     def _schedule(delay, nested=False):
         counter[0] += 1
         tag = f"{'n' if nested else 't'}{counter[0]}"
-        entry = engine.schedule(delay, fire, tag)
-        if rng.random() < 0.5:
-            cancellable.append(entry)
+        engine.schedule(delay, fire, tag)
 
     for _ in range(120):
         _schedule(rng.choice(_DELAY_SCALES) * rng.random())
@@ -146,9 +135,7 @@ class TestWheelMatchesReferenceHeap:
         # first tick now, and a chain that re-arms now + interval.
         engine = EventEngine()
         ticks = []
-        cancel = engine.schedule_every(0.3, lambda: ticks.append(engine.now))
-        engine.run_for(2.0)
-        cancel()
+        engine.schedule_every(0.3, lambda: ticks.append(engine.now))
         engine.run_for(2.0)
         reference = _ReferenceEngine()
         expected = []
@@ -164,47 +151,8 @@ class TestWheelMatchesReferenceHeap:
         assert len(ticks) == 7  # t=0 and six periods
 
 
-class TestSlabPool:
-    """Tombstoned entries: dropped from the queue, never run."""
-
-    def test_tombstones_recycle_without_running(self):
-        engine = EventEngine()
-        fired = []
-        entry = engine.schedule(0.001, fired.append, "x")
-        entry[2] = None
-        assert engine.pending_events == 0
-        engine.run_until()
-        assert fired == []
-        assert engine.events_run == 0
-        assert not engine.step()
-
-
 class TestCoalesceGroupLifecycle:
     """Periodic timers of one interval: each keeps its own entry and phase."""
-
-    def test_group_purged_when_last_member_cancels(self):
-        engine = EventEngine()
-        hits = []
-        cancel_a = engine.schedule_every(1.0, lambda: hits.append("a"))
-        cancel_b = engine.schedule_every(1.0, lambda: hits.append("b"))
-        engine.run_for(1.5)
-        cancel_a()
-        cancel_b()
-        assert engine.pending_events == 0
-        engine.run_for(5.0)
-        assert hits == ["a", "b", "a", "b"]
-
-    def test_rejoin_after_purge_starts_fresh_phase(self):
-        engine = EventEngine()
-        hits = []
-        cancel = engine.schedule_every(1.0, lambda: hits.append("old"))
-        engine.run_for(1.2)  # the old timer's phase is x.0-aligned
-        cancel()
-        engine.schedule_every(1.0, lambda: hits.append(engine.now))
-        engine.run_for(1.5)
-        # Fresh timer: ticks at the re-join and one full interval later
-        # (t=2.2), not on the old timer's x.0 phase.
-        assert hits == ["old", "old", 1.2, 2.2]
 
     def test_joiner_ticks_at_once_then_on_the_group_phase(self):
         # A second timer of the same interval keeps its own phase: it

@@ -142,3 +142,38 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert main(["demo"]) == 0
         assert result.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-m", "repro.lint", "--list-rules"],
+            ["-m", "repro", "lint", "--list-rules"],
+            ["-m", "repro", "--version"],
+            ["-m", "repro", "matrix"],
+        ],
+        ids=["repro.lint", "repro-lint", "repro-version", "repro-matrix"],
+    )
+    def test_a_closed_pipe_ends_quietly(self, args, tmp_path):
+        """Output piped into a reader that has already exited (a pager,
+        ``head``) ends the command with status 0 and nothing on stderr,
+        with stdout block-buffered, as on any pipe, or unbuffered."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        for unbuffered in (False, True):
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = subprocess.run(
+                    [sys.executable, *args],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    cwd=tmp_path,
+                    env=env,
+                    timeout=300,
+                )
+            finally:
+                os.close(write_end)
+            assert (result.returncode, result.stderr.decode()) == (0, ""), unbuffered

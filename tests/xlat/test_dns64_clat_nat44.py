@@ -10,7 +10,7 @@ from repro.net.ipv4 import IPProto, IPv4Packet
 from repro.net.ipv6 import IPv6Packet
 from repro.net.udp import UdpDatagram
 from repro.xlat.clat import Clat, CLAT_IPV4_ADDRESS, ClatConfig
-from repro.xlat.dns64 import Dns64Config, DNS64Resolver
+from repro.xlat.dns64 import DNS64Resolver, SYNTHETIC_TTL
 from repro.xlat.nat44 import StatefulNat44
 from repro.xlat.siit import TranslationError
 
@@ -31,8 +31,7 @@ def make_zones():
     z2.add_aaaa("ip6.me", "2001:4810:0:3::71")
     z3 = Zone("example.net")
     z3.add_a("private.example.net", "10.1.2.3")  # excluded from synthesis
-    z3.add_cname("www.example.net", "real.example.net")
-    z3.add_a("real.example.net", "198.51.100.7")
+    z3.add_a("long.example.net", "198.51.100.7", ttl=3600)
     return [z1, z2, z3]
 
 
@@ -77,33 +76,19 @@ class TestDns64:
         response = self._query(server, "private.example.net", RRType.AAAA)
         assert not response.answers_of_type(RRType.AAAA)
 
-    def test_cname_chain_preserved(self):
-        server = DNS64Resolver(make_zones())
-        response = self._query(server, "www.example.net", RRType.AAAA)
-        assert response.answers_of_type(RRType.CNAME)
-        aaaa = response.answers_of_type(RRType.AAAA)
-        assert aaaa[0].rdata.address == embed_ipv4_in_nat64(IPv4Address("198.51.100.7"))
-
     def test_custom_prefix(self):
-        config = Dns64Config(prefix=IPv6Network("2001:db8:64::/96"))
-        server = DNS64Resolver(make_zones(), config)
+        server = DNS64Resolver(make_zones(), prefix=IPv6Network("2001:db8:64::/96"))
         response = self._query(server, "sc24.supercomputing.org", RRType.AAAA)
         assert response.answers_of_type(RRType.AAAA)[0].rdata.address in IPv6Network(
             "2001:db8:64::/96"
         )
 
     def test_synthetic_ttl_capped(self):
-        config = Dns64Config(synthetic_ttl=30)
-        server = DNS64Resolver(make_zones(), config)
-        response = self._query(server, "sc24.supercomputing.org", RRType.AAAA)
-        assert response.answers_of_type(RRType.AAAA)[0].ttl <= 30
-
-    def test_always_synthesize_mode(self):
-        config = Dns64Config(always_synthesize=True)
-        server = DNS64Resolver(make_zones(), config)
-        response = self._query(server, "ip6.me", RRType.AAAA)
-        addresses = {rr.rdata.address for rr in response.answers_of_type(RRType.AAAA)}
-        assert embed_ipv4_in_nat64(IPv4Address("23.153.8.71")) in addresses
+        server = DNS64Resolver(make_zones())
+        response = self._query(server, "long.example.net", RRType.AAAA)
+        aaaa = response.answers_of_type(RRType.AAAA)
+        assert aaaa[0].rdata.address == embed_ipv4_in_nat64(IPv4Address("198.51.100.7"))
+        assert aaaa[0].ttl == SYNTHETIC_TTL < 3600
 
 
 class TestClat:
